@@ -10,16 +10,23 @@ Experiments:
 * ``joint_null_experiment`` measures how close the pseudo-boson lowering
   pair comes to a joint null vector as the cutoff grows (it cannot have one
   as a function, only as a distribution, so the least singular value decays
-  and the minimizer drifts toward the cutoff);
+  and the minimizer drifts toward the cutoff).  It never forms a two-mode
+  matrix: A1 = (a1 - a2^dag)/sqrt2 lowers d = n1 - n2 by one and
+  A2 = (a2 - a1^dag)/sqrt2 raises it by one, as do a1 and a2, so the stacked
+  pair on the interior is block diagonal with one block per sector d.  Each
+  block is built from ladder coefficients (two entries per operator and
+  column) and gets its own small SVD;
 * ``squeeze_factored_action`` produces the exact Fock amplitudes of the
   factored squeeze action on the ground state as radical pairs;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
   cutoffs, whose norms grow without bound because the untruncated image is
-  not square integrable.
+  not square integrable.  Norms and amplitude gaps are kept in log space, and
+  a value beyond the float range is reported as None.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -200,7 +207,8 @@ class NullExperimentReport:
     """Least singular value of the stacked lowering pair, per cutoff.
 
     The domain is the interior subspace (total excitation < N - 2), ordered
-    by total excitation; lowering operators map it without truncation error.
+    by total excitation and then by n1; lowering operators map it without
+    truncation error.
     ``tail_mass`` is the minimizer mass at total excitation at or above half
     the interior bound; for the pseudo-boson pair it tracks the migration of
     the minimizer toward the cutoff.  Singular values below the numerical
@@ -217,39 +225,78 @@ class NullExperimentReport:
         return [r.tail_mass for r in self.records]
 
 
+# Each lowering pair is (alpha a1 + beta a2^dag, alpha a2 + beta a1^dag).
+_LOWERING_PAIRS = {
+    "pseudo": (1 / np.sqrt(2.0), -1 / np.sqrt(2.0)),  # A1, A2
+    "bosonic": (1.0, 0.0),  # a1, a2
+}
+
+
+def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior states |n1, n2> with n1 - n2 = d and n1 + n2 < bound, by min(n1, n2)."""
+    n = np.arange((bound - abs(d) + 1) // 2)
+    return n + max(d, 0), n + max(-d, 0)
+
+
+def _sector_block(alpha: float, beta: float, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """The stacked lowering pair restricted to one sector, from ladder coefficients.
+
+    Column k is the state |n1[k], n2[k]>.  The first operator sends it to
+    |n1-1, n2> and |n1, n2+1> in sector d - 1, rows k and k + 1 of the top
+    half; the second sends it to |n1, n2-1> and |n1+1, n2> in sector d + 1,
+    rows k and k + 1 of the bottom half.  Every target lies below the cutoff,
+    so the block holds exactly the nonzero entries of these columns of the
+    two-mode matrix; rows no state reaches stay zero and leave the singular
+    values unchanged.
+    """
+    m = len(n1)
+    k = np.arange(m)
+    block = np.zeros((2 * m + 2, m))
+    block[k, k] = alpha * np.sqrt(n1)
+    block[k + 1, k] = beta * np.sqrt(n2 + 1)
+    block[m + 1 + k, k] = alpha * np.sqrt(n2)
+    block[m + 2 + k, k] = beta * np.sqrt(n1 + 1)
+    return block
+
+
 def joint_null_experiment(
     cutoffs: Sequence[int], family: Literal["pseudo", "bosonic"] = "pseudo"
 ) -> NullExperimentReport:
-    """SVD sweep of the stacked pair ([A1; A2] or [a1; a2]) over cutoffs."""
+    """SVD sweep of the stacked pair ([A1; A2] or [a1; a2]) over cutoffs.
+
+    Works sector by sector: sigma_min is the least singular value over the
+    sector blocks, clamped against the largest one, and the minimizer is the
+    singular vector of the first sector (in increasing d) that attains it.
+    """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing and nonempty")
     if any(c < 8 for c in cutoffs):
         raise ValueError("cutoffs below 8 give a degenerate interior")
-    if family == "pseudo":
-        names = ("A1", "A2")
-    elif family == "bosonic":
-        names = ("a1", "a2")
-    else:
+    if family not in _LOWERING_PAIRS:
         raise ValueError(f"unknown family {family!r}")
+    alpha, beta = _LOWERING_PAIRS[family]
 
     records = []
     for cutoff in cutoffs:
         bound = cutoff - 2
-        tot = total_excitations(2, cutoff)
-        inside = np.where(tot < bound)[0]
-        order = np.lexsort((inside, tot[inside]))
-        inside = inside[order]
-        embed = np.zeros((cutoff * cutoff, len(inside)))
-        embed[inside, np.arange(len(inside))] = 1.0
-        stacked = np.vstack([build_fock(n, cutoff).matrix @ embed for n in names])
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        sigma = float(svals[-1])
-        if sigma < SIGMA_FLOOR_RATIO * float(svals[0]):
+        top = 0.0
+        best_d, sigma = 0, np.inf
+        for d in range(1 - bound, bound):
+            block = _sector_block(alpha, beta, *_sector_states(d, bound))
+            svals = np.linalg.svd(block, compute_uv=False)
+            top = max(top, float(svals[0]))
+            if svals[-1] < sigma:
+                best_d, sigma = d, float(svals[-1])
+        if sigma < SIGMA_FLOOR_RATIO * top:
             sigma = 0.0
-        minimizer = vh[-1].conj()
-        tail = tot[inside] >= bound / 2
-        tail_mass = float(np.sum(np.abs(minimizer[tail]) ** 2))
+        n1, n2 = _sector_states(best_d, bound)
+        vec = np.linalg.svd(_sector_block(alpha, beta, n1, n2), full_matrices=False)[2][-1]
+        total = n1 + n2
+        # interior index of |n1, n2>: all states of lower total, then by n1
+        minimizer = np.zeros(bound * (bound + 1) // 2)
+        minimizer[total * (total + 1) // 2 + n1] = vec
+        tail_mass = float(np.sum(vec[total >= bound / 2] ** 2))
         records.append(NullRecord(cutoff, sigma, tail_mass, minimizer))
     return NullExperimentReport(family=family, records=tuple(records))
 
@@ -292,9 +339,9 @@ def squeeze_factored_action(kmax: int) -> list[SqrtRational]:
 @dataclass(frozen=True)
 class SqueezeNormRecord:
     cutoff: int
-    norm: float
+    norm: float | None  # None when beyond the float range; log_norm keeps its scale
     log_norm: float
-    coeff_gaps: tuple[float, ...]  # relative gap to the factored amplitudes, k = 0..3
+    coeff_gaps: tuple[float | None, ...]  # relative gap to the factored amplitudes, k = 0..3
 
 
 @dataclass(frozen=True)
@@ -303,11 +350,33 @@ class SqueezeReport:
     generator: str
     records: tuple[SqueezeNormRecord, ...]
 
-    def norms(self) -> list[float]:
+    def norms(self) -> list[float | None]:
         return [r.norm for r in self.records]
 
     def log_norms(self) -> list[float]:
         return [r.log_norm for r in self.records]
+
+
+def _exp_or_none(log_value: float) -> float | None:
+    """e^log_value, or None when it exceeds the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return None
+
+
+def _relative_gap(log_scale: float, scaled: float, ref: float) -> float | None:
+    """|e^log_scale * scaled - ref| / |ref| without forming e^log_scale.
+
+    The difference is taken on the scale of its larger term; None when the
+    gap itself exceeds the float range.
+    """
+    log_amp = log_scale + math.log(abs(scaled)) if scaled else -math.inf
+    top = max(log_amp, math.log(abs(ref)))
+    diff = abs(math.copysign(math.exp(log_amp - top), scaled) - ref * math.exp(-top))
+    if diff == 0.0:
+        return 0.0
+    return _exp_or_none(top + math.log(diff / abs(ref)))
 
 
 def squeeze_truncated_norms(
@@ -318,22 +387,25 @@ def squeeze_truncated_norms(
     """Norms of exp(theta X_N)|0> per cutoff, with amplitude comparisons.
 
     ``hermitian`` is the unbounded generator a^2 + adag^2: the matrix
-    exponential is evaluated through the symmetric eigendecomposition (the
-    scaling-and-squaring route overflows for the larger cutoffs) and the
-    norms grow without bound.  ``antihermitian`` is the control a^2 - adag^2
-    whose exponential is orthogonal, so the norm stays 1.
+    exponential is evaluated through the symmetric eigendecomposition, in log
+    space (the scaling-and-squaring route overflows for the larger cutoffs),
+    and the norms grow without bound.  ``antihermitian`` is the control
+    a^2 - adag^2 whose exponential is orthogonal, so the norm stays 1.
 
     ``coeff_gaps`` reports, per cutoff, the relative gap between the
     truncated-exponential amplitudes on basis states 0, 2, 4, 6 and the
     exact factored amplitudes times 2^(1/4).  The two sides agree only for
     the untruncated operators; truncation breaks them differently, so the
-    gaps are reported, never asserted.
+    gaps are reported, never asserted.  A norm or gap beyond the float range
+    is None; ``log_norm`` is always finite.
     """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing and nonempty")
     if any(c < 8 for c in cutoffs):
         raise ValueError("cutoffs below 8 cannot hold the compared amplitudes")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
 
     factored = squeeze_factored_action(3)
     reference = [float(c) * 2.0 ** 0.25 for c in factored]
@@ -344,33 +416,41 @@ def squeeze_truncated_norms(
             x = np.real(build_fock("X_squeeze", cutoff).matrix)
             evals, evecs = np.linalg.eigh(x)
             overlap = evecs[0, :]
-            log_terms = theta * evals + np.log(np.abs(overlap) + 1e-300)
+            with np.errstate(divide="ignore"):  # a zero overlap contributes e^-inf = 0
+                log_terms = theta * evals + np.log(np.abs(overlap))
+                # log|term| of each eigenvector's share in the amplitudes of |0>, |2>, |4>, |6>
+                shares = log_terms + np.log(np.abs(evecs[0:8:2, :]))
             peak = float(np.max(log_terms))
-            amplitudes = evecs @ (np.sign(overlap) * np.exp(log_terms))
             log_norm = peak + 0.5 * float(
                 np.log(np.sum(np.exp(2.0 * (log_terms - peak))))
             )
-            norm = float(np.exp(log_norm)) if log_norm < 700 else float("inf")
+            # amplitude k is e^log_scale[k] * scaled[k]
+            log_scale = np.max(shares, axis=1)
+            signs = np.sign(evecs[0:8:2, :]) * np.sign(overlap)
+            scaled = np.sum(signs * np.exp(shares - log_scale[:, None]), axis=1)
         elif generator == "antihermitian":
             a = _annihilation(cutoff)
             gen = a @ a - a.T @ a.T
             amplitudes = scipy.linalg.expm(theta * gen)[:, 0]
-            norm = float(np.linalg.norm(amplitudes))
-            log_norm = float(np.log(norm))
+            log_scale = np.zeros(4)
+            scaled = amplitudes[0:8:2]
+            log_norm = float(np.log(np.linalg.norm(amplitudes)))
         else:
             raise ValueError(f"unknown generator {generator!r}")
         gaps = tuple(
-            float(abs(amplitudes[2 * k] - reference[k]) / abs(reference[k]))
-            for k in range(4)
+            _relative_gap(float(ls), float(s), r)
+            for ls, s, r in zip(log_scale, scaled, reference)
         )
-        records.append(SqueezeNormRecord(cutoff, norm, log_norm, gaps))
+        records.append(SqueezeNormRecord(cutoff, _exp_or_none(log_norm), log_norm, gaps))
     return SqueezeReport(theta=theta, generator=generator, records=tuple(records))
 
 
 def squeeze_csv(report: SqueezeReport) -> str:
+    """``cutoff,norm,log_norm``; a norm beyond the float range is left empty."""
     lines = ["cutoff,norm,log_norm"]
     for r in report.records:
-        lines.append(f"{r.cutoff},{r.norm!r},{r.log_norm!r}")
+        norm = "" if r.norm is None else repr(r.norm)
+        lines.append(f"{r.cutoff},{norm},{r.log_norm!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -95,7 +95,8 @@ def render_report(config: RunConfig, verdicts: Sequence[VerdictReport]) -> str:
         "checks": [v.to_jsonable() for v in verdicts],
         "failures": sum(1 for v in verdicts if v.status == "fail"),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity in a payload is a bug, not a value to write
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(path: Path, config: RunConfig, verdicts: Sequence[VerdictReport]) -> None:

@@ -495,6 +495,16 @@ def _unit_vec(k: int, n: int) -> tuple[Coeff, ...]:
     return tuple(ONE if i == k else ZERO for i in range(n))
 
 
+def _pairing_exp(exponent: float) -> float:
+    """e^exponent for a pairing's Gaussian scale; QuadratureError past the float range."""
+    try:
+        return math.exp(exponent)
+    except OverflowError as exc:
+        raise QuadratureError(
+            f"pairing scale exp({exponent:.6g}) exceeds the float range"
+        ) from exc
+
+
 def delta_pair(
     dist: DeltaDist,
     test: PolyGauss,
@@ -507,7 +517,8 @@ def delta_pair(
     Otherwise the in-plane Gaussian integral is evaluated by Gauss-Hermite
     quadrature, refined until two levels agree within abs_tol (the integrand
     is polynomial-times-Gaussian, so refinement terminates at the exactness
-    degree); disagreement raises QuadratureError with the residual.
+    degree); disagreement raises QuadratureError with the residual, as does a
+    Gaussian scale beyond the float range.
     """
     if test.nvars != dist.nvars:
         raise ValueError("test function dimension mismatch")
@@ -515,10 +526,9 @@ def delta_pair(
     integrand = restricted * dist.envelope
     if integrand.is_zero():
         return 0j
-    prefactor = math.exp(float(e0)) / float(dist.norm_len)
     m = integrand.nvars
     if m == 0:
-        return prefactor * complex(integrand.poly[()])
+        return _pairing_exp(float(e0)) / float(dist.norm_len) * complex(integrand.poly[()])
 
     sigma = np.array([[float(v) for v in row] for row in integrand.quad])
     tau = np.array([float(v) for v in integrand.lin])
@@ -530,7 +540,11 @@ def delta_pair(
     s = evecs.T @ tau
     mu = s / evals
     h = np.sqrt(2.0 / evals)
-    gauss_const = prefactor * math.exp(0.5 * float(np.dot(s, mu))) * float(np.prod(h))
+    gauss_const = (
+        _pairing_exp(float(e0) + 0.5 * float(np.dot(s, mu)))
+        * float(np.prod(h))
+        / float(dist.norm_len)
+    )
 
     def level(npts: int) -> complex:
         z, w = hermgauss(npts)

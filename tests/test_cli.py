@@ -72,6 +72,36 @@ def test_squeeze_report_fast_config(tmp_path):
     assert len(raabe) == 51
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_squeeze_report_strict_json_past_float_range(tmp_path):
+    # at cutoff 512 the truncated norm and amplitude gaps exceed the float range
+    jsonschema = pytest.importorskip("jsonschema")
+    code = run_cli(["squeeze", "--out", str(tmp_path), "--cutoffs", "16,512", "--kmax", "10"])
+    assert code == 0
+    doc = json.loads(
+        (tmp_path / "report_squeeze.json").read_text(), parse_constant=_reject_constant
+    )
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    payload = {c["check"]: c for c in doc["checks"]}["squeeze-truncated-norms"]["payload"]
+    assert payload["norms"][0] > 1 and payload["norms"][1] is None
+    assert payload["amplitude_gaps_vs_factored"][1] == [None] * 4
+    assert "null_reason" in payload
+    assert payload["strictly_increasing"] is True
+    norms_csv = (tmp_path / "squeeze_norms.csv").read_text().splitlines()
+    assert norms_csv[2].startswith("512,,")
+
+
+def test_drift_order_measured_above_rounding_floor(tmp_path):
+    assert run_cli(["classical", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report_classical.json").read_text())
+    payload = {c["check"]: c for c in doc["checks"]}["classical-drift-order"]["payload"]
+    assert payload["dt"] == [2e-2, 1e-2]
+    assert abs(payload["ratio"] - 32.0) < 1.0
+
+
 def test_json_reports_are_byte_deterministic(tmp_path):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
@@ -128,6 +158,15 @@ def test_rational_omega_adds_configured_trial(tmp_path):
     doc = json.loads((tmp_path / "report_hamiltonian.json").read_text())
     checks = {c["check"]: c for c in doc["checks"]}
     assert len(checks["hamiltonian-forms-symbolic"]["payload"]["trials"]) == 6
+
+
+@pytest.mark.parametrize(
+    "option", [["--theta", "nan"], ["--theta", "inf"], ["--tol", "0"], ["--tol=-1e-10"]]
+)
+def test_non_finite_or_non_positive_floats_rejected(option):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["vacuum", *option])
+    assert err.value.code == 2
 
 
 def test_low_kmax_rejected_by_protocol():

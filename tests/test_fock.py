@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from bateman.classical import BatemanParams
 from bateman.field import Coeff
 from bateman.fock import (
+    SIGMA_FLOOR_RATIO,
     build_fock,
     commutator_residual,
     hamiltonian_equiv_residual,
@@ -21,6 +23,7 @@ from bateman.fock import (
     squeeze_csv,
     squeeze_factored_action,
     squeeze_truncated_norms,
+    total_excitations,
 )
 from bateman.operators import commutator, make_ladder, make_pseudo, op_apply
 from bateman.radicals import SqrtRational, factorial_sqrt
@@ -195,6 +198,47 @@ def test_null_experiment_minimizers_normalized():
     sweep = joint_null_experiment([8, 12], "pseudo")
     for record in sweep.records:
         assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
+
+
+def _dense_null_oracle(cutoff, family):
+    """The stacked SVD of the full two-mode pair on the interior basis."""
+    names = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}[family]
+    bound = cutoff - 2
+    tot = total_excitations(2, cutoff)
+    inside = np.where(tot < bound)[0]
+    inside = inside[np.lexsort((inside, tot[inside]))]
+    stacked = np.vstack([build_fock(n, cutoff).matrix[:, inside] for n in names])
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    sigma = float(svals[-1])
+    if sigma < SIGMA_FLOOR_RATIO * float(svals[0]):
+        sigma = 0.0
+    minimizer = vh[-1].conj()
+    tail_mass = float(np.sum(np.abs(minimizer[tot[inside] >= bound / 2]) ** 2))
+    return sigma, tail_mass, minimizer
+
+
+@pytest.mark.parametrize("family", ["pseudo", "bosonic"])
+def test_null_experiment_matches_dense_oracle(family):
+    cutoffs = [8, 12, 16, 24]
+    sweep = joint_null_experiment(cutoffs, family)
+    for cutoff, record in zip(cutoffs, sweep.records):
+        sigma, tail_mass, minimizer = _dense_null_oracle(cutoff, family)
+        assert record.sigma_min == pytest.approx(sigma, rel=1e-12, abs=0.0)
+        assert abs(record.tail_mass - tail_mass) < 1e-12
+        assert len(record.minimizer) == len(minimizer)
+        assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
+        # the least singular value is simple, so the minimizers agree up to phase
+        assert abs(abs(np.vdot(minimizer, record.minimizer)) - 1.0) < 1e-12
+
+
+def test_null_sweep_reaches_continuum_constant():
+    # sigma_min * sqrt(M), with M = #{n : 2n < N - 2} the size of the d = 0
+    # sector, rises toward j_{0,1} / 2 (Dirichlet edge of -(n c')' = mu c)
+    limit = scipy.special.jn_zeros(0, 1)[0] / 2
+    sweep = joint_null_experiment([100, 400], "pseudo")
+    scaled = [r.sigma_min * math.sqrt(len(range(0, r.cutoff - 2, 2))) for r in sweep.records]
+    assert scaled[0] < scaled[1] < limit
+    assert scaled == pytest.approx([1.1963, 1.2009], abs=1e-4)
 
 
 def test_null_experiment_validation():

@@ -234,6 +234,17 @@ def test_delta_pair_flags_non_integrable_weight():
         delta_pair(dist, PolyGauss.standard_vacuum(2))
 
 
+def test_delta_pair_scale_overflow_raises_quadrature_error():
+    # e^{-x^2/2 + 2000 x} at the point x = 1: the exponent constant is 1999.5
+    point = DeltaDist([1], 1, PolyGauss(0, {(): 1}))
+    with pytest.raises(QuadratureError, match="float range"):
+        delta_pair(point, PolyGauss(1, {(0,): 1}, [[1]], [2000]))
+    # in-plane Gaussian e^{-v^2 + 2000 v}: completing the square gives e^{10^6}
+    plane = DeltaDist([1, 0], 0, PolyGauss.standard_vacuum(1))
+    with pytest.raises(QuadratureError, match="float range"):
+        delta_pair(plane, PolyGauss(2, {(0, 0): 1}, [[1, 0], [0, 1]], [0, 2000]))
+
+
 def test_quadrature_handles_odd_and_high_degree():
     # x2^6 moment of e^{-x2^2}: 15/8 sqrt(pi); odd moments vanish
     dist = DeltaDist([1, 0], 0, PolyGauss.standard_vacuum(1))
