@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -86,7 +85,12 @@ class BatemanParams:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Phase-space point; fields are (x, y, p_x, p_y) or rotated (x1, x2, p1, p2)."""
+    """Phase-space point; fields are (x, y, p_x, p_y) or rotated (x1, x2, p1, p2).
+
+    The fields may also be equal-length arrays, one entry per sample (see
+    ``Trajectory.phase_arrays``); ``rotate`` and the Hamiltonians then act
+    elementwise.
+    """
 
     x: float
     y: float
@@ -154,33 +158,37 @@ class Trajectory:
     states: np.ndarray  # shape (n, 4): columns x, y, p_x, p_y
     params: BatemanParams
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(*self.states[i])
+    def phase_arrays(self) -> PhaseState:
+        """All samples as one PhaseState whose fields are arrays over time."""
+        return PhaseState(*self.states.T)
 
     def energies(self) -> np.ndarray:
-        m = float(self.params.m)
-        g = float(self.params.gamma)
-        k = float(self.params.k_spring)
-        x, y, px, py = self.states.T
-        return px * py / m + (g / (2 * m)) * (y * py - x * px) + (k - g * g / (4 * m)) * x * y
+        return hamiltonian_mixed(self.phase_arrays(), self.params)
 
 
-def _rhs(params: BatemanParams) -> Callable[[np.ndarray], np.ndarray]:
+def _rk4_increment(params: BatemanParams, dt: float) -> np.ndarray:
+    """D = P - I for the RK4 step matrix P = sum_{j<=4} (dt M)^j / j!.
+
+    Hamilton's equations of the mixed form are linear, s' = M s, so one
+    classic RK4 step is exactly s -> P s.  The terms are summed smallest
+    first, and callers add D s to s rather than forming P s: P's diagonal
+    is 1 + O(dt), and rounding it would drift the energy coherently over
+    many steps.
+    """
     m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
     c = k - g * g / (4 * m)
-
-    def rhs(s: np.ndarray) -> np.ndarray:
-        x, y, px, py = s
-        return np.array(
-            [
-                py / m - (g / (2 * m)) * x,
-                px / m + (g / (2 * m)) * y,
-                (g / (2 * m)) * px - c * y,
-                -(g / (2 * m)) * py - c * x,
-            ]
-        )
-
-    return rhs
+    g2m = g / (2 * m)
+    hm = dt * np.array(
+        [
+            [-g2m, 0.0, 0.0, 1 / m],
+            [0.0, g2m, 1 / m, 0.0],
+            [0.0, -c, g2m, 0.0],
+            [-c, 0.0, 0.0, -g2m],
+        ]
+    )
+    hm2 = hm @ hm
+    hm3 = hm2 @ hm
+    return (hm2 @ hm2 / 24.0 + hm3 / 6.0) + hm2 / 2.0 + hm
 
 
 def integrate_eom(
@@ -188,12 +196,14 @@ def integrate_eom(
 ) -> Trajectory:
     """Classic fixed-step RK4 for Hamilton's equations of the mixed form.
 
-    The amplified coordinate grows like exp(+gamma t / 2m); overflow of that
-    envelope raises IntegrationError, as do NaNs.
+    The equations are linear, so each step applies one fixed matrix (see
+    ``_rk4_increment``).  The amplified coordinate grows like
+    exp(+gamma t / 2m); overflow of that envelope raises IntegrationError,
+    as do NaNs.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    rhs = _rhs(params)
+    step_t = _rk4_increment(params, dt).T
     nsteps = int(round(t_end / dt))
     states = np.empty((nsteps + 1, 4))
     times = np.arange(nsteps + 1) * dt
@@ -202,17 +212,35 @@ def integrate_eom(
     # overflow shows up as non-finite state entries and is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, nsteps + 1):
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * dt * k1)
-            k3 = rhs(s + 0.5 * dt * k2)
-            k4 = rhs(s + dt * k3)
-            s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(s)):
-                raise IntegrationError(
-                    f"trajectory left the representable range at t={times[i]:g}"
-                )
+            s = s + s @ step_t
             states[i] = s
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise IntegrationError(
+            f"trajectory left the representable range at t={times[first]:g}"
+        )
     return Trajectory(times, states, params)
+
+
+def underdamped_solution(
+    params: BatemanParams, init: PhaseState, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form x(t) and y(t) from ``init``.
+
+    Each coordinate solves u'' - 2 r u' + (omega^2 + r^2) u = 0, with
+    r = -gamma/2m for the damped x and r = +gamma/2m for the amplified y, so
+    u(t) = e^(r t) (u0 cos(omega t) + (u0' - r u0) / omega sin(omega t)).
+    """
+    rate = float(params.gamma) / (2 * float(params.m))
+    w = params.omega
+    xdot, ydot = init.velocities(params)
+    cos, sin = np.cos(w * times), np.sin(w * times)
+
+    def mode(u0: float, v0: float, r: float) -> np.ndarray:
+        return np.exp(r * times) * (u0 * cos + (v0 - r * u0) / w * sin)
+
+    return mode(init.x, xdot, -rate), mode(init.y, ydot, rate)
 
 
 @dataclass(frozen=True)
@@ -255,11 +283,9 @@ class HamiltonianConsistency:
 def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> HamiltonianConsistency:
     if len(traj.times) < 2:
         raise ValueError("need at least 2 samples")
-    energies = traj.energies()
-    gap = 0.0
-    for i in range(len(traj.times)):
-        st = traj.state(i)
-        gap = max(gap, abs(hamiltonian_mixed(st, params) - hamiltonian_rotated(rotate(st), params)))
+    samples = traj.phase_arrays()
+    energies = hamiltonian_mixed(samples, params)
+    gap = float(np.max(np.abs(energies - hamiltonian_rotated(rotate(samples), params))))
     drift = float(np.max(np.abs(energies - energies[0])))
     return HamiltonianConsistency(gap, drift, float(energies[0]))
 

@@ -33,6 +33,7 @@ from .classical import (
     hamiltonian_consistency,
     integrate_eom,
     trajectory_csv,
+    underdamped_solution,
 )
 from .field import Coeff
 from .fock import (
@@ -58,6 +59,7 @@ from .operators import (
 from .radicals import factorial_sqrt
 from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
+    SQUEEZE_SUM_EXPONENT,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
@@ -500,6 +502,7 @@ def run_squeeze(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
                 "checkpoints": list(growth.checkpoints),
                 "partial_sums": list(growth.partial_sum_floats),
                 "fitted_exponent": p,
+                "analytic_exponent": SQUEEZE_SUM_EXPONENT,
                 "exceeds_100_at_104_exact": bool(exceeds),
             },
         )
@@ -612,26 +615,20 @@ def run_classical(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
         )
     )
 
-    # envelope behavior: x decays, y grows, with reciprocal rates
-    g2m = float(params.gamma) / (2.0 * float(params.m))
-    t_end = float(traj.times[-1])
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
-    head = slice(0, 100)
-    tail = slice(-100, None)
-    x_late_over_early = float(np.max(np.abs(x[tail])) / np.max(np.abs(x[head])))
-    y_late_over_early = float(np.max(np.abs(y[tail])) / np.max(np.abs(y[head])))
+    x_exact, y_exact = underdamped_solution(params, init, traj.times)
     verdicts.append(
         VerdictReport(
             check="classical-envelopes",
-            claim="the damped coordinate decays while the amplified partner "
-            "grows with the reciprocal envelope",
+            claim="the damped coordinate and its amplified partner follow the "
+            "closed-form underdamped solutions e^(-+gamma t/2m) (A cos wt + "
+            "B sin wt) pointwise",
             status="report-only",
             payload={
-                "gamma_over_2m": g2m,
-                "x_late_over_early": x_late_over_early,
-                "y_late_over_early": y_late_over_early,
-                "expected_growth": math.exp(g2m * t_end),
+                "gamma_over_2m": float(params.gamma) / (2.0 * float(params.m)),
+                "omega": params.omega,
+                "t_end": float(traj.times[-1]),
+                "max_error_x": float(np.max(np.abs(traj.states[:, 0] - x_exact))),
+                "max_error_y": float(np.max(np.abs(traj.states[:, 1] - y_exact))),
             },
         )
     )

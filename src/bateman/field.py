@@ -118,9 +118,17 @@ class Coeff:
 
     def __mul__(self, other: "Coeff | RatLike") -> Coeff:
         o = Coeff.coerce(other)
-        # (u1 + i v1)(u2 + i v2) with u, v in Q(sqrt2); sqrt2*sqrt2 -> 2.
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        # Short paths give the same value as the general product: every
+        # term they drop has a zero factor.
+        if not (b1 or c1 or d1):  # rational times anything
+            return Coeff(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
+        if not (b2 or c2 or d2):
+            return Coeff(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
+        if not (c1 or d1 or c2 or d2):  # real times real
+            return Coeff(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2)
+        # (u1 + i v1)(u2 + i v2) with u, v in Q(sqrt2); sqrt2*sqrt2 -> 2.
         re_a = a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2
         re_b = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
         im_c = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)

@@ -379,6 +379,23 @@ def _relative_gap(log_scale: float, scaled: float, ref: float) -> float | None:
     return _exp_or_none(top + math.log(diff / abs(ref)))
 
 
+def _even_squeeze_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a^2 + adag^2 on the even states 0, 2, 4, ... < cutoff.
+
+    The generator couples n only to n +- 2, and |0> is even, so the even
+    block is all that acts on it: a tridiagonal matrix with zero diagonal and
+    <2j+2| adag^2 |2j> = sqrt((2j+1)(2j+2)).  Row j of the eigenvectors is
+    basis state 2j.  The "stev" driver is named because e^(theta lambda)
+    amplifies the eigenvector components on |0>, many orders below rounding
+    relative to the largest ones, and the default driver (like a dense
+    ``eigh`` of the full matrix) loses them from cutoff 64 on.
+    """
+    odd = np.arange(1.0, cutoff - 1, 2)  # 2j + 1 for each coupled pair 2j, 2j + 2
+    return scipy.linalg.eigh_tridiagonal(
+        np.zeros(len(odd) + 1), np.sqrt(odd * (odd + 1)), lapack_driver="stev"
+    )
+
+
 def squeeze_truncated_norms(
     theta: float,
     cutoffs: Sequence[int],
@@ -387,10 +404,11 @@ def squeeze_truncated_norms(
     """Norms of exp(theta X_N)|0> per cutoff, with amplitude comparisons.
 
     ``hermitian`` is the unbounded generator a^2 + adag^2: the matrix
-    exponential is evaluated through the symmetric eigendecomposition, in log
-    space (the scaling-and-squaring route overflows for the larger cutoffs),
-    and the norms grow without bound.  ``antihermitian`` is the control
-    a^2 - adag^2 whose exponential is orthogonal, so the norm stays 1.
+    exponential is evaluated through the eigendecomposition of its even
+    block (``_even_squeeze_eigh``), in log space (the scaling-and-squaring
+    route overflows for the larger cutoffs), and the norms grow without
+    bound.  ``antihermitian`` is the control a^2 - adag^2 whose exponential
+    is orthogonal, so the norm stays 1.
 
     ``coeff_gaps`` reports, per cutoff, the relative gap between the
     truncated-exponential amplitudes on basis states 0, 2, 4, 6 and the
@@ -413,20 +431,19 @@ def squeeze_truncated_norms(
     records = []
     for cutoff in cutoffs:
         if generator == "hermitian":
-            x = np.real(build_fock("X_squeeze", cutoff).matrix)
-            evals, evecs = np.linalg.eigh(x)
+            evals, evecs = _even_squeeze_eigh(cutoff)
             overlap = evecs[0, :]
             with np.errstate(divide="ignore"):  # a zero overlap contributes e^-inf = 0
                 log_terms = theta * evals + np.log(np.abs(overlap))
                 # log|term| of each eigenvector's share in the amplitudes of |0>, |2>, |4>, |6>
-                shares = log_terms + np.log(np.abs(evecs[0:8:2, :]))
+                shares = log_terms + np.log(np.abs(evecs[0:4, :]))
             peak = float(np.max(log_terms))
             log_norm = peak + 0.5 * float(
                 np.log(np.sum(np.exp(2.0 * (log_terms - peak))))
             )
             # amplitude k is e^log_scale[k] * scaled[k]
             log_scale = np.max(shares, axis=1)
-            signs = np.sign(evecs[0:8:2, :]) * np.sign(overlap)
+            signs = np.sign(evecs[0:4, :]) * np.sign(overlap)
             scaled = np.sum(signs * np.exp(shares - log_scale[:, None]), axis=1)
         elif generator == "antihermitian":
             a = _annihilation(cutoff)

@@ -48,28 +48,18 @@ def term_norm2(k: int) -> Coeff:
 
 
 def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
-    """Exact S_K = sqrt2 * sum_{k<=K} C(2k,k)/4^k via one integer recurrence."""
-    targets = sorted(set(checkpoints))
-    if targets[0] < 0:
+    """Exact S_K = sqrt2 * sum_{k<=K} C(2k,k)/4^k in closed form.
+
+    The sum telescopes: (2K+1) C(2K,K)/4^K - (2K-1) C(2K-2,K-1)/4^(K-1)
+    = C(2K,K)/4^K, so S_K = sqrt2 * (2K+1) C(2K,K) / 4^K.
+    """
+    if min(checkpoints) < 0:
         raise ValueError("checkpoints must be nonnegative")
-    out: dict[int, Coeff] = {}
-    central = 1  # C(2k, k)
-    acc = 1  # sum_{j<=k} C(2j,j) 4^(k-j)
-    if targets[0] == 0:
-        out[0] = Coeff(0, Fraction(1))
-    target_set = set(targets)
-    for k in range(1, targets[-1] + 1):
-        central = central * (2 * (2 * k - 1)) // k
-        acc = (acc << 2) + central
-        if k in target_set:
-            # strip shared powers of two before Fraction's gcd normalization
-            shift = min(_two_adic(acc), 2 * k)
-            out[k] = Coeff(0, Fraction(acc >> shift, 1 << (2 * k - shift)))
-    return [out[k] for k in checkpoints]
+    return [Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k)) for k in checkpoints]
 
 
-def _two_adic(n: int) -> int:
-    return (n & -n).bit_length() - 1
+# C(2K,K)/4^K ~ 1/sqrt(pi K), so S_K grows like K^(1/2).
+SQUEEZE_SUM_EXPONENT = 0.5
 
 
 def squeeze_norm_series() -> SeriesTerms:

@@ -15,7 +15,9 @@ from bateman.classical import (
     integrate_eom,
     rotate,
     trajectory_csv,
+    underdamped_solution,
 )
+from bateman.cli import DRIFT_ORDER_STEPS
 
 
 def default_params():
@@ -37,6 +39,36 @@ def amplified_analytic(params, y0, v0, t):
     w = params.omega
     c2 = (v0 - g * y0 / (2 * m)) / w
     return np.exp(g * t / (2 * m)) * (y0 * np.cos(w * t) + c2 * np.sin(w * t))
+
+
+def rk4_oracle(params, init, t_end, dt):
+    """Explicit four-stage RK4 on Hamilton's equations of the mixed form."""
+    m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
+    c = k - g * g / (4 * m)
+
+    def rhs(s):
+        x, y, px, py = s
+        return np.array(
+            [
+                py / m - (g / (2 * m)) * x,
+                px / m + (g / (2 * m)) * y,
+                (g / (2 * m)) * px - c * y,
+                -(g / (2 * m)) * py - c * x,
+            ]
+        )
+
+    nsteps = int(round(t_end / dt))
+    states = np.empty((nsteps + 1, 4))
+    s = init.as_array()
+    states[0] = s
+    for i in range(1, nsteps + 1):
+        k1 = rhs(s)
+        k2 = rhs(s + 0.5 * dt * k1)
+        k3 = rhs(s + 0.5 * dt * k2)
+        k4 = rhs(s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[i] = s
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +175,44 @@ def test_amplified_partner_grows():
     assert tail / head > math.exp(0.1 * 10.0) * 0.5
 
 
+# (m, gamma, omega): the reference setup and three others with omega up to 2
+SETUPS = [
+    (1, Fraction(1, 5), 1),
+    (1, Fraction(1, 10), 1),
+    (Fraction(3, 2), Fraction(2, 5), 2),
+    (Fraction(5, 4), Fraction(3, 10), Fraction(3, 2)),
+]
+
+
+@pytest.mark.parametrize("m, gamma, omega", SETUPS[::2])
+def test_propagator_matches_four_stage_oracle(m, gamma, omega):
+    p = BatemanParams.from_omega(m, gamma, omega)
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+    traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
+    oracle = rk4_oracle(p, init, 10.0, 1e-3)
+    assert traj.states.shape == (10001, 4)
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("m, gamma, omega", SETUPS)
+def test_energy_drift_stays_at_rounding_floor(m, gamma, omega):
+    # stepping with s @ P^T instead of adding the increment accumulates the
+    # rounding of P's diagonal coherently (drift 1.4e-13 to 2.1e-12 here)
+    p = BatemanParams.from_omega(m, gamma, omega)
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+    traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
+    assert hamiltonian_consistency(traj, p).max_drift < 1e-13
+
+
+def test_underdamped_solution_matches_test_closed_forms():
+    p = BatemanParams.from_omega(Fraction(5, 4), Fraction(3, 10), Fraction(3, 2))
+    init = PhaseState.from_velocities(p, x=1.0, xdot=-0.3, y=0.5, ydot=0.2)
+    t = np.linspace(0.0, 10.0, 101)
+    x, y = underdamped_solution(p, init, t)
+    assert np.allclose(x, damped_analytic(p, 1.0, -0.3, t), rtol=1e-13, atol=1e-13)
+    assert np.allclose(y, amplified_analytic(p, 0.5, 0.2, t), rtol=1e-13, atol=1e-13)
+
+
 def test_integration_validation():
     p = default_params()
     init = PhaseState(1.0, 0.0, 0.0, 0.0)
@@ -159,7 +229,12 @@ def test_integration_detects_overflow():
     # amplified mode may grow, but non-finite values must raise
     p = BatemanParams.from_omega(1, Fraction(1, 2), 10)
     init = PhaseState(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(IntegrationError):
+    # the error names the first step at which the four-stage loop is non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = rk4_oracle(p, init, 1000.0, 5.0)
+    first = int(np.argmin(np.isfinite(oracle).all(axis=1)))
+    assert first > 0
+    with pytest.raises(IntegrationError, match=f"at t={5.0 * first:g}$"):
         integrate_eom(p, init, t_end=1000.0, dt=5.0)
 
 
@@ -220,12 +295,14 @@ def test_energy_drift_small_and_fourth_order():
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     drift = hamiltonian_consistency(integrate_eom(p, init, 10.0, 1e-3), p).max_drift
     assert drift < 1e-7
-    # measure the order in the truncation-dominated regime: at dt = 1e-3 the
-    # drift sits at the rounding floor (~1e-15), far below the bound above
-    coarse = hamiltonian_consistency(integrate_eom(p, init, 10.0, 4e-3), p).max_drift
-    fine = hamiltonian_consistency(integrate_eom(p, init, 10.0, 2e-3), p).max_drift
-    ratio = coarse / fine
-    assert 8.0 < ratio < 32.0  # 2^4 = 16 up to higher-order contamination
+    # measure the order where truncation, not rounding, sets the drift: RK4
+    # changes the energy of this linear system by O(dt^6) per step, so the
+    # drift over a fixed time is O(dt^5) and halving the step divides it by 32
+    coarse, fine = (
+        hamiltonian_consistency(integrate_eom(p, init, 10.0, dt), p).max_drift
+        for dt in DRIFT_ORDER_STEPS
+    )
+    assert abs(coarse / fine - 32.0) < 1.0
 
 
 def test_trajectory_csv_columns():

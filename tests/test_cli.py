@@ -85,7 +85,9 @@ def test_squeeze_report_strict_json_past_float_range(tmp_path):
         (tmp_path / "report_squeeze.json").read_text(), parse_constant=_reject_constant
     )
     jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
-    payload = {c["check"]: c for c in doc["checks"]}["squeeze-truncated-norms"]["payload"]
+    checks = {c["check"]: c for c in doc["checks"]}
+    assert checks["squeeze-series-partial-sums"]["payload"]["analytic_exponent"] == 0.5
+    payload = checks["squeeze-truncated-norms"]["payload"]
     assert payload["norms"][0] > 1 and payload["norms"][1] is None
     assert payload["amplitude_gaps_vs_factored"][1] == [None] * 4
     assert "null_reason" in payload
@@ -97,9 +99,14 @@ def test_squeeze_report_strict_json_past_float_range(tmp_path):
 def test_drift_order_measured_above_rounding_floor(tmp_path):
     assert run_cli(["classical", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "report_classical.json").read_text())
-    payload = {c["check"]: c for c in doc["checks"]}["classical-drift-order"]["payload"]
+    checks = {c["check"]: c for c in doc["checks"]}
+    payload = checks["classical-drift-order"]["payload"]
     assert payload["dt"] == [2e-2, 1e-2]
     assert abs(payload["ratio"] - 32.0) < 1.0
+    # pointwise RK4 error against the closed form: O(dt^4) at dt = 1e-3
+    envelopes = checks["classical-envelopes"]["payload"]
+    assert 0 < envelopes["max_error_x"] < 1e-11
+    assert 0 < envelopes["max_error_y"] < 1e-11
 
 
 def test_json_reports_are_byte_deterministic(tmp_path):

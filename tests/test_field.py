@@ -123,3 +123,24 @@ def test_conjugation_is_involutive_and_multiplicative(x):
     assert x.conjugate().conjugate() == x
     y = Coeff(1, 2, 3, Fraction(-1, 2))
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+
+
+def product_16(x, y):
+    """The general 16-product formula, with no short paths (the oracle)."""
+    a1, b1, c1, d1 = x.a, x.b, x.c, x.d
+    a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+    return Coeff(
+        a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+@given(small_fractions, small_fractions, small_fractions, coeffs())
+def test_short_path_products_match_general_formula(r, u, v, z):
+    rational = Coeff(r)
+    real = Coeff(u, v)
+    z_real = Coeff(z.a, z.b)
+    for x, y in ((rational, z), (z, rational), (real, z_real), (z_real, real), (real, z)):
+        assert x * y == product_16(x, y)

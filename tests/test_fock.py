@@ -294,6 +294,15 @@ def test_truncated_norm_matches_direct_expm_small_cutoff():
     assert abs(report.norms()[0] / direct - 1.0) < 1e-8
 
 
+def test_truncated_norms_match_high_precision_reference():
+    # references: mpmath ``eigsy`` of the even-parity block at 60 (N = 64)
+    # and 80 (N = 128) digits; a dense float64 eigh gives 249.867 and 567.8
+    report = squeeze_truncated_norms(THETA, [64, 128])
+    assert report.log_norms() == pytest.approx(
+        [249.865161123397, 536.64816647474435], rel=1e-12
+    )
+
+
 def test_theta_zero_is_identity():
     report = squeeze_truncated_norms(0.0, [8, 16])
     assert all(abs(n - 1.0) < 1e-12 for n in report.norms())

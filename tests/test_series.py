@@ -68,14 +68,14 @@ def test_recurrence_matches_factorial_closed_form():
 
 
 def test_fast_partial_sums_match_naive_summation():
-    fast = PAPER_SERIES.fast_partial_sums([5, 60, 300])
+    checkpoints = [0, 1, 5, 60, 300, 1000]
+    fast = PAPER_SERIES.fast_partial_sums(checkpoints)
     acc = Coeff(0)
     naive = {}
-    for k in range(301):
+    for k in range(1001):
         acc = acc + term_norm2(k)
-        if k in (5, 60, 300):
-            naive[k] = acc
-    assert fast == [naive[5], naive[60], naive[300]]
+        naive[k] = acc
+    assert fast == [naive[k] for k in checkpoints]
 
 
 # ---------------------------------------------------------------------------
