@@ -552,7 +552,7 @@ def run_squeeze(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
 
     csvs = {
         "squeeze_norms.csv": squeeze_csv(norms),
-        "raabe.csv": raabe_csv(raabe, series),
+        "raabe.csv": raabe_csv(raabe),
     }
     return verdicts, csvs
 

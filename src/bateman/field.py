@@ -141,6 +141,12 @@ class Coeff:
     def inverse(self) -> Coeff:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(sqrt2, i)")
+        if not (self.c or self.d):  # real: 1/(p + q sqrt2) = (p - q sqrt2)/(p^2 - 2 q^2)
+            p, q = self.a, self.b
+            if not p:  # 1/(q sqrt2) = sqrt2/(2q), without squaring q
+                return Coeff(0, 1 / (2 * q))
+            denom = p * p - 2 * q * q
+            return Coeff(p / denom, -q / denom)
         # z zbar = u^2 + v^2 is real; (p + q sqrt2)(p - q sqrt2) = p^2 - 2 q^2.
         zbar = self.conjugate()
         norm = self * zbar

@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .field import Coeff
 from .operators import PolyGauss
@@ -390,8 +389,11 @@ def _even_squeeze_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     relative to the largest ones, and the default driver (like a dense
     ``eigh`` of the full matrix) loses them from cutoff 64 on.
     """
+    # Imported here so that commands which never reach this path skip loading scipy.
+    from scipy.linalg import eigh_tridiagonal
+
     odd = np.arange(1.0, cutoff - 1, 2)  # 2j + 1 for each coupled pair 2j, 2j + 2
-    return scipy.linalg.eigh_tridiagonal(
+    return eigh_tridiagonal(
         np.zeros(len(odd) + 1), np.sqrt(odd * (odd + 1)), lapack_driver="stev"
     )
 
@@ -446,9 +448,11 @@ def squeeze_truncated_norms(
             signs = np.sign(evecs[0:4, :]) * np.sign(overlap)
             scaled = np.sum(signs * np.exp(shares - log_scale[:, None]), axis=1)
         elif generator == "antihermitian":
+            from scipy.linalg import expm  # imported here, as in _even_squeeze_eigh
+
             a = _annihilation(cutoff)
             gen = a @ a - a.T @ a.T
-            amplitudes = scipy.linalg.expm(theta * gen)[:, 0]
+            amplitudes = expm(theta * gen)[:, 0]
             log_scale = np.zeros(4)
             scaled = amplitudes[0:8:2]
             log_norm = float(np.log(np.linalg.norm(amplitudes)))

@@ -47,6 +47,46 @@ def term_norm2(k: int) -> Coeff:
     return Coeff(0, Fraction(math.comb(2 * k, k), 4**k))
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def _product(factors: list[int]) -> int:
+    """Product of the factors, multiplied pairwise as a balanced tree."""
+    while len(factors) > 1:
+        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2 :]
+    return factors[0] if factors else 1
+
+
+def _central_binomial(k: int, primes: Sequence[int]) -> int:
+    """C(2k, k) as prod p^e over the given primes (which must cover 2k).
+
+    Legendre's formula gives the exponent of p in (2k)!/k!^2 as
+    e = sum_j (floor(2k/p^j) - 2 floor(k/p^j)); nothing is divided.
+    """
+    n = 2 * k
+    powers = []
+    for p in primes:
+        if p > n:
+            break
+        e, pj = 0, p
+        while pj <= n:
+            e += n // pj - 2 * (k // pj)
+            pj *= p
+        if e:
+            powers.append(p**e)
+    return _product(powers)
+
+
 def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """Exact S_K = sqrt2 * sum_{k<=K} C(2k,k)/4^k in closed form.
 
@@ -55,7 +95,11 @@ def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """
     if min(checkpoints) < 0:
         raise ValueError("checkpoints must be nonnegative")
-    return [Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k)) for k in checkpoints]
+    primes = _primes_upto(2 * max(checkpoints))
+    return [
+        Coeff(0, Fraction((2 * k + 1) * _central_binomial(k, primes), 4**k))
+        for k in checkpoints
+    ]
 
 
 # C(2K,K)/4^K ~ 1/sqrt(pi K), so S_K grows like K^(1/2).
@@ -88,11 +132,14 @@ class RaabeReport:
     (endpoint rho_kmax, Richardson-extrapolated endpoint, padded by their
     gap, under a 1/k error model) must be strictly separated from 1.
     ``divergent`` additionally requires every tail ratio < 1, and
-    ``convergent`` every tail ratio > 1.
+    ``convergent`` every tail ratio > 1.  ``terms`` are the exact terms the
+    ratios were built from, kept so that ``raabe_csv`` need not rebuild them.
     """
 
     label: str
     kmax: int
+    k_start: int
+    terms: tuple[Coeff, ...]  # a_{k_start} .. a_{kmax+1}
     ratios: tuple[Coeff, ...]  # rho_1 .. rho_kmax
     tail_monotone: bool
     limit_low: Coeff
@@ -163,6 +210,8 @@ def raabe_test(
     return RaabeReport(
         label=series.label,
         kmax=kmax,
+        k_start=k0,
+        terms=tuple(terms),
         ratios=tuple(ratios),
         tail_monotone=tail_monotone,
         limit_low=low,
@@ -219,13 +268,14 @@ def partial_sum_growth(series: SeriesTerms, checkpoints: Sequence[int]) -> Growt
     )
 
 
-def raabe_csv(report: RaabeReport, series: SeriesTerms) -> str:
-    """CSV with columns k, rho_k (decimal), S_k (decimal running sum)."""
+def raabe_csv(report: RaabeReport) -> str:
+    """CSV with columns k, rho_k (decimal), S_k (decimal running sum of the
+    report's own terms)."""
     lines = ["k,rho,S_k"]
     acc = 0.0
-    k0 = series.k_start
-    for k in range(k0, report.kmax + 1):
-        acc += float(series.term(k))
+    k0 = report.k_start
+    for k, a_k in enumerate(report.terms[: report.kmax + 1 - k0], start=k0):
+        acc += float(a_k)
         if k >= 1:
             lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
     return "\n".join(lines) + "\n"

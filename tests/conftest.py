@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Same examples on every run, so a property-test failure reproduces as is;
+# every test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.hookimpl(hookwrapper=True)

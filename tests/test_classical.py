@@ -312,3 +312,20 @@ def test_trajectory_csv_columns():
     assert lines[0] == "t,x,y,p_x,p_y,H"
     assert len(lines) == len(traj.times) + 1
     assert len(lines[1].split(",")) == 6
+
+
+def test_pointwise_error_is_fourth_order():
+    # RK4's global error in x(t), y(t) is O(dt^4): halving the step divides it by 16
+    p = default_params()
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+    errors = []
+    for dt in DRIFT_ORDER_STEPS:
+        traj = integrate_eom(p, init, 10.0, dt)
+        x_exact, y_exact = underdamped_solution(p, init, traj.times)
+        errors.append((
+            np.max(np.abs(traj.states[:, 0] - x_exact)),
+            np.max(np.abs(traj.states[:, 1] - y_exact)),
+        ))
+    (coarse_x, coarse_y), (fine_x, fine_y) = errors
+    assert abs(coarse_x / fine_x - 16.0) < 0.5
+    assert abs(coarse_y / fine_y - 16.0) < 0.5

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bateman
 from bateman.cli import build_parser, config_from_args, main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
@@ -197,3 +201,16 @@ def test_parser_defaults():
     assert cfg.kmax == 1000
     assert cfg.fmt == "both"
     assert abs(cfg.theta - 7 * 3.141592653589793 / 8) < 1e-12
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported only inside the fock paths that use it
+    src = str(Path(bateman.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bateman.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from bateman.field import Coeff, I_UNIT, INV_SQRT2, ONE, SQRT2, ZERO, rational_sqrt
-from strategies import coeffs, small_fractions
+from strategies import coeffs, nonzero_fractions, small_fractions
 
 
 def test_construction_and_equality():
@@ -144,3 +144,18 @@ def test_short_path_products_match_general_formula(r, u, v, z):
     z_real = Coeff(z.a, z.b)
     for x, y in ((rational, z), (z, rational), (real, z_real), (z_real, real), (real, z)):
         assert x * y == product_16(x, y)
+
+
+def inverse_general(z):
+    """The general inverse zbar * 1/(z zbar), with no real short path (the oracle)."""
+    zbar = z.conjugate()
+    norm = product_16(z, zbar)
+    p, q = norm.a, norm.b
+    denom = p * p - 2 * q * q
+    return product_16(zbar, Coeff(p / denom, -q / denom))
+
+
+@given(nonzero_fractions, nonzero_fractions, nonzero_fractions)
+def test_real_inverse_short_path_matches_general_formula(r, u, v):
+    for z in (Coeff(r), Coeff(0, u), Coeff(u, v)):  # rational, pure sqrt2, general real
+        assert z.inverse() == inverse_general(z)

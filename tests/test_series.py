@@ -6,6 +6,8 @@ import pytest
 from bateman.field import Coeff, SQRT2
 from bateman.series import (
     SeriesTerms,
+    _central_binomial,
+    _primes_upto,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
@@ -76,6 +78,18 @@ def test_fast_partial_sums_match_naive_summation():
         acc = acc + term_norm2(k)
         naive[k] = acc
     assert fast == [naive[k] for k in checkpoints]
+
+
+def test_central_binomial_matches_math_comb():
+    primes = _primes_upto(2 * 10**5)
+    for k in [*range(301), 10**4, 10**5]:
+        assert _central_binomial(k, primes) == math.comb(2 * k, k), k
+
+
+def test_fast_partial_sums_match_comb_closed_form_at_1e5():
+    k = 10**5
+    (fast,) = PAPER_SERIES.fast_partial_sums([k])
+    assert fast == Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +195,22 @@ def test_partial_sum_checkpoint_validation():
 
 def test_csv_columns():
     report = raabe_test(PAPER_SERIES, 20)
-    lines = raabe_csv(report, PAPER_SERIES).strip().splitlines()
+    lines = raabe_csv(report).strip().splitlines()
     assert lines[0] == "k,rho,S_k"
     assert len(lines) == 21
     k, rho, s = lines[1].split(",")
     assert k == "1"
     assert math.isclose(float(rho), 1 / 3)
     assert math.isclose(float(s), math.sqrt(2) * 1.5)
+
+
+def test_csv_matches_per_term_construction():
+    # oracle: every a_k rebuilt through series.term
+    report = raabe_test(PAPER_SERIES, 1000)
+    lines = ["k,rho,S_k"]
+    acc = 0.0
+    for k in range(1001):
+        acc += float(PAPER_SERIES.term(k))
+        if k >= 1:
+            lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
+    assert raabe_csv(report) == "\n".join(lines) + "\n"
