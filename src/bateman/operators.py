@@ -247,17 +247,18 @@ class PolyGauss:
 
     def diff(self, k: int) -> PolyGauss:
         """d/dx_k of P e^Q = (dP + P dQ) e^Q, with dQ_k = t_k - (S x)_k."""
+        ek = _unit_index(k, self.nvars)
+        t = self.lin[k]
+        # x_j P picks up -S[k][j]; only the nonzero entries contribute
+        srow = [(_unit_index(j, self.nvars), -s) for j, s in enumerate(self.quad[k]) if s]
         out: PolyDict = {}
         for idx, c in self.poly.items():
             if idx[k] > 0:
-                lowered = tuple(e - 1 if i == k else e for i, e in enumerate(idx))
-                poly_add_term(out, lowered, c * idx[k])
-            if self.lin[k]:
-                poly_add_term(out, idx, c * self.lin[k])
-            for j in range(self.nvars):
-                s = self.quad[k][j]
-                if s:
-                    poly_add_term(out, _add_indices(idx, _unit_index(j, self.nvars)), -(c * s))
+                poly_add_term(out, _sub_indices(idx, ek), c * idx[k])
+            if t:
+                poly_add_term(out, idx, c * t)
+            for ej, neg_s in srow:
+                poly_add_term(out, _add_indices(idx, ej), c * neg_s)
         return self._with_poly(out)
 
     # -- evaluation ---------------------------------------------------------------
@@ -476,7 +477,7 @@ class LinDiffOp:
 
     def __add__(self, other: "LinDiffOp | Scalar") -> LinDiffOp:
         if isinstance(other, (Coeff, int, Fraction)):
-            other = Coeff.coerce(other) * LinDiffOp.identity(self.nvars)
+            other = LinDiffOp.identity(self.nvars).scale(other)
         if not isinstance(other, LinDiffOp):
             return NotImplemented
         if self.nvars != other.nvars:
@@ -499,7 +500,7 @@ class LinDiffOp:
 
     def __sub__(self, other: "LinDiffOp | Scalar") -> LinDiffOp:
         if isinstance(other, (Coeff, int, Fraction)):
-            other = Coeff.coerce(other) * LinDiffOp.identity(self.nvars)
+            other = LinDiffOp.identity(self.nvars).scale(other)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> LinDiffOp:
@@ -592,22 +593,33 @@ def op_compose(left: LinDiffOp, right: LinDiffOp) -> LinDiffOp:
 
 
 def op_apply(op: LinDiffOp, f: PolyGauss) -> PolyGauss:
-    """Apply a normal-ordered operator to a Gaussian-polynomial function; exact."""
+    """Apply a normal-ordered operator to a Gaussian-polynomial function; exact.
+
+    Each derivative d^beta f is computed once per call, as d_k of
+    d^(beta - e_k) f with k the last mode that beta differentiates, so the
+    derivatives are taken in mode order, as differentiating f mode by mode
+    takes them, and the terms come out in the same order.  Every term
+    c x^alpha d^beta f is added into one dict.
+    """
     if op.nvars != f.nvars:
         raise ValueError(
             f"operator application: variable counts differ ({op.nvars} vs {f.nvars})"
         )
-    result = PolyGauss(f.nvars, {}, [list(r) for r in f.quad], list(f.lin))
+    derivs: dict[MultiIndex, PolyGauss] = {_zero_index(f.nvars): f}
+
+    def derivative(beta: MultiIndex) -> PolyGauss:
+        g = derivs.get(beta)
+        if g is None:
+            k = max(i for i, b in enumerate(beta) if b)
+            g = derivative(_sub_indices(beta, _unit_index(k, f.nvars))).diff(k)
+            derivs[beta] = g
+        return g
+
+    out: PolyDict = {}
     for (alpha, beta), c in op.terms.items():
-        g = f
-        for k, b in enumerate(beta):
-            for _ in range(b):
-                g = g.diff(k)
-        for k, a in enumerate(alpha):
-            for _ in range(a):
-                g = g.mul_x(k)
-        result = result + g * c
-    return result
+        for idx, v in derivative(beta).poly.items():
+            poly_add_term(out, _add_indices(idx, alpha), v * c)
+    return f._with_poly(out)
 
 
 def commutator(x: LinDiffOp, y: LinDiffOp) -> LinDiffOp:

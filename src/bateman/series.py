@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ def term_norm2(k: int) -> Coeff:
     squared global 2^(1/4): exactly sqrt2 * (2k)! / (k!^2 4^k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return Coeff(0, Fraction(math.comb(2 * k, k), 4**k))
+    return Coeff.from_integers(0, math.comb(2 * k, k), denominator=1 << (2 * k))
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -91,13 +90,16 @@ def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """Exact S_K = sqrt2 * sum_{k<=K} C(2k,k)/4^k in closed form.
 
     The sum telescopes: (2K+1) C(2K,K)/4^K - (2K-1) C(2K-2,K-1)/4^(K-1)
-    = C(2K,K)/4^K, so S_K = sqrt2 * (2K+1) C(2K,K) / 4^K.
+    = C(2K,K)/4^K, so S_K = sqrt2 * (2K+1) C(2K,K) / 4^K.  The power-of-two
+    denominator is reduced by trailing zeros; by Kummer's theorem 2 divides
+    C(2K,K) exactly popcount(K) times, so S_K / sqrt2 has denominator
+    2^(2K - popcount K).
     """
     if min(checkpoints) < 0:
         raise ValueError("checkpoints must be nonnegative")
     primes = _primes_upto(2 * max(checkpoints))
     return [
-        Coeff(0, Fraction((2 * k + 1) * _central_binomial(k, primes), 4**k))
+        Coeff.from_integers(0, (2 * k + 1) * _central_binomial(k, primes), denominator=1 << (2 * k))
         for k in checkpoints
     ]
 

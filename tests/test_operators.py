@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from bateman.classical import BatemanParams
 from bateman.field import Coeff, I_UNIT, INV_SQRT2
 from bateman.operators import (
     LinDiffOp,
     PolyGauss,
+    _add_indices,
+    _unit_index,
     commutator,
     hamiltonian_build,
     make_ladder,
@@ -16,6 +18,7 @@ from bateman.operators import (
     op_adjoint,
     op_apply,
     op_compose,
+    poly_add_term,
 )
 from strategies import coeffs, lin_diff_ops, poly_gausses
 
@@ -48,6 +51,81 @@ def test_apply_counterexample_proposed_vacuum():
     out2 = op_apply(make_pseudo("abar2minus"), vacuum(2))
     assert not out2.is_zero()
     assert out2 == PolyGauss(2, {(1, 0): -1}, [[1, 0], [0, 1]])
+
+
+def diff_per_entry(g, k):
+    """d/dx_k of g, rebuilding each S-row unit index per polynomial term (the oracle)."""
+    out = {}
+    for idx, c in g.poly.items():
+        if idx[k] > 0:
+            lowered = tuple(e - 1 if i == k else e for i, e in enumerate(idx))
+            poly_add_term(out, lowered, c * idx[k])
+        if g.lin[k]:
+            poly_add_term(out, idx, c * g.lin[k])
+        for j in range(g.nvars):
+            s = g.quad[k][j]
+            if s:
+                poly_add_term(out, _add_indices(idx, _unit_index(j, g.nvars)), -(c * s))
+    return PolyGauss(g.nvars, out, [list(r) for r in g.quad], list(g.lin))
+
+
+def op_apply_per_term(op, f):
+    """Every term differentiates f from scratch and is added as a new function (the oracle)."""
+    result = PolyGauss(f.nvars, {}, [list(r) for r in f.quad], list(f.lin))
+    for (alpha, beta), c in op.terms.items():
+        g = f
+        for k, b in enumerate(beta):
+            for _ in range(b):
+                g = diff_per_entry(g, k)
+        for k, a in enumerate(alpha):
+            for _ in range(a):
+                g = g.mul_x(k)
+        result = result + g * c
+    return result
+
+
+def assert_apply_matches_oracle(op, f):
+    before = (list(f.poly.items()), f.quad, f.lin)
+    got = op_apply(op, f)
+    want = op_apply_per_term(op, f)
+    assert got == want
+    assert list(got.poly) == list(want.poly)  # same term order, so same rendering
+    assert (list(f.poly.items()), f.quad, f.lin) == before  # f is not mutated
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_per_term_oracle(data):
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    assert_apply_matches_oracle(data.draw(lin_diff_ops(nvars)), data.draw(poly_gausses(nvars)))
+
+
+def test_apply_matches_oracle_on_shared_derivative_prefixes():
+    f = PolyGauss(
+        3,
+        {(0, 0, 0): 1, (1, 0, 2): Coeff(0, 1, H, 0), (0, 2, 1): -3},
+        [[1, H, 0], [H, 2, -1], [0, -1, 1]],
+        [H, 0, -2],
+    )
+    betas = [(1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0)]
+    op = LinDiffOp(3, {((i % 2, 0, i % 3), beta): Coeff(i + 1, 0, 0, -1) for i, beta in enumerate(betas)})
+    assert_apply_matches_oracle(op, f)
+    assert_apply_matches_oracle(LinDiffOp.zero(3), f)
+    assert op_apply(LinDiffOp.zero(3), f) == PolyGauss.zero(3)
+    for nvars in (1, 2):
+        assert_apply_matches_oracle(LinDiffOp.zero(nvars), vacuum(nvars))
+
+
+def test_scalars_combine_with_operators_and_functions():
+    ident = LinDiffOp.identity(2)
+    d = LinDiffOp.derivative(0, 2)
+    assert ident + 1 == 1 + ident == ident.scale(2)
+    assert d - 1 == -(1 - d) == d + (-1)
+    assert d + Coeff(0, 1) == Coeff(0, 1) + d == d + ident.scale(Coeff(0, 1))
+    assert Coeff(2) * ident == ident * Coeff(2) == ident.scale(2)
+    assert Coeff(2) * d == d.scale(2)
+    f = PolyGauss(2, {(1, 0): Coeff(1, 1)}, [[1, 0], [0, 1]])
+    assert Coeff(2) * f == f * 2 == 2 * f
 
 
 def test_apply_dimension_mismatch():

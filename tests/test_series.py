@@ -92,6 +92,18 @@ def test_fast_partial_sums_match_comb_closed_form_at_1e5():
     assert fast == Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k))
 
 
+def test_series_values_match_fraction_construction():
+    # oracle: the Fraction construction, reduced by a gcd
+    ks = [*range(301), 10**3, 10**4, 10**5]
+    sums = PAPER_SERIES.fast_partial_sums(ks)
+    for k, s_k in zip(ks, sums):
+        c = math.comb(2 * k, k)
+        assert term_norm2(k) == Coeff(0, Fraction(c, 4**k)), k
+        assert s_k == Coeff(0, Fraction((2 * k + 1) * c, 4**k)), k
+        # Kummer: 2 divides C(2k, k) exactly popcount(k) times
+        assert s_k._n == 1 << (2 * k - bin(k).count("1")), k
+
+
 # ---------------------------------------------------------------------------
 # ratio test
 # ---------------------------------------------------------------------------
