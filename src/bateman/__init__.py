@@ -28,7 +28,7 @@ from .fock import (
     hamiltonian_equiv_residual,
     hermite_decompose,
     hermite_state,
-    interior_projector,
+    interior_indices,
     joint_null_experiment,
     squeeze_factored_action,
     squeeze_truncated_norms,

@@ -294,6 +294,7 @@ def trajectory_csv(traj: Trajectory) -> str:
     """CSV with columns t, x, y, p_x, p_y, H."""
     lines = ["t,x,y,p_x,p_y,H"]
     energies = traj.energies()
-    for t, (x, y, px, py), h in zip(traj.times, traj.states, energies):
+    # Python floats: a numpy scalar's repr reads np.float64(...)
+    for t, (x, y, px, py), h in zip(traj.times.tolist(), traj.states.tolist(), energies.tolist()):
         lines.append(f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}")
     return "\n".join(lines) + "\n"

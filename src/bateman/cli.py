@@ -522,7 +522,8 @@ def run_squeeze(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
     }
     if None in payload["norms"] or any(None in g for g in gaps):
         payload["null_reason"] = (
-            "a null norm or amplitude gap exceeds the float range; "
+            "a null norm or amplitude gap exceeds the float range, or its "
+            "amplitude fell below the float range at the cutoff's common scale; "
             "log_norms holds the scale of every norm"
         )
     verdicts.append(

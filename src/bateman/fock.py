@@ -2,7 +2,7 @@
 
 Operators act on one or two truncated oscillator modes (cutoff N per mode,
 mode 1 tensor mode 2 ordering).  Identity checks always exclude the top two
-excitation levels through an interior projector, since finite ladder
+excitation levels by restricting to the interior indices, since finite ladder
 matrices necessarily violate the commutation relations at the edge.
 
 Experiments:
@@ -20,8 +20,10 @@ Experiments:
   factored squeeze action on the ground state as radical pairs;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
   cutoffs, whose norms grow without bound because the untruncated image is
-  not square integrable.  Norms and amplitude gaps are kept in log space, and
-  a value beyond the float range is reported as None.
+  not square integrable.  The hermitian generator's even block is entrywise
+  nonnegative, so the action is a positive Taylor series (no cancellation).
+  Norms and amplitude gaps are kept in log space, and a value beyond the
+  float range is reported as None.
 """
 
 from __future__ import annotations
@@ -156,10 +158,9 @@ def total_excitations(modes: int, cutoff: int) -> np.ndarray:
     return n1 + n2
 
 
-def interior_projector(modes: int, cutoff: int, bound: int) -> np.ndarray:
-    """Projector onto total excitation < bound."""
-    mask = total_excitations(modes, cutoff) < bound
-    return np.diag(mask.astype(float))
+def interior_indices(modes: int, cutoff: int, bound: int) -> np.ndarray:
+    """Basis indices with total excitation < bound, in increasing order."""
+    return np.flatnonzero(total_excitations(modes, cutoff) < bound)
 
 
 def _check_interior(cutoff: int, bound: int) -> None:
@@ -176,8 +177,8 @@ def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> 
     _check_interior(x.cutoff, bound)
     comm = x.matrix @ y.matrix - y.matrix @ x.matrix
     delta = comm - expected * np.eye(x.dim)
-    proj = interior_projector(x.modes, x.cutoff, bound)
-    return float(np.linalg.norm(proj @ delta @ proj, 2))
+    inside = interior_indices(x.modes, x.cutoff, bound)
+    return float(np.linalg.norm(delta[np.ix_(inside, inside)], 2))
 
 
 def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
@@ -185,8 +186,8 @@ def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
     _check_interior(cutoff, bound)
     h1 = build_fock("H", cutoff, params=params, form="bosonic").matrix
     h2 = build_fock("H", cutoff, params=params, form="pseudo").matrix
-    proj = interior_projector(2, cutoff, bound)
-    return float(np.linalg.norm(proj @ (h1 - h2) @ proj, 2))
+    inside = interior_indices(2, cutoff, bound)
+    return float(np.linalg.norm((h1 - h2)[np.ix_(inside, inside)], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +379,90 @@ def _relative_gap(log_scale: float, scaled: float, ref: float) -> float | None:
     return _exp_or_none(top + math.log(diff / abs(ref)))
 
 
-def _even_squeeze_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a^2 + adag^2 on the even states 0, 2, 4, ... < cutoff.
+def _even_squeeze_couplings(cutoff: int) -> np.ndarray:
+    """Off-diagonal of J, the block of a^2 + adag^2 on the even states 0, 2, 4, ... < cutoff.
 
     The generator couples n only to n +- 2, and |0> is even, so the even
     block is all that acts on it: a tridiagonal matrix with zero diagonal and
-    <2j+2| adag^2 |2j> = sqrt((2j+1)(2j+2)).  Row j of the eigenvectors is
-    basis state 2j.  The "stev" driver is named because e^(theta lambda)
-    amplifies the eigenvector components on |0>, many orders below rounding
-    relative to the largest ones, and the default driver (like a dense
-    ``eigh`` of the full matrix) loses them from cutoff 64 on.
+    <2j+2| adag^2 |2j> = sqrt((2j+1)(2j+2)).  Index j stands for basis state 2j.
     """
-    # Imported here so that commands which never reach this path skip loading scipy.
-    from scipy.linalg import eigh_tridiagonal
-
     odd = np.arange(1.0, cutoff - 1, 2)  # 2j + 1 for each coupled pair 2j, 2j + 2
-    return eigh_tridiagonal(
-        np.zeros(len(odd) + 1), np.sqrt(odd * (odd + 1)), lapack_driver="stev"
-    )
+    return np.sqrt(odd * (odd + 1))
+
+
+# h * rho per Taylor chunk: every partial sum stays below e^400, inside the float range
+_CHUNK_GROWTH = 400.0
+# a chunk's sum stops once every component's new term is at most this share of its sum
+_TAYLOR_STOP = 2.0**-60
+
+
+def _positive_taylor_chunk(hc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(hJ) v for nonnegative v, where hc holds J's couplings times h.
+
+    Every term (hJ)^k v / k! is nonnegative, so the sum has no cancellation
+    and each component is accurate relative to itself.  The sum stops per
+    component, not on a norm: a small component can still be growing when
+    the largest has converged, and the next chunk amplifies it.
+    """
+    term = v
+    total = v.copy()
+    k = 0
+    while True:
+        k += 1
+        nxt = np.zeros_like(term)
+        nxt[:-1] = hc * term[1:]
+        nxt[1:] += hc * term[:-1]
+        term = nxt / k
+        total += term
+        if np.all(term <= _TAYLOR_STOP * total):
+            return total
+
+
+def even_squeeze_state(
+    theta: float,
+    cutoff: int,
+    generator: Literal["hermitian", "antihermitian"] = "hermitian",
+) -> tuple[float, np.ndarray]:
+    """exp(theta X)|0> on the even states 0, 2, 4, ... < cutoff, as (log_scale, v).
+
+    The state is e^log_scale * v; entry j of v is the amplitude of basis
+    state 2j.  ``hermitian`` is X = a^2 + adag^2, whose even block J is
+    entrywise nonnegative: exp(|theta| J) e0 is summed as a positive Taylor
+    series in chunks with h * rho <= 400 (rho the Gershgorin bound of J), and
+    v is renormalised by its maximum after each chunk, whose log adds to the
+    scale.  For theta < 0 the amplitudes flip sign by parity, since
+    D J D = -J with D = diag((-1)^j) and D e0 = e0.  Components below the
+    float range at the common scale underflow to 0 (cutoffs near 1024 at
+    the default theta).
+
+    ``antihermitian`` is X = a^2 - adag^2, whose even block is
+    K = -i D^-1 J D with D = diag(i^j), so exp(theta K) e0 =
+    D^-1 V exp(-i theta L) V^T e0 from the eigendecomposition J = V L V^T.
+    The map is unitary and log_scale is 0.
+    """
+    couplings = _even_squeeze_couplings(cutoff)
+    n = len(couplings) + 1
+    if generator == "hermitian":
+        rho = float(np.max(np.append(couplings, 0.0) + np.insert(couplings, 0, 0.0)))
+        chunks = math.ceil(abs(theta) * rho / _CHUNK_GROWTH)
+        v = np.zeros(n)
+        v[0] = 1.0
+        log_scale = 0.0
+        step_couplings = abs(theta) / max(chunks, 1) * couplings
+        for _ in range(chunks):
+            v = _positive_taylor_chunk(step_couplings, v)
+            top = float(np.max(v))
+            v /= top
+            log_scale += math.log(top)
+        if theta < 0:
+            v[1::2] *= -1.0
+        return log_scale, v
+    if generator == "antihermitian":
+        evals, evecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
+        rotated = evecs @ (np.exp(-1j * theta * evals) * evecs[0])
+        phases = np.array([1, -1j, -1, 1j])[np.arange(n) % 4]  # i^-j
+        return 0.0, (phases * rotated).real
+    raise ValueError(f"unknown generator {generator!r}")
 
 
 def squeeze_truncated_norms(
@@ -405,19 +472,19 @@ def squeeze_truncated_norms(
 ) -> SqueezeReport:
     """Norms of exp(theta X_N)|0> per cutoff, with amplitude comparisons.
 
-    ``hermitian`` is the unbounded generator a^2 + adag^2: the matrix
-    exponential is evaluated through the eigendecomposition of its even
-    block (``_even_squeeze_eigh``), in log space (the scaling-and-squaring
-    route overflows for the larger cutoffs), and the norms grow without
-    bound.  ``antihermitian`` is the control a^2 - adag^2 whose exponential
-    is orthogonal, so the norm stays 1.
+    ``hermitian`` is the unbounded generator a^2 + adag^2, whose norms grow
+    without bound; ``antihermitian`` is the control a^2 - adag^2 whose
+    exponential is orthogonal, so the norm stays 1.  Both act through their
+    even block (``even_squeeze_state``), and norms are kept in log space.
 
     ``coeff_gaps`` reports, per cutoff, the relative gap between the
     truncated-exponential amplitudes on basis states 0, 2, 4, 6 and the
     exact factored amplitudes times 2^(1/4).  The two sides agree only for
     the untruncated operators; truncation breaks them differently, so the
     gaps are reported, never asserted.  A norm or gap beyond the float range
-    is None; ``log_norm`` is always finite.
+    is None, and so is the gap of an amplitude that underflowed at its
+    cutoff's common scale (for theta != 0 no amplitude is truly zero);
+    ``log_norm`` is always finite.
     """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
@@ -432,35 +499,11 @@ def squeeze_truncated_norms(
 
     records = []
     for cutoff in cutoffs:
-        if generator == "hermitian":
-            evals, evecs = _even_squeeze_eigh(cutoff)
-            overlap = evecs[0, :]
-            with np.errstate(divide="ignore"):  # a zero overlap contributes e^-inf = 0
-                log_terms = theta * evals + np.log(np.abs(overlap))
-                # log|term| of each eigenvector's share in the amplitudes of |0>, |2>, |4>, |6>
-                shares = log_terms + np.log(np.abs(evecs[0:4, :]))
-            peak = float(np.max(log_terms))
-            log_norm = peak + 0.5 * float(
-                np.log(np.sum(np.exp(2.0 * (log_terms - peak))))
-            )
-            # amplitude k is e^log_scale[k] * scaled[k]
-            log_scale = np.max(shares, axis=1)
-            signs = np.sign(evecs[0:4, :]) * np.sign(overlap)
-            scaled = np.sum(signs * np.exp(shares - log_scale[:, None]), axis=1)
-        elif generator == "antihermitian":
-            from scipy.linalg import expm  # imported here, as in _even_squeeze_eigh
-
-            a = _annihilation(cutoff)
-            gen = a @ a - a.T @ a.T
-            amplitudes = expm(theta * gen)[:, 0]
-            log_scale = np.zeros(4)
-            scaled = amplitudes[0:8:2]
-            log_norm = float(np.log(np.linalg.norm(amplitudes)))
-        else:
-            raise ValueError(f"unknown generator {generator!r}")
+        log_scale, v = even_squeeze_state(theta, cutoff, generator)
+        log_norm = log_scale + math.log(float(np.linalg.norm(v)))
         gaps = tuple(
-            _relative_gap(float(ls), float(s), r)
-            for ls, s, r in zip(log_scale, scaled, reference)
+            None if amp == 0.0 and theta != 0.0 else _relative_gap(log_scale, amp, ref)
+            for amp, ref in zip(v[:4].tolist(), reference)
         )
         records.append(SqueezeNormRecord(cutoff, _exp_or_none(log_norm), log_norm, gaps))
     return SqueezeReport(theta=theta, generator=generator, records=tuple(records))

@@ -24,18 +24,28 @@ class SeriesTerms:
     ``fast_partial_sums``, when provided, must return the same exact values
     as naive summation of the generator; it exists because generic
     fraction summation is infeasible for 10^5 terms of some sequences.
+    ``fast_terms(first, last)``, when provided, must return the generator's
+    values for k = first..last; it exists because consecutive terms of some
+    sequences are cheaper to step than to build one by one.
     """
 
     label: str
     generator: Callable[[int], Coeff]
     k_start: int = 0
     fast_partial_sums: Callable[[Sequence[int]], list[Coeff]] | None = None
+    fast_terms: Callable[[int, int], list[Coeff]] | None = None
 
     def term(self, k: int) -> Coeff:
         value = self.generator(k)
         if not value.is_real():
             raise ValueError(f"{self.label}: term {k} is not real")
         return value
+
+    def terms(self, first: int, last: int) -> list[Coeff]:
+        """The terms a_first .. a_last."""
+        if self.fast_terms is not None:
+            return self.fast_terms(first, last)
+        return [self.term(k) for k in range(first, last + 1)]
 
 
 def term_norm2(k: int) -> Coeff:
@@ -44,6 +54,21 @@ def term_norm2(k: int) -> Coeff:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return Coeff.from_integers(0, math.comb(2 * k, k), denominator=1 << (2 * k))
+
+
+def _squeeze_terms(first: int, last: int) -> list[Coeff]:
+    """term_norm2(k) for k = first..last, stepping C(2k,k) by exact integers.
+
+    C(2k+2, k+1) = C(2k,k) * 2(2k+1) / (k+1), and the division is exact.
+    """
+    if first < 0:
+        raise ValueError("k must be nonnegative")
+    central = math.comb(2 * first, first)
+    out = []
+    for k in range(first, last + 1):
+        out.append(Coeff.from_integers(0, central, denominator=1 << (2 * k)))
+        central = central * 2 * (2 * k + 1) // (k + 1)
+    return out
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -114,6 +139,7 @@ def squeeze_norm_series() -> SeriesTerms:
         generator=term_norm2,
         k_start=0,
         fast_partial_sums=_squeeze_partial_sums,
+        fast_terms=_squeeze_terms,
     )
 
 
@@ -173,7 +199,7 @@ def raabe_test(
     k0 = series.k_start
     if k0 not in (0, 1):
         raise ValueError("ratio test expects a series starting at k = 0 or 1")
-    terms = [series.term(k) for k in range(k0, kmax + 2)]
+    terms = series.terms(k0, kmax + 1)
     for i, a in enumerate(terms):
         if a.sign() <= 0:
             raise ValueError(f"{series.label}: term k={k0 + i} is not positive")

@@ -314,6 +314,20 @@ def test_trajectory_csv_columns():
     assert len(lines[1].split(",")) == 6
 
 
+def test_trajectory_csv_cells_are_floats():
+    # every cell is a plain number that reads back as the exact sample
+    p = default_params()
+    traj = integrate_eom(p, PhaseState(1.0, 0.0, 0.0, 0.1), t_end=0.05, dt=1e-3)
+    rows = [line.split(",") for line in trajectory_csv(traj).splitlines()[1:]]
+    energies = traj.energies()
+    assert len(rows) == len(traj.times)
+    for i, row in enumerate(rows):
+        values = [float(cell) for cell in row]
+        expected = [traj.times[i], *traj.states[i], energies[i]]
+        assert values == expected
+        assert all(math.copysign(1.0, v) == math.copysign(1.0, e) for v, e in zip(values, expected))
+
+
 def test_pointwise_error_is_fourth_order():
     # RK4's global error in x(t), y(t) is O(dt^4): halving the step divides it by 16
     p = default_params()

@@ -203,14 +203,19 @@ def test_parser_defaults():
     assert abs(cfg.theta - 7 * 3.141592653589793 / 8) < 1e-12
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.linalg is imported only inside the fock paths that use it
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test oracle only: neither the import nor a full run loads it
     src = str(Path(bateman.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, bateman.cli; print('scipy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    for code in (
+        "import sys, bateman.cli",
+        f"import sys, bateman.cli; bateman.cli.main(['all', '--out', {str(tmp_path)!r}])",
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code + "; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "False", code
+    assert (tmp_path / "report_all.json").exists()

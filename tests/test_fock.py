@@ -13,11 +13,12 @@ from bateman.fock import (
     SIGMA_FLOOR_RATIO,
     build_fock,
     commutator_residual,
+    even_squeeze_state,
     hamiltonian_equiv_residual,
     hermite_coefficients,
     hermite_decompose,
     hermite_state,
-    interior_projector,
+    interior_indices,
     joint_null_experiment,
     null_experiment_csv,
     squeeze_csv,
@@ -124,9 +125,28 @@ def test_all_scalar_commutator_pairs_small_on_interior():
             assert res < 1e-10, (ln, rn, res)
 
 
+def test_interior_residual_matches_dense_projector():
+    # restricting to the interior indices is P (.) P with a dense diagonal projector
+    for cutoff, bound, names, expected in (
+        (12, 10, ("A1", "B1"), 1.0),
+        (12, 10, ("A2", "B1"), 0.0),
+        (14, 12, ("x", "p"), 1j),
+    ):
+        x, y = (build_fock(n, cutoff) for n in names)
+        delta = x.matrix @ y.matrix - y.matrix @ x.matrix - expected * np.eye(x.dim)
+        proj = np.diag((total_excitations(x.modes, cutoff) < bound).astype(float))
+        dense = float(np.linalg.norm(proj @ delta @ proj, 2))
+        assert commutator_residual(x, y, expected, bound) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+    params = default_params()
+    h = [build_fock("H", 10, params=params, form=f).matrix for f in ("bosonic", "pseudo")]
+    proj = np.diag((total_excitations(2, 10) < 8).astype(float))
+    dense = float(np.linalg.norm(proj @ (h[0] - h[1]) @ proj, 2))
+    assert hamiltonian_equiv_residual(params, 10, 8) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+
+
 def test_interior_projector_counts():
-    proj = interior_projector(2, 6, 4)
-    assert int(np.trace(proj)) == 10  # pairs with n1 + n2 < 4
+    inside = interior_indices(2, 6, 4)
+    assert len(inside) == 10  # pairs with n1 + n2 < 4
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +321,92 @@ def test_truncated_norms_match_high_precision_reference():
     assert report.log_norms() == pytest.approx(
         [249.865161123397, 536.64816647474435], rel=1e-12
     )
+
+
+def test_truncated_norm_pinned_reference_at_1024():
+    # mpmath reference, independent of the series: Sturm-bisection eigenvalues
+    # of the even block J (the top 30 at 50 digits, the top 40 at 70 digits,
+    # which agree), weights 1 / sum_j p_j(lambda)^2 from the three-term
+    # recurrence p_0 = 1, b_j p_(j+1) = lambda p_j - b_(j-1) p_(j-1), and
+    # log_norm = log(sum_i w_i e^(2 theta lambda_i)) / 2.  LAPACK stev gives 4426.77.
+    report = squeeze_truncated_norms(THETA, [1024])
+    assert report.log_norms()[0] == pytest.approx(4688.1862139538688064, rel=1e-12)
+
+
+def test_squeeze_amplitudes_match_high_precision_reference():
+    # log amplitudes on |0>, |2>, |4>, |6> at N = 128 by the same mpmath route
+    # (40 and 60 digits agree), all positive; tolerance 1e-12 on the log is a
+    # relative 1e-12 on the amplitude
+    log_scale, v = even_squeeze_state(THETA, 128)
+    assert np.all(v[:4] > 0)
+    reference = [446.96151986708998202, 452.04363285688607666,
+                 456.22982758720453994, 459.95768429609523484]
+    for amp, ref in zip(v[:4], reference):
+        assert abs(log_scale + math.log(amp) - ref) < 1e-12
+
+
+def _stev_even_action(theta, cutoff):
+    """log_norm, log|amplitude| and sign on |0>, |2>, |4>, |6> from LAPACK stev."""
+    odd = np.arange(1.0, cutoff - 1, 2)
+    evals, evecs = scipy.linalg.eigh_tridiagonal(
+        np.zeros(len(odd) + 1), np.sqrt(odd * (odd + 1)), lapack_driver="stev"
+    )
+    with np.errstate(divide="ignore"):
+        log_terms = theta * evals + np.log(np.abs(evecs[0]))
+        shares = log_terms + np.log(np.abs(evecs[0:4]))
+    peak = float(np.max(log_terms))
+    log_norm = peak + 0.5 * math.log(float(np.sum(np.exp(2.0 * (log_terms - peak)))))
+    top = np.max(shares, axis=1)
+    signed = np.sum(np.sign(evecs[0:4]) * np.sign(evecs[0]) * np.exp(shares - top[:, None]), axis=1)
+    return log_norm, top + np.log(np.abs(signed)), np.sign(signed)
+
+
+@pytest.mark.parametrize("theta", [THETA, 0.5, -THETA])
+@pytest.mark.parametrize("cutoff", [16, 32, 64, 128, 256, 512])
+def test_squeeze_series_matches_stev_oracle(cutoff, theta):
+    log_norm, log_amps, signs = _stev_even_action(theta, cutoff)
+    report = squeeze_truncated_norms(theta, [cutoff])
+    assert report.log_norms()[0] == pytest.approx(log_norm, rel=1e-12)
+    log_scale, v = even_squeeze_state(theta, cutoff)
+    assert log_scale + math.log(float(np.linalg.norm(v))) == report.log_norms()[0]
+    assert list(np.sign(v[:4])) == list(signs)
+    assert list(log_scale + np.log(np.abs(v[:4]))) == pytest.approx(list(log_amps), rel=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [16, 64, 512])
+def test_squeeze_parity_symmetry(cutoff):
+    # D J D = -J with D = diag((-1)^j): equal norms, amplitudes flip by parity
+    plus, minus = (squeeze_truncated_norms(t, [cutoff]) for t in (THETA, -THETA))
+    assert plus.log_norms() == minus.log_norms()
+    scale_plus, v_plus = even_squeeze_state(THETA, cutoff)
+    scale_minus, v_minus = even_squeeze_state(-THETA, cutoff)
+    parity = (-1.0) ** np.arange(len(v_plus))
+    assert scale_plus == scale_minus
+    assert np.array_equal(v_minus, parity * v_plus)
+    assert np.all(v_plus > 0)
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.3])
+@pytest.mark.parametrize("cutoff", [16, 32, 64])
+def test_antihermitian_control_matches_expm(cutoff, theta):
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    direct = scipy.linalg.expm(theta * (a @ a - a.T @ a.T))[:, 0]
+    log_scale, v = even_squeeze_state(theta, cutoff, "antihermitian")
+    assert log_scale == 0.0
+    assert np.max(np.abs(v - direct[0::2])) < 1e-12
+    assert np.max(np.abs(direct[1::2])) == 0.0
+    report = squeeze_truncated_norms(theta, [cutoff], generator="antihermitian")
+    assert abs(report.log_norms()[0]) < 1e-12
+
+
+def test_squeeze_gap_of_underflowed_amplitude_is_none():
+    # at N = 1024 the amplitudes on |0>..|6> are below the float range at the
+    # common scale; their gaps are not computed
+    log_scale, v = even_squeeze_state(THETA, 1024)
+    assert np.all(v[:4] == 0.0)
+    assert squeeze_truncated_norms(THETA, [1024]).records[0].coeff_gaps == (None,) * 4
+    # theta = 0 leaves |0>: the zeros there are exact and the gaps are 1
+    assert squeeze_truncated_norms(0.0, [16]).records[0].coeff_gaps[1:] == (1.0, 1.0, 1.0)
 
 
 def test_theta_zero_is_identity():

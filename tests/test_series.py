@@ -8,6 +8,7 @@ from bateman.series import (
     SeriesTerms,
     _central_binomial,
     _primes_upto,
+    _squeeze_terms,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
@@ -102,6 +103,26 @@ def test_series_values_match_fraction_construction():
         assert s_k == Coeff(0, Fraction((2 * k + 1) * c, 4**k)), k
         # Kummer: 2 divides C(2k, k) exactly popcount(k) times
         assert s_k._n == 1 << (2 * k - bin(k).count("1")), k
+
+
+def _comb_terms(first, last):
+    return [Coeff(0, Fraction(math.comb(2 * k, k), 4**k)) for k in range(first, last + 1)]
+
+
+def test_stepped_terms_match_math_comb():
+    # the integer step C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1) against math.comb,
+    # from k = 0 and from later starts, in both orders of the calls
+    assert _squeeze_terms(0, 1001) == _comb_terms(0, 1001)
+    assert _squeeze_terms(37, 140) == _comb_terms(37, 140)
+    assert _squeeze_terms(500, 500) == _comb_terms(500, 500)
+    assert _squeeze_terms(0, 1001) == _comb_terms(0, 1001)
+    assert _squeeze_terms(3, 2) == []
+    with pytest.raises(ValueError):
+        _squeeze_terms(-1, 5)
+
+
+def test_raabe_terms_match_math_comb():
+    assert list(raabe_test(PAPER_SERIES, 1000).terms) == _comb_terms(0, 1001)
 
 
 # ---------------------------------------------------------------------------
