@@ -77,6 +77,8 @@ class BatemanParams:
     def from_omega(cls, m: RatLike, gamma: RatLike, omega: RatLike) -> BatemanParams:
         """Parameters with an exact rational omega; k is derived."""
         m, gamma, omega = _rat(m), _rat(gamma), _rat(omega)
+        if m <= 0:
+            raise ValueError("mass must be positive")
         if omega <= 0:
             raise ValueError("omega must be positive")
         k = m * omega**2 + gamma**2 / (4 * m)

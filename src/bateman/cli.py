@@ -9,6 +9,12 @@ classical consistency checks), ``squeeze`` (exact factored amplitudes, ratio
 test divergence, truncated norm growth), ``classical`` (equations of motion
 and conservation), and ``all``.
 
+Each check is one function, registered with ``@check`` under its area, id
+and claim, in report order.  It reads the run's shared inputs from an
+``Artifacts`` object, which computes each of them once, on first use, and
+returns ``(ok, payload)``: ``ok`` is a bool for a pass/fail check and None
+for a report-only entry.
+
 Exit status: 0 when no pass/fail check fails, 1 on any failure, 2 on
 configuration errors.  Reports are byte-deterministic for a fixed
 configuration.
@@ -20,15 +26,20 @@ import argparse
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .classical import (
     BatemanParams,
+    HamiltonianConsistency,
     PhaseState,
+    Trajectory,
     eom_residual,
     hamiltonian_consistency,
     integrate_eom,
@@ -37,6 +48,9 @@ from .classical import (
 )
 from .field import Coeff
 from .fock import (
+    SQUEEZE_CUTOFF_LIMIT,
+    NullExperimentReport,
+    SqueezeReport,
     build_fock,
     commutator_residual,
     hamiltonian_equiv_residual,
@@ -60,6 +74,8 @@ from .radicals import factorial_sqrt
 from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
     SQUEEZE_SUM_EXPONENT,
+    RaabeReport,
+    SeriesTerms,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
@@ -79,15 +95,121 @@ GROWTH_CHECKPOINTS = (10**3, 10**4, 10**5)
 # 2e-2/1e-2 the finer drift is 6e-12 for the reference setup, while at
 # 4e-3/2e-3 it can sit at the rounding floor (1.2e-15 at gamma = 1/10).
 DRIFT_ORDER_STEPS = (2e-2, 1e-2)
+_PAIR_NAMES = ("A1", "A2", "B1", "B2")
 
-Runner = Callable[[RunConfig], tuple[list[VerdictReport], dict[str, str]]]
+Runner = Callable[["Artifacts"], tuple[list[VerdictReport], dict[str, str]]]
 
 
-def _params(cfg: RunConfig) -> BatemanParams:
-    if cfg.k_spring is not None:
-        return BatemanParams(cfg.m, cfg.gamma, cfg.k_spring)
-    omega = cfg.omega if cfg.omega is not None else Fraction(1)
-    return BatemanParams.from_omega(cfg.m, cfg.gamma, omega)
+def resolve_params(cfg: RunConfig) -> BatemanParams:
+    """The run's oscillator parameters: from ``k_spring`` when it is given
+    (and then consistent with ``omega``, if that is given too), else from
+    ``omega``.  Raises ValueError for parameters the model rejects."""
+    if cfg.k_spring is None:
+        return BatemanParams.from_omega(cfg.m, cfg.gamma, cfg.omega)
+    params = BatemanParams(cfg.m, cfg.gamma, cfg.k_spring)
+    if cfg.omega is not None and params.rational_omega != cfg.omega:
+        raise ValueError("--k-spring and --omega disagree; drop one or make them consistent")
+    return params
+
+
+class Artifacts:
+    """The shared inputs of one run, each computed on first use and then
+    kept, so that every check reading an input sees the same value."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def params(self) -> BatemanParams:
+        return resolve_params(self.cfg)
+
+    @cached_property
+    def init(self) -> PhaseState:
+        return PhaseState.from_velocities(self.params, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        return integrate_eom(self.params, self.init, t_end=10.0, dt=1e-3)
+
+    @cached_property
+    def consistency(self) -> HamiltonianConsistency:
+        return hamiltonian_consistency(self.trajectory, self.params)
+
+    @cached_property
+    def branches(self) -> dict[str, PolyGauss]:
+        """Every sign branch of the mixed lowering operators applied to the
+        proposed two-mode Gaussian vacuum."""
+        vacuum = PolyGauss.standard_vacuum(2)
+        names = ("abar1minus", "abar2minus", "abar1plus", "abar2plus")
+        return {name: op_apply(make_pseudo(name), vacuum) for name in names}
+
+    @cached_property
+    def pseudo(self) -> dict[str, LinDiffOp]:
+        return {name: make_pseudo(name) for name in _PAIR_NAMES}
+
+    @cached_property
+    def adjoint_raising(self) -> list[LinDiffOp]:
+        return [op_adjoint(self.pseudo["B1"]), op_adjoint(self.pseudo["B2"])]
+
+    @cached_property
+    def ladders(self) -> dict[str, LinDiffOp]:
+        return {
+            "a1": make_ladder(0, "lower", 2),
+            "a2": make_ladder(1, "lower", 2),
+            "adag1": make_ladder(0, "raise", 2),
+            "adag2": make_ladder(1, "raise", 2),
+        }
+
+    @cached_property
+    def null_sweeps(self) -> dict[str, NullExperimentReport]:
+        cutoffs = self.cfg.cutoffs or DEFAULT_NULL_CUTOFFS
+        return {family: joint_null_experiment(cutoffs, family) for family in ("pseudo", "bosonic")}
+
+    @cached_property
+    def series(self) -> SeriesTerms:
+        return squeeze_norm_series()
+
+    @cached_property
+    def raabe(self) -> RaabeReport:
+        return raabe_test(self.series, self.cfg.kmax)
+
+    @cached_property
+    def squeeze_norms(self) -> SqueezeReport:
+        return squeeze_truncated_norms(self.cfg.theta, self.cfg.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """One check: its area (the subcommand that runs it), stable id, claim,
+    and the function returning ``(ok, payload)`` (``ok`` None: report-only)."""
+
+    area: str
+    id: str
+    claim: str
+    fn: Callable[[Artifacts], tuple[bool | None, dict[str, Any]]]
+
+    def verdict(self, art: Artifacts) -> VerdictReport:
+        ok, payload = self.fn(art)
+        status = "report-only" if ok is None else "pass" if ok else "fail"
+        return VerdictReport(check=self.id, claim=self.claim, status=status, payload=payload)
+
+
+# Every check, in report order.
+CHECKS: list[Check] = []
+
+
+def check(area: str, check_id: str, claim: str):
+    """Register the decorated function as the next check of ``area``."""
+
+    def register(fn):
+        CHECKS.append(Check(area, check_id, claim, fn))
+        return fn
+
+    return register
 
 
 def _test_family_2d() -> list[PolyGauss]:
@@ -96,291 +218,196 @@ def _test_family_2d() -> list[PolyGauss]:
     return [PolyGauss(2, {m: 1}, [[1, 0], [0, 1]]) for m in monos]
 
 
-def _test_family_1d() -> list[PolyGauss]:
-    return [PolyGauss(1, {(k,): 1}, [[1]]) for k in range(10)]
-
-
-# ---------------------------------------------------------------------------
-# subcommand runners
-# ---------------------------------------------------------------------------
-
-def run_counterexample(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
-    vacuum00 = PolyGauss.standard_vacuum(2)
-    abar1 = make_pseudo("abar1minus")
-    abar2 = make_pseudo("abar2minus")
-    applied1 = op_apply(abar1, vacuum00)
-    applied2 = op_apply(abar2, vacuum00)
-    expected1 = PolyGauss(2, {(0, 1): -1}, [[1, 0], [0, 1]])
-
-    verdicts = [
-        VerdictReport(
-            check="counterexample-mode1",
-            claim="the minus-branch mode-1 lowering operator maps the proposed "
-            "two-mode Gaussian vacuum to -x2 times it, not to zero",
-            status="pass" if applied1 == expected1 and not applied1.is_zero() else "fail",
-            payload={
-                "applied": str(applied1),
-                "expected": str(expected1),
-                "is_zero": applied1.is_zero(),
-            },
-        ),
-        VerdictReport(
-            check="counterexample-mode2",
-            claim="the minus-branch mode-2 lowering operator does not annihilate "
-            "the proposed two-mode Gaussian vacuum",
-            status="pass" if not applied2.is_zero() else "fail",
-            payload={"applied": str(applied2), "is_zero": applied2.is_zero()},
-        ),
-    ]
-    branches = {}
-    for name in ("abar1minus", "abar2minus", "abar1plus", "abar2plus"):
-        result = op_apply(make_pseudo(name), vacuum00)
-        branches[name] = {"applied": str(result), "is_zero": result.is_zero()}
-    verdicts.append(
-        VerdictReport(
-            check="counterexample-branches",
-            claim="action of every sign branch of the mixed lowering operators "
-            "on the proposed vacuum (no branch is singled out)",
-            status="report-only",
-            payload={"branches": branches},
-        )
-    )
-    return verdicts, {}
-
-
-def run_vacuum(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
-    big_a1, big_a2 = make_pseudo("A1"), make_pseudo("A2")
-    b1d = op_adjoint(make_pseudo("B1"))
-    b2d = op_adjoint(make_pseudo("B2"))
-    a1 = make_ladder(0, "lower", 2)
-    a2 = make_ladder(1, "lower", 2)
-
-    verdicts = []
-
-    rep_a = gaussian_ansatz_solve([big_a1, big_a2])
-    verdicts.append(
-        VerdictReport(
-            check="ansatz-pseudo-lowering",
-            claim="no Gaussian-with-linear-term ansatz is annihilated by both "
-            "pseudo-boson lowering operators",
-            status="pass" if not rep_a.solvable else "fail",
-            payload={"inconsistent_equations": [eq.render() for eq in rep_a.inconsistency]},
-        )
-    )
-    rep_b = gaussian_ansatz_solve([b1d, b2d])
-    verdicts.append(
-        VerdictReport(
-            check="ansatz-pseudo-raising-adjoint",
-            claim="no Gaussian-with-linear-term ansatz is annihilated by both "
-            "adjoint raising operators",
-            status="pass" if not rep_b.solvable else "fail",
-            payload={"inconsistent_equations": [eq.render() for eq in rep_b.inconsistency]},
-        )
-    )
-    rep_c = gaussian_ansatz_solve([a1, a2])
-    standard = rep_c.solvable and rep_c.witness() == PolyGauss.standard_vacuum(2)
-    verdicts.append(
-        VerdictReport(
-            check="ansatz-bosonic-control",
-            claim="the plain bosonic pair keeps its standard Gaussian ground state",
-            status="pass" if standard else "fail",
-            payload={
-                "witness_quad": [[str(v) for v in row] for row in (rep_c.witness_quad or ())],
-                "witness_lin": [str(v) for v in (rep_c.witness_lin or ())],
-            },
-        )
-    )
-
-    certs_a = multiplier_reduction([big_a1, big_a2])
-    expect_a = {(1, 0): Coeff(1), (0, 1): Coeff(-1)}
-    ok_a = len(certs_a) == 1 and certs_a[0].poly_dict() == expect_a
-    certs_b = multiplier_reduction([b1d, b2d])
-    expect_b = {(1, 0): Coeff(1), (0, 1): Coeff(1)}
-    ok_b = len(certs_b) == 1 and certs_b[0].poly_dict() == expect_b
-    certs_control = multiplier_reduction([a1, a2])
-    verdicts.append(
-        VerdictReport(
-            check="multiplication-certificates",
-            claim="eliminating derivatives inside the operator span yields the "
-            "multiplication operators x1 - x2 and x1 + x2, so any function "
-            "vacuum vanishes almost everywhere; the bosonic pair yields none",
-            status="pass" if ok_a and ok_b and not certs_control else "fail",
-            payload={
-                "pseudo_lowering": [c.render() for c in certs_a],
-                "adjoint_raising": [c.render() for c in certs_b],
-                "bosonic_control": [c.render() for c in certs_control],
-            },
-        )
-    )
-
-    # weak (distributional) vacuum checks
-    one_d = DeltaDist([1], 0, PolyGauss(0, {(): 1}))
-    rep_x = distributional_vacuum_check(
-        [LinDiffOp.position(0, 1)], one_d, _test_family_1d(), tol=cfg.tol
-    )
-    verdicts.append(
-        VerdictReport(
-            check="delta-annihilated-by-x",
-            claim="multiplication by x annihilates the point delta weakly",
-            status="pass" if rep_x.passes else "fail",
-            payload={"max_abs_pairing": rep_x.max_abs, "tol": rep_x.tol},
-        )
-    )
-
-    ambient = PolyGauss.gaussian(
-        [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
-    )
-    line_delta = DeltaDist.from_ambient([1, -1], 0, ambient)
-    rep_line = distributional_vacuum_check(
-        [big_a1 - big_a2], line_delta, _test_family_2d(), tol=cfg.tol
-    )
-    verdicts.append(
-        VerdictReport(
-            check="delta-on-diagonal-hyperplane",
-            claim="the diagonal hyperplane delta with Gaussian envelope is a "
-            "weak null vector of the multiplication combination of the "
-            "pseudo-boson lowering pair",
-            status="pass" if rep_line.passes else "fail",
-            payload={"max_abs_pairing": rep_line.max_abs, "tol": rep_line.tol},
-        )
-    )
-
-    neg_delta = DeltaDist([1, 0], 0, PolyGauss.standard_vacuum(1))
-    rep_neg = distributional_vacuum_check(
-        [a1], neg_delta, _test_family_2d(), tol=cfg.tol
-    )
-    verdicts.append(
-        VerdictReport(
-            check="delta-negative-control",
-            claim="a mismatched hyperplane delta is detected as not weakly "
-            "annihilated (pairing stays far from zero)",
-            status="pass" if not rep_neg.passes else "fail",
-            payload={"max_abs_pairing": rep_neg.max_abs, "tol": rep_neg.tol},
-        )
-    )
-
-    cutoffs = cfg.cutoffs or DEFAULT_NULL_CUTOFFS
-    sweep_pseudo = joint_null_experiment(cutoffs, "pseudo")
-    sweep_bosonic = joint_null_experiment(cutoffs, "bosonic")
-    sp = sweep_pseudo.sigma_mins()
-    sb = sweep_bosonic.sigma_mins()
-    verdicts.append(
-        VerdictReport(
-            check="null-vector-sweep",
-            claim="least singular value of the stacked pseudo-boson lowering "
-            "pair keeps decaying with the cutoff (no normalizable joint "
-            "null vector) while the bosonic control stays at zero",
-            status="report-only",
-            payload={
-                "cutoffs": list(cutoffs),
-                "pseudo_sigma_min": sp,
-                "pseudo_tail_mass": sweep_pseudo.tail_masses(),
-                "bosonic_sigma_min": sb,
-                "pseudo_strictly_decreasing": all(x > y for x, y in zip(sp, sp[1:])),
-                "bosonic_max_spread": (max(sb) - min(sb)) / max(sb) if max(sb) > 0 else 0.0,
-            },
-        )
-    )
-    csvs = {
-        "null_experiment_pseudo.csv": null_experiment_csv(sweep_pseudo),
-        "null_experiment_bosonic.csv": null_experiment_csv(sweep_bosonic),
-    }
-    return verdicts, csvs
-
-
-_PAIR_NAMES = ("A1", "A2", "B1", "B2")
-
-
 def _expected_commutator(left: str, right: str) -> int:
-    kind_l, idx_l = left[0], left[1]
-    kind_r, idx_r = right[0], right[1]
-    if kind_l == kind_r or idx_l != idx_r:
+    """[A_j, B_j] = 1 and [B_j, A_j] = -1; every other pair commutes."""
+    if left[0] == right[0] or left[1] != right[1]:
         return 0
-    return 1 if kind_l == "A" else -1
+    return 1 if left[0] == "A" else -1
 
 
-def run_commutators(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
-    ops = {name: make_pseudo(name) for name in _PAIR_NAMES}
-    table = {}
-    all_ok = True
-    for left in _PAIR_NAMES:
-        for right in _PAIR_NAMES:
-            expected = _expected_commutator(left, right)
-            actual = commutator(ops[left], ops[right]).as_scalar()
-            ok = actual is not None and actual == Coeff(expected)
-            all_ok = all_ok and ok
-            table[f"[{left},{right}]"] = {
-                "expected": expected,
-                "actual": "non-scalar" if actual is None else str(actual),
-                "ok": ok,
-            }
-    verdicts = [
-        VerdictReport(
-            check="pseudo-commutator-table",
-            claim="all sixteen commutators of the pseudo-boson pairs match the "
-            "delta table exactly in canonical form",
-            status="pass" if all_ok else "fail",
-            payload={"table": table},
-        )
-    ]
+@check("counterexample", "counterexample-mode1",
+       "the minus-branch mode-1 lowering operator maps the proposed "
+       "two-mode Gaussian vacuum to -x2 times it, not to zero")
+def counterexample_mode1(art: Artifacts):
+    applied = art.branches["abar1minus"]
+    expected = PolyGauss(2, {(0, 1): -1}, [[1, 0], [0, 1]])
+    payload = {"applied": str(applied), "expected": str(expected), "is_zero": applied.is_zero()}
+    return applied == expected and not applied.is_zero(), payload
 
-    ladders = {
-        "a1": make_ladder(0, "lower", 2),
-        "a2": make_ladder(1, "lower", 2),
-        "adag1": make_ladder(0, "raise", 2),
-        "adag2": make_ladder(1, "raise", 2),
+
+@check("counterexample", "counterexample-mode2",
+       "the minus-branch mode-2 lowering operator does not annihilate "
+       "the proposed two-mode Gaussian vacuum")
+def counterexample_mode2(art: Artifacts):
+    applied = art.branches["abar2minus"]
+    return not applied.is_zero(), {"applied": str(applied), "is_zero": applied.is_zero()}
+
+
+@check("counterexample", "counterexample-branches",
+       "action of every sign branch of the mixed lowering operators "
+       "on the proposed vacuum (no branch is singled out)")
+def counterexample_branches(art: Artifacts):
+    return None, {
+        "branches": {
+            name: {"applied": str(result), "is_zero": result.is_zero()}
+            for name, result in art.branches.items()
+        }
     }
-    bos_ok = (
-        commutator(ladders["a1"], ladders["adag1"]).as_scalar() == Coeff(1)
-        and commutator(ladders["a2"], ladders["adag2"]).as_scalar() == Coeff(1)
-        and commutator(ladders["a1"], ladders["adag2"]).as_scalar() == Coeff(0)
-        and commutator(ladders["a1"], ladders["a2"]).as_scalar() == Coeff(0)
-        and commutator(ladders["adag1"], ladders["adag2"]).as_scalar() == Coeff(0)
-    )
-    verdicts.append(
-        VerdictReport(
-            check="bosonic-commutator-table",
-            claim="the underlying two-mode ladder operators satisfy the "
-            "canonical commutation table exactly",
-            status="pass" if bos_ok else "fail",
-            payload={},
-        )
-    )
 
+
+@check("vacuum", "ansatz-pseudo-lowering",
+       "no Gaussian-with-linear-term ansatz is annihilated by both "
+       "pseudo-boson lowering operators")
+def ansatz_pseudo_lowering(art: Artifacts):
+    rep = gaussian_ansatz_solve([art.pseudo["A1"], art.pseudo["A2"]])
+    return not rep.solvable, {"inconsistent_equations": [eq.render() for eq in rep.inconsistency]}
+
+
+@check("vacuum", "ansatz-pseudo-raising-adjoint",
+       "no Gaussian-with-linear-term ansatz is annihilated by both "
+       "adjoint raising operators")
+def ansatz_pseudo_raising_adjoint(art: Artifacts):
+    rep = gaussian_ansatz_solve(art.adjoint_raising)
+    return not rep.solvable, {"inconsistent_equations": [eq.render() for eq in rep.inconsistency]}
+
+
+@check("vacuum", "ansatz-bosonic-control",
+       "the plain bosonic pair keeps its standard Gaussian ground state")
+def ansatz_bosonic_control(art: Artifacts):
+    rep = gaussian_ansatz_solve([art.ladders["a1"], art.ladders["a2"]])
+    return rep.solvable and rep.witness() == PolyGauss.standard_vacuum(2), {
+        "witness_quad": [[str(v) for v in row] for row in (rep.witness_quad or ())],
+        "witness_lin": [str(v) for v in (rep.witness_lin or ())],
+    }
+
+
+@check("vacuum", "multiplication-certificates",
+       "eliminating derivatives inside the operator span yields the "
+       "multiplication operators x1 - x2 and x1 + x2, so any function "
+       "vacuum vanishes almost everywhere; the bosonic pair yields none")
+def multiplication_certificates(art: Artifacts):
+    lowering = multiplier_reduction([art.pseudo["A1"], art.pseudo["A2"]])
+    raising = multiplier_reduction(art.adjoint_raising)
+    control = multiplier_reduction([art.ladders["a1"], art.ladders["a2"]])
+    ok = (
+        [c.poly_dict() for c in lowering] == [{(1, 0): Coeff(1), (0, 1): Coeff(-1)}]
+        and [c.poly_dict() for c in raising] == [{(1, 0): Coeff(1), (0, 1): Coeff(1)}]
+        and not control
+    )
+    return ok, {
+        "pseudo_lowering": [c.render() for c in lowering],
+        "adjoint_raising": [c.render() for c in raising],
+        "bosonic_control": [c.render() for c in control],
+    }
+
+
+@check("vacuum", "delta-annihilated-by-x",
+       "multiplication by x annihilates the point delta weakly")
+def delta_annihilated_by_x(art: Artifacts):
+    point = DeltaDist([1], 0, PolyGauss(0, {(): 1}))
+    tests = [PolyGauss(1, {(k,): 1}, [[1]]) for k in range(10)]
+    rep = distributional_vacuum_check([LinDiffOp.position(0, 1)], point, tests, tol=art.cfg.tol)
+    return rep.passes, {"max_abs_pairing": rep.max_abs, "tol": rep.tol}
+
+
+@check("vacuum", "delta-on-diagonal-hyperplane",
+       "the diagonal hyperplane delta with Gaussian envelope is a "
+       "weak null vector of the multiplication combination of the "
+       "pseudo-boson lowering pair")
+def delta_on_diagonal_hyperplane(art: Artifacts):
+    half = Fraction(1, 2)
+    line = DeltaDist.from_ambient([1, -1], 0, PolyGauss.gaussian([[half, half], [half, half]]))
+    rep = distributional_vacuum_check(
+        [art.pseudo["A1"] - art.pseudo["A2"]], line, _test_family_2d(), tol=art.cfg.tol
+    )
+    return rep.passes, {"max_abs_pairing": rep.max_abs, "tol": rep.tol}
+
+
+@check("vacuum", "delta-negative-control",
+       "a mismatched hyperplane delta is detected as not weakly "
+       "annihilated (pairing stays far from zero)")
+def delta_negative_control(art: Artifacts):
+    mismatched = DeltaDist([1, 0], 0, PolyGauss.standard_vacuum(1))
+    rep = distributional_vacuum_check(
+        [art.ladders["a1"]], mismatched, _test_family_2d(), tol=art.cfg.tol
+    )
+    return not rep.passes, {"max_abs_pairing": rep.max_abs, "tol": rep.tol}
+
+
+@check("vacuum", "null-vector-sweep",
+       "least singular value of the stacked pseudo-boson lowering "
+       "pair keeps decaying with the cutoff (no normalizable joint "
+       "null vector) while the bosonic control stays at zero")
+def null_vector_sweep(art: Artifacts):
+    pseudo = art.null_sweeps["pseudo"]
+    sp = pseudo.sigma_mins()
+    sb = art.null_sweeps["bosonic"].sigma_mins()
+    return None, {
+        "cutoffs": [r.cutoff for r in pseudo.records],
+        "pseudo_sigma_min": sp,
+        "pseudo_tail_mass": pseudo.tail_masses(),
+        "bosonic_sigma_min": sb,
+        "pseudo_strictly_decreasing": all(x > y for x, y in zip(sp, sp[1:])),
+        "bosonic_max_spread": (max(sb) - min(sb)) / max(sb) if max(sb) > 0 else 0.0,
+    }
+
+
+@check("commutators", "pseudo-commutator-table",
+       "all sixteen commutators of the pseudo-boson pairs match the "
+       "delta table exactly in canonical form")
+def pseudo_commutator_table(art: Artifacts):
+    table = {}
+    for left, right in product(_PAIR_NAMES, repeat=2):
+        expected = _expected_commutator(left, right)
+        actual = commutator(art.pseudo[left], art.pseudo[right]).as_scalar()
+        table[f"[{left},{right}]"] = {
+            "expected": expected,
+            "actual": "non-scalar" if actual is None else str(actual),
+            "ok": actual is not None and actual == Coeff(expected),
+        }
+    return all(entry["ok"] for entry in table.values()), {"table": table}
+
+
+@check("commutators", "bosonic-commutator-table",
+       "the underlying two-mode ladder operators satisfy the "
+       "canonical commutation table exactly")
+def bosonic_commutator_table(art: Artifacts):
+    expected = (("a1", "adag1", 1), ("a2", "adag2", 1), ("a1", "adag2", 0),
+                ("a1", "a2", 0), ("adag1", "adag2", 0))
+    return all(
+        commutator(art.ladders[left], art.ladders[right]).as_scalar() == Coeff(value)
+        for left, right, value in expected
+    ), {}
+
+
+@check("commutators", "pseudo-commutator-fock-residuals",
+       "the same sixteen commutators hold on the interior of the "
+       "truncated Fock space below tolerance")
+def pseudo_commutator_fock_residuals(art: Artifacts):
     cutoff, bound = 12, 10
-    residuals = {}
-    worst = 0.0
-    for left in _PAIR_NAMES:
-        for right in _PAIR_NAMES:
-            expected = _expected_commutator(left, right)
-            res = commutator_residual(
-                build_fock(left, cutoff), build_fock(right, cutoff), expected, bound
-            )
-            residuals[f"[{left},{right}]"] = res
-            worst = max(worst, res)
-    verdicts.append(
-        VerdictReport(
-            check="pseudo-commutator-fock-residuals",
-            claim="the same sixteen commutators hold on the interior of the "
-            "truncated Fock space below tolerance",
-            status="pass" if worst < cfg.tol else "fail",
-            payload={
-                "cutoff": cutoff,
-                "interior_bound": bound,
-                "max_residual": worst,
-                "residuals": residuals,
-                "tol": cfg.tol,
-            },
+    fock = {name: build_fock(name, cutoff) for name in _PAIR_NAMES}
+    residuals = {
+        f"[{left},{right}]": commutator_residual(
+            fock[left], fock[right], _expected_commutator(left, right), bound
         )
-    )
-    return verdicts, {}
+        for left, right in product(_PAIR_NAMES, repeat=2)
+    }
+    worst = max(residuals.values())
+    return worst < art.cfg.tol, {
+        "cutoff": cutoff,
+        "interior_bound": bound,
+        "max_residual": worst,
+        "residuals": residuals,
+        "tol": art.cfg.tol,
+    }
 
 
-def run_hamiltonian(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
+@check("hamiltonian", "hamiltonian-forms-symbolic",
+       "the bosonic and pseudo-boson Hamiltonian assemblies "
+       "normal-order to the identical operator for randomized "
+       "rational parameters")
+def hamiltonian_forms_symbolic(art: Artifacts):
     rng = random.Random(20240801)
-    trials = []
-    all_equal = True
-    configured = _params(cfg)
     trial_params = [
         BatemanParams.from_omega(
             Fraction(rng.randint(1, 6), rng.randint(1, 4)),
@@ -389,132 +416,102 @@ def run_hamiltonian(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]
         )
         for _ in range(5)
     ]
-    if configured.rational_omega is not None:
-        trial_params.append(configured)
-    for params in trial_params:
-        equal = hamiltonian_build(params, "bosonic") == hamiltonian_build(params, "pseudo")
-        all_equal = all_equal and equal
-        trials.append(
-            {
-                "m": str(params.m),
-                "gamma": str(params.gamma),
-                "omega": str(params.rational_omega),
-                "equal": equal,
-            }
-        )
-    verdicts = [
-        VerdictReport(
-            check="hamiltonian-forms-symbolic",
-            claim="the bosonic and pseudo-boson Hamiltonian assemblies "
-            "normal-order to the identical operator for randomized "
-            "rational parameters",
-            status="pass" if all_equal else "fail",
-            payload={"trials": trials},
-        )
+    if art.params.rational_omega is not None:
+        trial_params.append(art.params)
+    trials = [
+        {
+            "m": str(params.m),
+            "gamma": str(params.gamma),
+            "omega": str(params.rational_omega),
+            "equal": hamiltonian_build(params, "bosonic") == hamiltonian_build(params, "pseudo"),
+        }
+        for params in trial_params
     ]
+    return all(trial["equal"] for trial in trials), {"trials": trials}
 
+
+@check("hamiltonian", "hamiltonian-forms-fock",
+       "the two assemblies agree on the interior of the truncated "
+       "Fock space below tolerance")
+def hamiltonian_forms_fock(art: Artifacts):
     cutoff, bound = 16, 14
-    res = hamiltonian_equiv_residual(configured, cutoff, bound)
-    verdicts.append(
-        VerdictReport(
-            check="hamiltonian-forms-fock",
-            claim="the two assemblies agree on the interior of the truncated "
-            "Fock space below tolerance",
-            status="pass" if res < cfg.tol else "fail",
-            payload={"cutoff": cutoff, "interior_bound": bound, "residual": res, "tol": cfg.tol},
-        )
+    res = hamiltonian_equiv_residual(art.params, cutoff, bound)
+    return res < art.cfg.tol, {
+        "cutoff": cutoff, "interior_bound": bound, "residual": res, "tol": art.cfg.tol
+    }
+
+
+@check("hamiltonian", "hamiltonian-forms-classical",
+       "along an integrated trajectory the mixed-coordinate and "
+       "rotated-coordinate energies agree pointwise and the energy "
+       "is conserved")
+def hamiltonian_forms_classical(art: Artifacts):
+    cons = art.consistency
+    return cons.max_form_gap < 1e-10 and cons.max_drift < 1e-7, {
+        "max_form_gap": cons.max_form_gap,
+        "max_drift": cons.max_drift,
+        "initial_energy": cons.initial_energy,
+    }
+
+
+@check("squeeze", "squeeze-factored-amplitudes",
+       "iterating the squared raising operator on the ground state "
+       "reproduces the closed-form amplitudes (-1/2)^k sqrt((2k)!)/k! "
+       "exactly, as radical pairs")
+def squeeze_factored_amplitudes(art: Artifacts):
+    kmax = min(art.cfg.kmax, 50)
+    amplitudes = squeeze_factored_action(kmax)
+    ok = all(
+        amp == factorial_sqrt(2 * k) * Fraction((-1) ** k, 2**k * math.factorial(k))
+        for k, amp in enumerate(amplitudes)
     )
-
-    init = PhaseState.from_velocities(configured, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
-    traj = integrate_eom(configured, init, t_end=10.0, dt=1e-3)
-    cons = hamiltonian_consistency(traj, configured)
-    verdicts.append(
-        VerdictReport(
-            check="hamiltonian-forms-classical",
-            claim="along an integrated trajectory the mixed-coordinate and "
-            "rotated-coordinate energies agree pointwise and the energy "
-            "is conserved",
-            status="pass" if cons.max_form_gap < 1e-10 and cons.max_drift < 1e-7 else "fail",
-            payload={
-                "max_form_gap": cons.max_form_gap,
-                "max_drift": cons.max_drift,
-                "initial_energy": cons.initial_energy,
-            },
-        )
-    )
-    return verdicts, {}
+    return ok, {"kmax": kmax, "first_amplitudes": [str(amp) for amp in amplitudes[:6]]}
 
 
-def run_squeeze(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
-    kmax_coeffs = min(cfg.kmax, 50)
-    amplitudes = squeeze_factored_action(max(kmax_coeffs, 1))
-    closed_ok = True
-    for k, amp in enumerate(amplitudes):
-        closed = factorial_sqrt(2 * k) * Fraction((-1) ** k, 2**k * math.factorial(k))
-        if amp != closed:
-            closed_ok = False
-            break
-    verdicts = [
-        VerdictReport(
-            check="squeeze-factored-amplitudes",
-            claim="iterating the squared raising operator on the ground state "
-            "reproduces the closed-form amplitudes (-1/2)^k sqrt((2k)!)/k! "
-            "exactly, as radical pairs",
-            status="pass" if closed_ok else "fail",
-            payload={
-                "kmax": max(kmax_coeffs, 1),
-                "first_amplitudes": [str(a) for a in amplitudes[:6]],
-            },
-        )
-    ]
+@check("squeeze", "squeeze-series-ratio-test",
+       "the ratio test certifies divergence of the squared-norm "
+       "series of the factored squeeze action")
+def squeeze_series_ratio_test(art: Artifacts):
+    raabe = art.raabe
+    return raabe.verdict == "divergent", {
+        "verdict": raabe.verdict,
+        "kmax": raabe.kmax,
+        "tail_monotone": raabe.tail_monotone,
+        "limit_bracket": [str(raabe.limit_low), str(raabe.limit_high)],
+        "limit_bracket_float": [float(raabe.limit_low), float(raabe.limit_high)],
+        "rho_1": str(raabe.ratio(1)),
+        "rho_kmax": str(raabe.ratio(raabe.kmax)),
+    }
 
-    series = squeeze_norm_series()
-    raabe = raabe_test(series, cfg.kmax)
-    verdicts.append(
-        VerdictReport(
-            check="squeeze-series-ratio-test",
-            claim="the ratio test certifies divergence of the squared-norm "
-            "series of the factored squeeze action",
-            status="pass" if raabe.verdict == "divergent" else "fail",
-            payload={
-                "verdict": raabe.verdict,
-                "kmax": raabe.kmax,
-                "tail_monotone": raabe.tail_monotone,
-                "limit_bracket": [str(raabe.limit_low), str(raabe.limit_high)],
-                "limit_bracket_float": [float(raabe.limit_low), float(raabe.limit_high)],
-                "rho_1": str(raabe.ratio(1)),
-                "rho_kmax": str(raabe.ratio(raabe.kmax)),
-            },
-        )
-    )
 
-    growth = partial_sum_growth(series, list(GROWTH_CHECKPOINTS))
+@check("squeeze", "squeeze-series-partial-sums",
+       "exact partial sums of the squared-norm series grow like a "
+       "positive power of the truncation point and exceed 100 within "
+       "the computed range")
+def squeeze_series_partial_sums(art: Artifacts):
+    growth = partial_sum_growth(art.series, list(GROWTH_CHECKPOINTS))
     exceeds = growth.partial_sums[1] > Coeff(100)
     p = growth.fitted_exponent
-    verdicts.append(
-        VerdictReport(
-            check="squeeze-series-partial-sums",
-            claim="exact partial sums of the squared-norm series grow like a "
-            "positive power of the truncation point and exceed 100 within "
-            "the computed range",
-            status="pass" if 0.45 <= p <= 0.55 and exceeds else "fail",
-            payload={
-                "checkpoints": list(growth.checkpoints),
-                "partial_sums": list(growth.partial_sum_floats),
-                "fitted_exponent": p,
-                "analytic_exponent": SQUEEZE_SUM_EXPONENT,
-                "exceeds_100_at_104_exact": bool(exceeds),
-            },
-        )
-    )
+    return 0.45 <= p <= 0.55 and exceeds, {
+        "checkpoints": list(growth.checkpoints),
+        "partial_sums": list(growth.partial_sum_floats),
+        "fitted_exponent": p,
+        "analytic_exponent": SQUEEZE_SUM_EXPONENT,
+        "exceeds_100_at_104_exact": exceeds,
+    }
 
-    cutoffs = cfg.cutoffs or DEFAULT_SQUEEZE_CUTOFFS
-    norms = squeeze_truncated_norms(cfg.theta, cutoffs)
+
+@check("squeeze", "squeeze-truncated-norms",
+       "norms of the truncated exponential applied to the ground "
+       "state, per cutoff (they keep growing; the image of the "
+       "untruncated operator is not square integrable)")
+def squeeze_truncated_norms_check(art: Artifacts):
+    norms = art.squeeze_norms
     ln = norms.log_norms()
     gaps = [list(r.coeff_gaps) for r in norms.records]
     payload = {
-        "theta": cfg.theta,
-        "cutoffs": list(cutoffs),
+        "theta": art.cfg.theta,
+        "cutoffs": [r.cutoff for r in norms.records],
         "norms": norms.norms(),
         "log_norms": ln,
         "strictly_increasing": all(x < y for x, y in zip(ln, ln[1:])),
@@ -526,145 +523,134 @@ def run_squeeze(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
             "amplitude fell below the float range at the cutoff's common scale; "
             "log_norms holds the scale of every norm"
         )
-    verdicts.append(
-        VerdictReport(
-            check="squeeze-truncated-norms",
-            claim="norms of the truncated exponential applied to the ground "
-            "state, per cutoff (they keep growing; the image of the "
-            "untruncated operator is not square integrable)",
-            status="report-only",
-            payload=payload,
-        )
-    )
+    return None, payload
 
+
+@check("squeeze", "squeeze-unitary-control",
+       "the antihermitian-generator control keeps norm one at every "
+       "cutoff (a true unitary squeeze)")
+def squeeze_unitary_control(art: Artifacts):
     control = squeeze_truncated_norms(0.1, (16, 32), generator="antihermitian")
-    verdicts.append(
-        VerdictReport(
-            check="squeeze-unitary-control",
-            claim="the antihermitian-generator control keeps norm one at every "
-            "cutoff (a true unitary squeeze)",
-            status="report-only",
-            payload={
-                "cutoffs": [16, 32],
-                "max_norm_deviation": max(abs(n - 1.0) for n in control.norms()),
-            },
-        )
-    )
-
-    csvs = {
-        "squeeze_norms.csv": squeeze_csv(norms),
-        "raabe.csv": raabe_csv(raabe),
+    return None, {
+        "cutoffs": [16, 32],
+        "max_norm_deviation": max(abs(n - 1.0) for n in control.norms()),
     }
-    return verdicts, csvs
 
 
-def run_classical(cfg: RunConfig) -> tuple[list[VerdictReport], dict[str, str]]:
-    params = _params(cfg)
-    init = PhaseState.from_velocities(params, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
-    traj = integrate_eom(params, init, t_end=10.0, dt=1e-3)
+@check("classical", "classical-eom-residuals",
+       "the integrated trajectory satisfies the damped and amplified "
+       "second-order equations within finite-difference tolerance")
+def classical_eom_residuals(art: Artifacts):
+    residuals = eom_residual(art.trajectory, art.params)
+    return max(residuals.damped, residuals.amplified) < 1e-4, {
+        "damped_residual": residuals.damped,
+        "amplified_residual": residuals.amplified,
+        "tol": 1e-4,
+    }
 
-    residuals = eom_residual(traj, params)
-    verdicts = [
-        VerdictReport(
-            check="classical-eom-residuals",
-            claim="the integrated trajectory satisfies the damped and amplified "
-            "second-order equations within finite-difference tolerance",
-            status="pass" if max(residuals.damped, residuals.amplified) < 1e-4 else "fail",
-            payload={
-                "damped_residual": residuals.damped,
-                "amplified_residual": residuals.amplified,
-                "tol": 1e-4,
-            },
-        )
-    ]
 
-    cons = hamiltonian_consistency(traj, params)
-    verdicts.append(
-        VerdictReport(
-            check="classical-energy-forms",
-            claim="the mixed and rotated energy expressions agree pointwise "
-            "under the coordinate rotation",
-            status="pass" if cons.max_form_gap < 1e-10 else "fail",
-            payload={"max_form_gap": cons.max_form_gap, "tol": 1e-10},
-        )
-    )
-    verdicts.append(
-        VerdictReport(
-            check="classical-energy-drift",
-            claim="the energy is conserved along the trajectory",
-            status="pass" if cons.max_drift < 1e-7 else "fail",
-            payload={"max_drift": cons.max_drift, "tol": 1e-7},
-        )
-    )
+@check("classical", "classical-energy-forms",
+       "the mixed and rotated energy expressions agree pointwise "
+       "under the coordinate rotation")
+def classical_energy_forms(art: Artifacts):
+    gap = art.consistency.max_form_gap
+    return gap < 1e-10, {"max_form_gap": gap, "tol": 1e-10}
 
+
+@check("classical", "classical-energy-drift",
+       "the energy is conserved along the trajectory")
+def classical_energy_drift(art: Artifacts):
+    drift = art.consistency.max_drift
+    return drift < 1e-7, {"max_drift": drift, "tol": 1e-7}
+
+
+@check("classical", "classical-drift-order",
+       "halving the step divides the energy drift by about 2^5 = 32 "
+       "(RK4 changes the energy of a linear system by O(dt^6) per step, "
+       "so by O(dt^5) over a fixed time)")
+def classical_drift_order(art: Artifacts):
     drifts = [
-        hamiltonian_consistency(integrate_eom(params, init, t_end=10.0, dt=dt), params).max_drift
+        hamiltonian_consistency(
+            integrate_eom(art.params, art.init, t_end=10.0, dt=dt), art.params
+        ).max_drift
         for dt in DRIFT_ORDER_STEPS
     ]
-    verdicts.append(
-        VerdictReport(
-            check="classical-drift-order",
-            claim="halving the step divides the energy drift by about 2^5 = 32 "
-            "(RK4 changes the energy of a linear system by O(dt^6) per step, "
-            "so by O(dt^5) over a fixed time)",
-            status="report-only",
-            payload={
-                "dt": list(DRIFT_ORDER_STEPS),
-                "drift": drifts,
-                "ratio": drifts[0] / drifts[1] if drifts[1] > 0 else None,
-            },
-        )
-    )
-
-    x_exact, y_exact = underdamped_solution(params, init, traj.times)
-    verdicts.append(
-        VerdictReport(
-            check="classical-envelopes",
-            claim="the damped coordinate and its amplified partner follow the "
-            "closed-form underdamped solutions e^(-+gamma t/2m) (A cos wt + "
-            "B sin wt) pointwise",
-            status="report-only",
-            payload={
-                "gamma_over_2m": float(params.gamma) / (2.0 * float(params.m)),
-                "omega": params.omega,
-                "t_end": float(traj.times[-1]),
-                "max_error_x": float(np.max(np.abs(traj.states[:, 0] - x_exact))),
-                "max_error_y": float(np.max(np.abs(traj.states[:, 1] - y_exact))),
-            },
-        )
-    )
-    return verdicts, {"trajectory.csv": trajectory_csv(traj)}
+    return None, {
+        "dt": list(DRIFT_ORDER_STEPS),
+        "drift": drifts,
+        "ratio": drifts[0] / drifts[1] if drifts[1] > 0 else None,
+    }
 
 
-RUNNERS: dict[str, Runner] = {
-    "counterexample": run_counterexample,
-    "vacuum": run_vacuum,
-    "commutators": run_commutators,
-    "hamiltonian": run_hamiltonian,
-    "squeeze": run_squeeze,
-    "classical": run_classical,
+@check("classical", "classical-envelopes",
+       "the damped coordinate and its amplified partner follow the "
+       "closed-form underdamped solutions e^(-+gamma t/2m) (A cos wt + "
+       "B sin wt) pointwise")
+def classical_envelopes(art: Artifacts):
+    traj, params = art.trajectory, art.params
+    x_exact, y_exact = underdamped_solution(params, art.init, traj.times)
+    return None, {
+        "gamma_over_2m": float(params.gamma) / (2.0 * float(params.m)),
+        "omega": params.omega,
+        "t_end": float(traj.times[-1]),
+        "max_error_x": float(np.max(np.abs(traj.states[:, 0] - x_exact))),
+        "max_error_y": float(np.max(np.abs(traj.states[:, 1] - y_exact))),
+    }
+
+
+# The CSVs each area writes, by file name, built from the run's artifacts.
+CSVS: dict[str, dict[str, Callable[[Artifacts], str]]] = {
+    "vacuum": {
+        "null_experiment_pseudo.csv": lambda art: null_experiment_csv(art.null_sweeps["pseudo"]),
+        "null_experiment_bosonic.csv": lambda art: null_experiment_csv(art.null_sweeps["bosonic"]),
+    },
+    "squeeze": {
+        "squeeze_norms.csv": lambda art: squeeze_csv(art.squeeze_norms),
+        "raabe.csv": lambda art: raabe_csv(art.raabe),
+    },
+    "classical": {"trajectory.csv": lambda art: trajectory_csv(art.trajectory)},
 }
+
+
+# ---------------------------------------------------------------------------
+# subcommand runners
+# ---------------------------------------------------------------------------
+
+def _runner(area: str) -> Runner:
+    """The runner of one area: the verdicts of its checks in report order,
+    and its CSVs when the run writes CSVs."""
+
+    def run_area(art: Artifacts) -> tuple[list[VerdictReport], dict[str, str]]:
+        verdicts = [c.verdict(art) for c in CHECKS if c.area == area]
+        tables = CSVS.get(area, {}) if art.cfg.fmt in ("csv", "both") else {}
+        return verdicts, {name: build(art) for name, build in tables.items()}
+
+    return run_area
+
+
+# One runner per area, in the order the areas' checks were registered.
+RUNNERS: dict[str, Runner] = {
+    area: _runner(area) for area in dict.fromkeys(c.area for c in CHECKS)
+}
+(run_counterexample, run_vacuum, run_commutators, run_hamiltonian, run_squeeze,
+ run_classical) = RUNNERS.values()
 
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured subcommand, write reports, return the exit code."""
-    if cfg.subcommand == "all":
-        names = list(RUNNERS)
-    else:
-        names = [cfg.subcommand]
+    art = Artifacts(cfg)
     verdicts: list[VerdictReport] = []
     csvs: dict[str, str] = {}
-    for name in names:
-        v, c = RUNNERS[name](cfg)
+    for name in RUNNERS if cfg.subcommand == "all" else [cfg.subcommand]:
+        v, c = RUNNERS[name](art)
         verdicts.extend(v)
         csvs.update(c)
 
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt in ("json", "both"):
         write_report(cfg.out / f"report_{cfg.subcommand}.json", cfg, verdicts)
-    if cfg.fmt in ("csv", "both"):
-        for fname, text in csvs.items():
-            (cfg.out / fname).write_text(text)
+    for fname, text in csvs.items():
+        (cfg.out / fname).write_text(text)
 
     failures = [v for v in verdicts if v.status == "fail"]
     for v in verdicts:
@@ -783,18 +769,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.k_spring is not None:
-        probe = BatemanParams(args.m, args.gamma, args.k_spring)
-        if args.omega is not None and probe.rational_omega != args.omega:
-            raise ValueError(
-                "--k-spring and --omega disagree; drop one or make them consistent"
-            )
+    """The run's configuration; raises ValueError for one no run accepts."""
+    if args.kmax < 10:
+        raise ValueError("--kmax below 10 cannot support the ratio-test protocol")
+    squeezes = args.subcommand in ("squeeze", "all")
+    if squeezes and args.cutoffs and args.cutoffs[-1] > SQUEEZE_CUTOFF_LIMIT:
+        raise ValueError(
+            f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}; "
+            "use smaller --cutoffs"
+        )
     omega = args.omega
     if omega is None and args.k_spring is None:
         omega = Fraction(1)
-    if args.kmax < 10:
-        raise ValueError("--kmax below 10 cannot support the ratio-test protocol")
-    return RunConfig(
+    cfg = RunConfig(
         subcommand=args.subcommand,
         m=args.m,
         gamma=args.gamma,
@@ -807,18 +794,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         fmt=args.fmt,
     )
+    resolve_params(cfg)  # every subcommand rejects parameters the model rejects
+    return cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        return run(config_from_args(args))
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

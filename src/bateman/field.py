@@ -124,10 +124,6 @@ class Coeff:
             raise ValueError("denominator must be positive")
         return _canonical(a, b, c, d, denominator)
 
-    @classmethod
-    def from_rational(cls, x: RatLike) -> Coeff:
-        return cls(_rat(x))
-
     @staticmethod
     def coerce(x: "Coeff | RatLike") -> Coeff:
         o = _operand(x)
@@ -160,9 +156,6 @@ class Coeff:
 
     def is_real(self) -> bool:
         return not (self._c or self._d)
-
-    def is_rational(self) -> bool:
-        return not (self._b or self._c or self._d)
 
     @property
     def real(self) -> Coeff:

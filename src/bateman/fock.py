@@ -40,6 +40,9 @@ from .operators import PolyGauss
 from .radicals import SqrtRational
 
 SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
+# Largest cutoff at which the squeeze norms are certified: they match an mpmath
+# reference at 1024, and past it the series' components underflow.
+SQUEEZE_CUTOFF_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -484,13 +487,16 @@ def squeeze_truncated_norms(
     gaps are reported, never asserted.  A norm or gap beyond the float range
     is None, and so is the gap of an amplitude that underflowed at its
     cutoff's common scale (for theta != 0 no amplitude is truly zero);
-    ``log_norm`` is always finite.
+    ``log_norm`` is always finite.  The hermitian generator takes cutoffs up
+    to ``SQUEEZE_CUTOFF_LIMIT``.
     """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing and nonempty")
     if any(c < 8 for c in cutoffs):
         raise ValueError("cutoffs below 8 cannot hold the compared amplitudes")
+    if generator == "hermitian" and cutoffs[-1] > SQUEEZE_CUTOFF_LIMIT:
+        raise ValueError(f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
 

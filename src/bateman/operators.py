@@ -457,14 +457,6 @@ class LinDiffOp:
     def is_multiplication(self) -> bool:
         return not self.derivative_part()
 
-    @property
-    def derivative_order(self) -> int:
-        return max((sum(beta) for _, beta in self.terms), default=0)
-
-    @property
-    def poly_degree(self) -> int:
-        return max((sum(alpha) for alpha, _ in self.terms), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinDiffOp):
             return NotImplemented

@@ -33,15 +33,25 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     return s, n
 
 
-def _primes_up_to(n: int) -> list[int]:
+def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n (sieve of Eratosthenes)."""
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def factorial_exponent(n: int, p: int) -> int:
+    """The exponent of the prime p in n! (Legendre): sum_j floor(n / p^j)."""
+    e, pj = 0, p
+    while pj <= n:
+        e += n // pj
+        pj *= p
+    return e
 
 
 def factorial_sqrt(n: int) -> "SqrtRational":
@@ -49,12 +59,8 @@ def factorial_sqrt(n: int) -> "SqrtRational":
     if n < 0:
         raise ValueError("factorial_sqrt expects n >= 0")
     s, rad = 1, 1
-    for p in _primes_up_to(n):
-        e = 0
-        q = p
-        while q <= n:
-            e += n // q
-            q *= p
+    for p in primes_up_to(n):
+        e = factorial_exponent(n, p)
         s *= p ** (e // 2)
         if e % 2:
             rad *= p

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import Coeff, ONE
+from .radicals import factorial_exponent, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -71,18 +72,6 @@ def _squeeze_terms(first: int, last: int) -> list[Coeff]:
     return out
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
-
-
 def _product(factors: list[int]) -> int:
     """Product of the factors, multiplied pairwise as a balanced tree."""
     while len(factors) > 1:
@@ -95,17 +84,13 @@ def _central_binomial(k: int, primes: Sequence[int]) -> int:
     """C(2k, k) as prod p^e over the given primes (which must cover 2k).
 
     Legendre's formula gives the exponent of p in (2k)!/k!^2 as
-    e = sum_j (floor(2k/p^j) - 2 floor(k/p^j)); nothing is divided.
+    e = v_p((2k)!) - 2 v_p(k!); nothing is divided.
     """
-    n = 2 * k
     powers = []
     for p in primes:
-        if p > n:
+        if p > 2 * k:
             break
-        e, pj = 0, p
-        while pj <= n:
-            e += n // pj - 2 * (k // pj)
-            pj *= p
+        e = factorial_exponent(2 * k, p) - 2 * factorial_exponent(k, p)
         if e:
             powers.append(p**e)
     return _product(powers)
@@ -122,7 +107,7 @@ def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """
     if min(checkpoints) < 0:
         raise ValueError("checkpoints must be nonnegative")
-    primes = _primes_upto(2 * max(checkpoints))
+    primes = primes_up_to(2 * max(checkpoints))
     return [
         Coeff.from_integers(0, (2 * k + 1) * _central_binomial(k, primes), denominator=1 << (2 * k))
         for k in checkpoints
@@ -179,9 +164,6 @@ class RaabeReport:
         if not 1 <= k <= self.kmax:
             raise IndexError(f"rho_{k} was not computed")
         return self.ratios[k - 1]
-
-    def ratio_floats(self) -> list[float]:
-        return [float(r) for r in self.ratios]
 
 
 def raabe_test(

@@ -86,6 +86,13 @@ def test_params_validation():
         BatemanParams(1, 10, 1)  # overdamped
 
 
+@pytest.mark.parametrize("mass", [0, -1])
+def test_from_omega_rejects_non_positive_mass(mass):
+    # the mass is checked before k = m omega^2 + gamma^2 / 4m divides by it
+    with pytest.raises(ValueError, match="mass must be positive"):
+        BatemanParams.from_omega(mass, Fraction(1, 5), 1)
+
+
 def test_params_omega_derivation():
     p = BatemanParams.from_omega(1, Fraction(1, 5), 1)
     assert p.k_spring == Fraction(101, 100)

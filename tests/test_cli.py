@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import bateman
-from bateman.cli import build_parser, config_from_args, main
+from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
+from bateman.fock import SQUEEZE_CUTOFF_LIMIT
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -219,3 +220,91 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         )
         assert out.stdout.splitlines()[-1] == "False", code
     assert (tmp_path / "report_all.json").exists()
+
+
+FAST = ["--kmax", "50", "--cutoffs", "16,32"]
+CSV_NAMES = {
+    "null_experiment_pseudo.csv",
+    "null_experiment_bosonic.csv",
+    "squeeze_norms.csv",
+    "raabe.csv",
+    "trajectory.csv",
+}  # every CSV `bateman all` writes
+REPORT_ONLY = {
+    "counterexample-branches",
+    "null-vector-sweep",
+    "squeeze-truncated-norms",
+    "squeeze-unitary-control",
+    "classical-drift-order",
+    "classical-envelopes",
+}
+
+
+def test_all_report_concatenates_the_subcommand_reports(tmp_path):
+    # the artifacts shared across areas in one run change no payload
+    assert run_cli(["all", "--out", str(tmp_path / "all"), *FAST]) == 0
+    combined = json.loads((tmp_path / "all" / "report_all.json").read_text())["checks"]
+    separate = []
+    for name in RUNNERS:
+        assert run_cli([name, "--out", str(tmp_path / name), *FAST]) == 0
+        separate += json.loads((tmp_path / name / f"report_{name}.json").read_text())["checks"]
+    assert [c["check"] for c in combined] == [c["check"] for c in separate]
+    assert combined == separate
+    for area, tables in CSVS.items():
+        for name in tables:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / area / name).read_bytes()
+
+
+def test_format_json_writes_no_csv_and_csv_no_report(tmp_path):
+    assert run_cli(["all", "--out", str(tmp_path / "json"), "--format", "json", *FAST]) == 0
+    assert {p.name for p in (tmp_path / "json").iterdir()} == {"report_all.json"}
+    assert run_cli(["all", "--out", str(tmp_path / "csv"), "--format", "csv", *FAST]) == 0
+    assert {p.name for p in (tmp_path / "csv").iterdir()} == CSV_NAMES
+
+
+def test_registry_ids_claims_and_ok_types(tmp_path):
+    ids = [c.id for c in CHECKS]
+    assert len(ids) == 27 and len(set(ids)) == 27
+    assert len({c.claim for c in CHECKS}) == 27
+    assert list(dict.fromkeys(c.area for c in CHECKS)) == list(RUNNERS)
+    args = build_parser().parse_args(["all", "--out", str(tmp_path), *FAST])
+    art = Artifacts(config_from_args(args))
+    for c in CHECKS:
+        ok, payload = c.fn(art)
+        if c.id in REPORT_ONLY:
+            assert ok is None, c.id
+        else:
+            assert type(ok) is bool and ok, c.id
+        assert isinstance(payload, dict), c.id
+
+
+@pytest.mark.parametrize("mass", ["0", "-1"])
+@pytest.mark.parametrize("subcommand", [*RUNNERS, "all"])
+def test_non_positive_mass_rejected_on_every_subcommand(subcommand, mass, tmp_path, capsys):
+    assert run_cli([subcommand, "--out", str(tmp_path), "--m", mass]) == 2
+    err = capsys.readouterr().err
+    assert "mass must be positive" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("subcommand", ["squeeze", "all"])
+def test_squeeze_cutoffs_past_the_certified_limit_rejected(subcommand):
+    # rejected before any check runs: `all` would first sweep the null vectors
+    parse = build_parser().parse_args
+    with pytest.raises(ValueError, match=str(SQUEEZE_CUTOFF_LIMIT)):
+        config_from_args(parse([subcommand, "--cutoffs", f"16,{SQUEEZE_CUTOFF_LIMIT + 1}"]))
+    cfg = config_from_args(parse([subcommand, "--cutoffs", f"16,{SQUEEZE_CUTOFF_LIMIT}"]))
+    assert cfg.cutoffs == (16, SQUEEZE_CUTOFF_LIMIT)
+
+
+def test_squeeze_past_the_limit_exits_2(tmp_path, capsys):
+    too_far = f"16,{SQUEEZE_CUTOFF_LIMIT + 1}"
+    assert run_cli(["squeeze", "--out", str(tmp_path), "--cutoffs", too_far]) == 2
+    err = capsys.readouterr().err
+    assert str(SQUEEZE_CUTOFF_LIMIT) in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_vacuum_accepts_cutoffs_past_the_squeeze_limit():
+    args = build_parser().parse_args(["vacuum", "--cutoffs", "8,2048"])
+    assert config_from_args(args).cutoffs == (8, 2048)

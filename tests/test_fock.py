@@ -11,6 +11,7 @@ from bateman.classical import BatemanParams
 from bateman.field import Coeff
 from bateman.fock import (
     SIGMA_FLOOR_RATIO,
+    SQUEEZE_CUTOFF_LIMIT,
     build_fock,
     commutator_residual,
     even_squeeze_state,
@@ -486,3 +487,9 @@ def test_matrix_action_matches_symbolic_action_on_random_states():
                 sym_vec[n1 * n + n2] = complex(c) * _norm_scale(n1, n2)
             scale = max(1.0, float(np.max(np.abs(out))))
             assert np.max(np.abs(out - sym_vec)) / scale < 1e-8
+
+
+def test_truncated_norms_refuse_cutoffs_past_the_certified_limit():
+    # past the limit the positive series underflows and log_norm drifts
+    with pytest.raises(ValueError, match=str(SQUEEZE_CUTOFF_LIMIT)):
+        squeeze_truncated_norms(THETA, [16, SQUEEZE_CUTOFF_LIMIT + 1])

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bateman.field import Coeff, SQRT2
+from bateman.radicals import primes_up_to
 from bateman.series import (
     SeriesTerms,
     _central_binomial,
-    _primes_upto,
     _squeeze_terms,
     partial_sum_growth,
     raabe_csv,
@@ -82,7 +82,7 @@ def test_fast_partial_sums_match_naive_summation():
 
 
 def test_central_binomial_matches_math_comb():
-    primes = _primes_upto(2 * 10**5)
+    primes = primes_up_to(2 * 10**5)
     for k in [*range(301), 10**4, 10**5]:
         assert _central_binomial(k, primes) == math.comb(2 * k, k), k
 
