@@ -283,11 +283,22 @@ class HamiltonianConsistency:
 
 
 def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> HamiltonianConsistency:
+    """Gap between the two energy forms along the trajectory, and the drift.
+
+    The rotated form is a difference of terms quadratic in the amplified
+    coordinate, which grows like exp(+gamma t / 2m); when either form leaves
+    the float range this raises IntegrationError.
+    """
     if len(traj.times) < 2:
         raise ValueError("need at least 2 samples")
     samples = traj.phase_arrays()
-    energies = hamiltonian_mixed(samples, params)
-    gap = float(np.max(np.abs(energies - hamiltonian_rotated(rotate(samples), params))))
+    # overflow shows up as non-finite energies and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = hamiltonian_mixed(samples, params)
+        rotated = hamiltonian_rotated(rotate(samples), params)
+    if not (np.isfinite(energies).all() and np.isfinite(rotated).all()):
+        raise IntegrationError("an energy form left the representable range along the trajectory")
+    gap = float(np.max(np.abs(energies - rotated)))
     drift = float(np.max(np.abs(energies - energies[0])))
     return HamiltonianConsistency(gap, drift, float(energies[0]))
 

@@ -38,6 +38,7 @@ import numpy as np
 from .classical import (
     BatemanParams,
     HamiltonianConsistency,
+    IntegrationError,
     PhaseState,
     Trajectory,
     eom_residual,
@@ -804,6 +805,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config_from_args(args))
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except IntegrationError as exc:
+        rate = float(args.gamma / (2 * args.m))
+        print(
+            f"integration error: {exc}; the amplified mode grows like exp(gamma t / 2m) "
+            f"with gamma/2m = {rate:g}, so use a smaller --gamma or a larger --m",
+            file=sys.stderr,
+        )
         return 2
 
 

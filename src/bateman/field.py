@@ -342,43 +342,6 @@ class Coeff:
     def __abs__(self) -> Coeff:
         return -self if self.sign() < 0 else self
 
-    def sqrt_real(self) -> Coeff | None:
-        """Exact square root of a nonnegative real element, or None.
-
-        Solves (x + y sqrt2)^2 = a + b sqrt2 over the rationals; the root
-        exists in the field iff a^2 - 2 b^2 is a rational square and one of
-        the two quadratic branches closes.
-        """
-        if not self.is_real():
-            raise ValueError("sqrt_real expects a real element")
-        if self.sign() < 0:
-            return None
-        a, b = self.a, self.b
-        if self.is_zero():
-            return ZERO
-        if b == 0:
-            x = rational_sqrt(a)
-            if x is not None:
-                return Coeff(x)
-            y2 = rational_sqrt(a / 2)
-            if y2 is not None:
-                return Coeff(0, y2)
-            return None
-        disc = rational_sqrt(a * a - 2 * b * b)
-        if disc is None:
-            return None
-        for s in (disc, -disc):
-            y2 = (a + s) / 4
-            y = rational_sqrt(y2)
-            if y is None or y == 0:
-                continue
-            for ysigned in (y, -y):
-                x = b / (2 * ysigned)
-                cand = Coeff(x, ysigned)
-                if cand * cand == self and cand.sign() >= 0:
-                    return cand
-        return None
-
     # -- conversions ----------------------------------------------------------
 
     # Int true division is correctly rounded, so each quotient below is the

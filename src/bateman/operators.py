@@ -3,7 +3,7 @@
 Two value types carry the symbolic layer:
 
 * ``PolyGauss`` -- a multivariate polynomial (coefficients in Q(sqrt2, i))
-  times a Gaussian weight exp(-1/2 x^T S x + t^T x) with exact real S, t.
+  times a Gaussian weight exp(-1/2 x^T S x + t^T x) with exact S, t.
 * ``LinDiffOp`` -- a finite sum of normal-ordered terms c * x^alpha d^beta
   (all multiplications to the left of all derivatives).  Normal order is the
   canonical form, so operator equality is decidable dictionary equality.
@@ -98,7 +98,7 @@ def poly_str(poly: PolyDict) -> str:
 class PolyGauss:
     """P(x) * exp(-1/2 x^T S x + t^T x), all data exact.
 
-    S is symmetrized on construction and must be real, as must t.  The zero
+    S is symmetrized on construction; S and t may be complex.  The zero
     function is represented by an empty polynomial; S and t are then inert
     bookkeeping.  Closed under every LinDiffOp and under products.
     """
@@ -132,18 +132,11 @@ class PolyGauss:
             [(rows[i][j] + rows[j][i]) * Fraction(1, 2) for j in range(nvars)]
             for i in range(nvars)
         ]
-        for row in sym:
-            for v in row:
-                if not v.is_real():
-                    raise ValueError("quadratic form entries must be real")
         self.quad = tuple(tuple(row) for row in sym)
 
         tvec = [Coeff.coerce(v) for v in lin] if lin is not None else [ZERO] * nvars
         if len(tvec) != nvars:
             raise ValueError("linear term must have nvars entries")
-        for v in tvec:
-            if not v.is_real():
-                raise ValueError("linear term entries must be real")
         self.lin = tuple(tvec)
 
     # -- constructors --------------------------------------------------------

@@ -9,7 +9,7 @@ Three mechanized questions:
   operator?  (such a certificate forces every function vacuum to vanish
   almost everywhere, so only distributions remain);
 * does a hyperplane delta with a Gaussian envelope annihilate the family in
-  the weak sense?  (numerical pairing against a test family).
+  the weak sense?  (exact Gaussian moments against a test family).
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-from numpy.polynomial.hermite import hermgauss
-
-from .field import Coeff, ONE, ZERO
+from .field import Coeff, HALF, ONE, ZERO
 from .operators import (
     LinDiffOp,
     MultiIndex,
@@ -32,6 +29,8 @@ from .operators import (
     op_adjoint,
     op_apply,
     poly_str,
+    _sub_indices,
+    _unit_index,
     _zero_index,
 )
 
@@ -39,11 +38,8 @@ DEFAULT_PAIRING_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the pairing quadrature fails to converge."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when a pairing's Gaussian weight is not integrable or its scale
+    leaves the float range."""
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +381,14 @@ def multiplier_reduction(ops: Sequence[LinDiffOp]) -> list[MultiplierCert]:
 class DeltaDist:
     """delta(n . x - c) * envelope, with the envelope on in-plane coordinates.
 
-    The in-plane frame is fixed deterministically at construction: for one
-    variable it is empty, for two it is the quarter-turn of the unit normal.
-    The unit normal must stay inside Q(sqrt2) so that restrictions of exact
-    test functions stay exact; paper-class normals such as (1, 0) and
-    (1, -1) satisfy this.
+    Let p be the first index with n_p != 0.  The in-plane coordinates are the
+    ambient coordinates other than x_p, in order; on the plane
+    x_p = (c - sum_{k != p} n_k x_k) / n_p.  In these coordinates the coarea
+    factor of delta(n . x - c) is 1/|n_p|, so restrictions of exact test
+    functions stay exact for every real normal in the field.
     """
 
-    __slots__ = ("nvars", "normal", "offset", "envelope", "norm_len", "unit_normal", "frame", "point")
+    __slots__ = ("nvars", "normal", "offset", "envelope", "point", "frame", "coarea")
 
     def __init__(
         self,
@@ -403,40 +399,12 @@ class DeltaDist:
         self.normal = tuple(Coeff.coerce(v) for v in normal)
         self.offset = Coeff.coerce(offset)
         self.nvars = len(self.normal)
-        if self.nvars < 1:
-            raise ValueError("normal must have at least one entry")
-        for v in self.normal:
-            if not v.is_real():
-                raise ValueError("hyperplane normal must be real")
-        if not self.offset.is_real():
-            raise ValueError("hyperplane offset must be real")
-        if all(v.is_zero() for v in self.normal):
-            raise ValueError("hyperplane normal must be nonzero")
+        self.point, self.frame, self.coarea = _plane(self.normal, self.offset)
         if envelope.nvars != self.nvars - 1:
             raise ValueError(
                 f"envelope must have {self.nvars - 1} variable(s), got {envelope.nvars}"
             )
         self.envelope = envelope
-
-        norm2 = sum((v * v for v in self.normal), ZERO)
-        norm_len = norm2.sqrt_real()
-        if norm_len is None:
-            raise ValueError(
-                "|normal| leaves Q(sqrt2); use a normal whose length is exact"
-            )
-        self.norm_len = norm_len
-        inv = norm_len.inverse()
-        self.unit_normal = tuple(v * inv for v in self.normal)
-        if self.nvars == 1:
-            self.frame: tuple[tuple[Coeff, ...], ...] = ()
-        elif self.nvars == 2:
-            u0, u1 = self.unit_normal
-            self.frame = ((-u1, u0),)
-        else:
-            self.frame = _gram_schmidt_complement(self.unit_normal)
-        # a point on the hyperplane: (c / |n|^2) n
-        scale = self.offset * norm2.inverse() if not self.offset.is_zero() else ZERO
-        self.point = tuple(scale * v for v in self.normal)
 
     @classmethod
     def from_ambient(
@@ -451,8 +419,8 @@ class DeltaDist:
         must not produce an exponential constant (offset 0 always qualifies);
         otherwise supply the in-plane envelope directly.
         """
-        probe = cls(normal, offset, PolyGauss.standard_vacuum(len(tuple(normal)) - 1))
-        restricted, e0 = ambient_envelope.substitute_affine(probe.point, probe.frame)
+        point, frame, _ = _plane(normal, offset)
+        restricted, e0 = ambient_envelope.substitute_affine(point, frame)
         if not e0.is_zero():
             raise ValueError(
                 "ambient envelope restriction produces an exponential constant; "
@@ -464,128 +432,119 @@ class DeltaDist:
         return f"DeltaDist(normal={self.normal!r}, offset={self.offset!r}, envelope={self.envelope!r})"
 
 
-def _gram_schmidt_complement(unit_normal: tuple[Coeff, ...]) -> tuple[tuple[Coeff, ...], ...]:
-    """Exact orthonormal basis of the hyperplane for three or more variables.
+def _plane(
+    normal: Sequence[Coeff | int | Fraction], offset: Coeff | int | Fraction
+) -> tuple[tuple[Coeff, ...], tuple[tuple[Coeff, ...], ...], Coeff]:
+    """The plane n . x = c as x = point + frame^T v, and its coarea factor 1/|n_p|."""
+    normal = [Coeff.coerce(v) for v in normal]
+    offset = Coeff.coerce(offset)
+    n = len(normal)
+    if not all(v.is_real() for v in normal):
+        raise ValueError("hyperplane normal must be real")
+    if not offset.is_real():
+        raise ValueError("hyperplane offset must be real")
+    p = next((k for k, v in enumerate(normal) if v), None)
+    if p is None:
+        raise ValueError("hyperplane normal must be nonzero")
+    inv = normal[p].inverse()
+    point = tuple(offset * inv if i == p else ZERO for i in range(n))
+    frame = tuple(
+        tuple(-normal[k] * inv if i == p else ONE if i == k else ZERO for i in range(n))
+        for k in range(n)
+        if k != p
+    )
+    return point, frame, abs(inv)
 
-    Fails with ValueError when a normalization square root leaves the field;
-    the supported distribution class only promises exactness for hyperplanes
-    whose frames stay in Q(sqrt2).
+
+def _inverse_and_det(quad: Sequence[Sequence[Coeff]]) -> tuple[list[list[Coeff]], Coeff]:
+    """S^-1 and det S of a real symmetric S that must be positive definite.
+
+    Gauss-Jordan on [S | I] without row exchanges: its k-th pivot is the
+    ratio of the k-th to the (k-1)-th leading principal minor, so S is
+    positive definite iff every pivot is positive (Sylvester's criterion),
+    and det S is the product of the pivots.  Otherwise QuadratureError.
     """
-    n = len(unit_normal)
-    basis: list[tuple[Coeff, ...]] = [unit_normal]
-    for k in range(n):
-        cand = list(_unit_vec(k, n))
-        for b in basis:
-            proj = sum((cand[i] * b[i] for i in range(n)), ZERO)
-            cand = [cand[i] - proj * b[i] for i in range(n)]
-        norm2 = sum((v * v for v in cand), ZERO)
-        if norm2.is_zero():
-            continue
-        ln = norm2.sqrt_real()
-        if ln is None:
-            raise ValueError("in-plane frame normalization leaves Q(sqrt2)")
-        inv = ln.inverse()
-        basis.append(tuple(v * inv for v in cand))
-        if len(basis) == n:
-            break
-    return tuple(basis[1:])
+    m = len(quad)
+    rows = [list(row) + [ONE if i == j else ZERO for j in range(m)] for i, row in enumerate(quad)]
+    det = ONE
+    for k in range(m):
+        pivot = rows[k][k]
+        if pivot.sign() <= 0:
+            raise QuadratureError(
+                "restricted Gaussian weight is not integrable "
+                "(quadratic form not positive definite)"
+            )
+        det = det * pivot
+        inv = pivot.inverse()
+        rows[k] = [v * inv for v in rows[k]]
+        for i in range(m):
+            factor = rows[i][k]
+            if i != k and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return [row[m:] for row in rows], det
 
 
-def _unit_vec(k: int, n: int) -> tuple[Coeff, ...]:
-    return tuple(ONE if i == k else ZERO for i in range(n))
+def _gaussian_mean(poly: PolyDict, cov: list[list[Coeff]], mu: list[Coeff]) -> Coeff:
+    """Exact mean of the polynomial under the Gaussian with mean mu and covariance cov.
+
+    Monomial moments follow from Stein's identity
+    E[v_j q] = mu_j E[q] + sum_k cov_jk E[d_k q], memoised by multi-index.
+    """
+    units = [_unit_index(k, len(mu)) for k in range(len(mu))]
+    moments: dict[MultiIndex, Coeff] = {_zero_index(len(mu)): ONE}
+
+    def moment(alpha: MultiIndex) -> Coeff:
+        if alpha not in moments:
+            j = next(i for i, e in enumerate(alpha) if e)
+            rest = _sub_indices(alpha, units[j])
+            value = mu[j] * moment(rest)
+            for k, e in enumerate(rest):
+                if e and cov[j][k]:
+                    value = value + cov[j][k] * e * moment(_sub_indices(rest, units[k]))
+            moments[alpha] = value
+        return moments[alpha]
+
+    return sum((c * moment(alpha) for alpha, c in poly.items()), ZERO)
 
 
-def _pairing_exp(exponent: float) -> float:
-    """e^exponent for a pairing's Gaussian scale; QuadratureError past the float range."""
-    try:
-        return math.exp(exponent)
-    except OverflowError as exc:
-        raise QuadratureError(
-            f"pairing scale exp({exponent:.6g}) exceeds the float range"
-        ) from exc
+def delta_pair(dist: DeltaDist, test: PolyGauss) -> complex:
+    """Pairing <dist, test> = (1/|n_p|) * integral of envelope * test over the plane.
 
-
-def delta_pair(
-    dist: DeltaDist,
-    test: PolyGauss,
-    abs_tol: float = DEFAULT_PAIRING_TOL,
-) -> complex:
-    """Pairing <dist, test> = (1/|n|) * integral of envelope * test over the plane.
-
-    The restriction of the test function onto the hyperplane is exact; when
-    the restricted integrand is identically zero the pairing is exactly 0.
-    Otherwise the in-plane Gaussian integral is evaluated by Gauss-Hermite
-    quadrature, refined until two levels agree within abs_tol (the integrand
-    is polynomial-times-Gaussian, so refinement terminates at the exactness
-    degree); disagreement raises QuadratureError with the residual, as does a
-    Gaussian scale beyond the float range.
+    Restricted to the plane, envelope * test is P(v) exp(-1/2 v^T S v + t^T v + e0),
+    all exact.  With C = S^-1 and mu = C t its integral is
+    E[P] * sqrt((2 pi)^m / det S) * exp(e0 + 1/2 t^T mu), where E is the mean
+    under the Gaussian N(mu, C).  E[P] is exact and only the scale is a float,
+    so the pairing is exactly 0j whenever E[P] is 0.  Both weights must be
+    real (ValueError); a weight that is not positive definite, or a scale
+    beyond the float range, raises QuadratureError.
     """
     if test.nvars != dist.nvars:
         raise ValueError("test function dimension mismatch")
+    for f in (test, dist.envelope):
+        if not all(v.is_real() for v in (*f.lin, *(s for row in f.quad for s in row))):
+            raise ValueError("pairing needs a real Gaussian weight")
     restricted, e0 = test.substitute_affine(dist.point, dist.frame)
     integrand = restricted * dist.envelope
     if integrand.is_zero():
         return 0j
-    m = integrand.nvars
-    if m == 0:
-        return _pairing_exp(float(e0)) / float(dist.norm_len) * complex(integrand.poly[()])
-
-    sigma = np.array([[float(v) for v in row] for row in integrand.quad])
-    tau = np.array([float(v) for v in integrand.lin])
-    evals, evecs = np.linalg.eigh(sigma)
-    if np.min(evals) <= 0:
-        raise QuadratureError(
-            "restricted Gaussian weight is not integrable (quadratic form not positive definite)"
-        )
-    s = evecs.T @ tau
-    mu = s / evals
-    h = np.sqrt(2.0 / evals)
-    gauss_const = (
-        _pairing_exp(float(e0) + 0.5 * float(np.dot(s, mu)))
-        * float(np.prod(h))
-        / float(dist.norm_len)
-    )
-
-    def level(npts: int) -> complex:
-        z, w = hermgauss(npts)
-        grids = np.meshgrid(*([z] * m), indexing="ij")
-        weights = np.ones_like(grids[0])
-        for g in np.meshgrid(*([w] * m), indexing="ij"):
-            weights = weights * g
-        ys = [mu[r] + h[r] * grids[r] for r in range(m)]
-        pts = [sum(evecs[i, r] * ys[r] for r in range(m)) for i in range(m)]
-        vals = np.zeros_like(grids[0], dtype=complex)
-        for idx, c in integrand.poly.items():
-            mono = np.full_like(vals, complex(c))
-            for i, e in enumerate(idx):
-                if e:
-                    mono = mono * pts[i] ** e
-            vals = vals + mono
-        return complex(np.sum(weights * vals))
-
-    base = integrand.degree // 2 + 2
-    first = gauss_const * level(base)
-    second = gauss_const * level(base + 6)
-    residual = abs(second - first)
-    if residual > abs_tol:
-        raise QuadratureError(
-            f"quadrature did not stabilize (residual {residual:.3e})", residual=residual
-        )
-    return second
-
-
-@dataclass(frozen=True)
-class PairingEntry:
-    op_index: int
-    test_index: int
-    value: complex
+    cov, det = _inverse_and_det(integrand.quad)
+    mu = [sum((c * t for c, t in zip(row, integrand.lin)), ZERO) for row in cov]
+    mean = _gaussian_mean(integrand.poly, cov, mu)
+    if mean.is_zero():
+        return 0j
+    exponent = float(e0 + HALF * sum((t * u for t, u in zip(integrand.lin, mu)), ZERO))
+    try:
+        growth = math.exp(exponent)
+    except OverflowError as exc:
+        raise QuadratureError(f"pairing scale exp({exponent:.6g}) exceeds the float range") from exc
+    scale = math.sqrt((2 * math.pi) ** len(mu) / float(det)) * growth * float(dist.coarea)
+    return complex(mean) * scale
 
 
 @dataclass(frozen=True)
 class DistributionalCheckReport:
-    """Weak-vacuum check: pairings <dist, adjoint(op) test> for a test family."""
+    """Weak-vacuum check: the largest |<dist, adjoint(op) test>| over a test family."""
 
-    entries: tuple[PairingEntry, ...]
     max_abs: float
     tol: float
     passes: bool
@@ -602,14 +561,9 @@ def distributional_vacuum_check(
         raise ValueError("empty operator list")
     if not tests:
         raise ValueError("empty test family")
-    entries = []
     max_abs = 0.0
-    for i, op in enumerate(ops):
+    for op in ops:
         adj = op_adjoint(op)
-        for j, test in enumerate(tests):
-            value = delta_pair(dist, op_apply(adj, test), abs_tol=tol)
-            entries.append(PairingEntry(i, j, value))
-            max_abs = max(max_abs, abs(value))
-    return DistributionalCheckReport(
-        entries=tuple(entries), max_abs=max_abs, tol=tol, passes=max_abs < tol
-    )
+        for test in tests:
+            max_abs = max(max_abs, abs(delta_pair(dist, op_apply(adj, test))))
+    return DistributionalCheckReport(max_abs=max_abs, tol=tol, passes=max_abs < tol)

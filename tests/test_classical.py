@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,21 @@ def test_integration_detects_overflow():
     assert first > 0
     with pytest.raises(IntegrationError, match=f"at t={5.0 * first:g}$"):
         integrate_eom(p, init, t_end=1000.0, dt=5.0)
+
+
+def test_energy_overflow_raises_without_warnings():
+    from bateman.classical import IntegrationError
+
+    # at gamma/2m = 50 the trajectory stays finite to t = 10, but the terms of
+    # the rotated energy form (quadratic in the amplified coordinate) do not:
+    # their difference would be NaN
+    p = BatemanParams.from_omega(1, 100, 1)
+    traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0)
+    assert np.isfinite(traj.states).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="energy"):
+            hamiltonian_consistency(traj, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import bateman
+import bateman.cli
 from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
 from bateman.fock import SQUEEZE_CUTOFF_LIMIT
 
@@ -308,3 +311,42 @@ def test_squeeze_past_the_limit_exits_2(tmp_path, capsys):
 def test_vacuum_accepts_cutoffs_past_the_squeeze_limit():
     args = build_parser().parse_args(["vacuum", "--cutoffs", "8,2048"])
     assert config_from_args(args).cutoffs == (8, 2048)
+
+
+@pytest.mark.parametrize("gamma", ["100", "300"])
+@pytest.mark.parametrize("subcommand", ["classical", "hamiltonian", "all"])
+def test_overflowing_damping_exits_2(subcommand, gamma, tmp_path, capsys):
+    # gamma 300 overflows the trajectory, gamma 100 only the rotated energy form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([subcommand, "--out", str(tmp_path), "--gamma", gamma, *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "gamma/2m" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_large_damping_below_overflow_writes_a_report(tmp_path):
+    # the classical checks fail at gamma 60, but the report is strict JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["hamiltonian", "--out", str(tmp_path), "--gamma", "60"]) in (0, 1)
+    json.loads((tmp_path / "report_hamiltonian.json").read_text(), parse_constant=_reject_constant)
+
+
+def test_benchmark_tracer_hooks_still_match(tmp_path):
+    # perfbench/tracer.py wraps functions, arguments and results by name; a
+    # rename that breaks it must fail here
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer(run_id="tier-1")
+    tracer.install()
+    try:
+        for name in ("vacuum", "commutators", "classical"):
+            out = tmp_path / name
+            assert bateman.cli.main([name, "--format", "json", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    for key in tracer_module.SIZE_COUNTS:
+        assert tracer.counts[key] > 0, key

@@ -67,18 +67,6 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(-1)) is None
 
 
-def test_sqrt_real():
-    assert Coeff(2).sqrt_real() == SQRT2
-    assert Coeff(Fraction(1, 2)).sqrt_real() == INV_SQRT2
-    assert Coeff(3, 2).sqrt_real() == Coeff(1, 1)
-    assert Coeff(4).sqrt_real() == Coeff(2)
-    assert ZERO.sqrt_real() == ZERO
-    assert Coeff(3).sqrt_real() is None
-    assert Coeff(-1).sqrt_real() is None
-    with pytest.raises(ValueError):
-        I_UNIT.sqrt_real()
-
-
 def test_str_rendering():
     assert str(Coeff(1, Fraction(1, 2))) == "1+1/2*sqrt2"
     assert str(ZERO) == "0"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bateman.field import Coeff
+from bateman.field import Coeff, I_UNIT, ONE
 from bateman.operators import (
     LinDiffOp,
     PolyGauss,
@@ -22,7 +22,7 @@ from bateman.vacuum import (
     gaussian_ansatz_solve,
     multiplier_reduction,
 )
-from strategies import small_fractions
+from strategies import coeffs, first_order_ops, small_fractions
 
 
 def pseudo_pair():
@@ -94,6 +94,25 @@ def test_ansatz_rejects_bad_inputs():
         gaussian_ansatz_solve([quadratic_coeff])
     with pytest.raises(ValueError):
         gaussian_ansatz_solve([LinDiffOp.position(0, 1), LinDiffOp.position(0, 2)])
+
+
+@given(coeffs(allow_zero=False), first_order_ops(2))
+@settings(max_examples=40, deadline=None)
+def test_ansatz_solves_complex_first_order_families(c, op):
+    # d_k + c x_k is annihilated by exp(-c |x|^2 / 2) for any complex c
+    x1, x2 = LinDiffOp.position(0, 2), LinDiffOp.position(1, 2)
+    lowering = [LinDiffOp.derivative(0, 2) + x1.scale(c), LinDiffOp.derivative(1, 2) + x2.scale(c)]
+    report = gaussian_ansatz_solve(lowering)
+    assert report.solvable
+    assert report.witness_quad == ((c, Coeff(0)), (Coeff(0), c))
+    # a random complex family never makes the solver raise, and a witness
+    # it returns annihilates the family
+    family = [op, lowering[0]]
+    report = gaussian_ansatz_solve(family)
+    if report.solvable:
+        assert all(op_apply(o, report.witness()).is_zero() for o in family)
+    else:
+        assert report.inconsistency
 
 
 @given(
@@ -181,7 +200,8 @@ def test_delta_diagonal_hyperplane_kills_multiplier():
         [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
     )
     dist = DeltaDist.from_ambient([1, -1], 0, ambient)
-    assert dist.envelope == PolyGauss.gaussian([[1]])
+    # in-plane coordinate v = x2 (x1 = x2 on the plane): e^{-(x1+x2)^2/4} = e^{-v^2}
+    assert dist.envelope == PolyGauss.gaussian([[2]])
     gauss = PolyGauss.standard_vacuum(2)
     factor = gauss.mul_x(0) - gauss.mul_x(1)
     assert delta_pair(dist, factor) == 0j
@@ -222,8 +242,6 @@ def test_delta_rejects_bad_normals():
     with pytest.raises(ValueError):
         DeltaDist([0, 0], 0, PolyGauss.standard_vacuum(1))
     with pytest.raises(ValueError):
-        DeltaDist([1, 2], 0, PolyGauss.standard_vacuum(1))  # |n|^2 = 5 leaves the field
-    with pytest.raises(ValueError):
         DeltaDist([1, -1], 0, PolyGauss.standard_vacuum(2))  # wrong envelope arity
 
 
@@ -252,7 +270,73 @@ def test_quadrature_handles_odd_and_high_degree():
     even = delta_pair(dist, PolyGauss(2, {(0, 6): 1}, [[1, 0], [0, 1]]))
     assert abs(even - 15 / 8 * math.sqrt(math.pi)) < 1e-9
     odd = delta_pair(dist, g.mul_x(1))
-    assert abs(odd) < 1e-12
+    assert odd == 0j  # the exact mean is 0
+
+
+def test_delta_oblique_plane_in_three_variables():
+    # <delta(x1+x2+x3), e^{-|x|^2/2}> = 2 pi / sqrt3: a standard Gaussian over
+    # the plane, divided by |n| = sqrt3
+    dist = DeltaDist([1, 1, 1], 0, PolyGauss(2, {(0, 0): 1}))
+    g = PolyGauss.standard_vacuum(3)
+    assert dist.frame == ((-1, 1, 0), (-1, 0, 1))  # x1 = -x2 - x3
+    assert abs(delta_pair(dist, g) - 2 * math.pi / math.sqrt(3)) < 1e-12
+    # x1^2 has in-plane variance 1 - 1/3; the in-plane S = [[2, 1], [1, 2]] is correlated
+    value = delta_pair(dist, g.mul_x(0).mul_x(0))
+    assert abs(value - 2 * math.pi / math.sqrt(3) * 2 / 3) < 1e-12
+
+
+@pytest.mark.parametrize("normal", [[1, 2], [2, 1]])
+def test_delta_normal_of_irrational_length(normal):
+    # |n| = sqrt5 lies outside Q(sqrt2), but the coarea factor 1/|n_p| is rational
+    dist = DeltaDist(normal, 0, PolyGauss(1, {(0,): 1}))
+    value = delta_pair(dist, PolyGauss.standard_vacuum(2))
+    assert abs(value - math.sqrt(2 * math.pi / 5)) < 1e-12
+
+
+def test_delta_pair_flags_singular_weight():
+    # a constant envelope against a constant test: S = [[0]] has a zero pivot
+    dist = DeltaDist([1, 0], 0, PolyGauss(1, {(0,): 1}))
+    with pytest.raises(QuadratureError, match="not positive definite"):
+        delta_pair(dist, PolyGauss(2, {(0, 0): 1}))
+
+
+def test_delta_pair_rejects_complex_weights():
+    point = DeltaDist([1], 0, PolyGauss(0, {(): 1}))
+    with pytest.raises(ValueError, match="real Gaussian weight"):
+        delta_pair(point, PolyGauss(1, {(0,): 1}, [[I_UNIT]]))
+    with pytest.raises(ValueError, match="real Gaussian weight"):
+        delta_pair(point, PolyGauss(1, {(0,): 1}, [[1]], [I_UNIT]))
+    plane = DeltaDist([1, 0], 0, PolyGauss(1, {(0,): 1}, [[ONE + I_UNIT]]))
+    with pytest.raises(ValueError, match="real Gaussian weight"):
+        delta_pair(plane, PolyGauss.standard_vacuum(2))
+
+
+@given(
+    small_fractions.filter(lambda f: f > 0),
+    small_fractions,
+    st.lists(small_fractions, min_size=1, max_size=5),
+    small_fractions.filter(lambda f: f != 0),
+)
+@settings(max_examples=40, deadline=None)
+def test_delta_pair_matches_numerical_integration(s, t, poly, normal):
+    # <delta(n x1), P(x2) e^{-s x2^2/2 + t x2}> = (1/|n|) * integral over x2
+    from scipy.integrate import quad
+
+    envelope = PolyGauss(1, {(k,): c for k, c in enumerate(poly)}, [[s]], [t])
+    dist = DeltaDist([normal, 0], 0, envelope)
+    value = delta_pair(dist, PolyGauss(2, {(0, 0): 1}))
+
+    sf, tf, cf = float(s), float(t), [float(c) for c in poly]
+
+    def integrand(v: float) -> float:
+        return sum(c * v**k for k, c in enumerate(cf)) * math.exp(-sf * v * v / 2 + tf * v)
+
+    centre, width = tf / sf, 12 / math.sqrt(sf)
+    span = (centre - width, centre + width)
+    magnitude = quad(lambda v: abs(integrand(v)), *span, points=[centre], limit=200)[0]
+    integral = quad(integrand, *span, points=[centre], epsabs=1e-13 * magnitude, limit=200)[0]
+    assert value.imag == 0
+    assert abs(value.real * abs(float(normal)) - integral) <= 1e-9 * magnitude
 
 
 # ---------------------------------------------------------------------------
