@@ -259,11 +259,10 @@ def eom_residual(traj: Trajectory, params: BatemanParams) -> EomResiduals:
         raise ValueError("need at least 5 samples for the residual check")
     dt = float(traj.times[1] - traj.times[0])
     m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
-    x = traj.states[:, 0]
-    y = traj.states[:, 1]
+    samples = traj.phase_arrays()
+    x, y = samples.x, samples.y
     # velocities from the momenta (exact relations, no differencing error)
-    xdot = (traj.states[:, 3] - 0.5 * g * x) / m
-    ydot = (traj.states[:, 2] + 0.5 * g * y) / m
+    xdot, ydot = samples.velocities(params)
 
     def second(u: np.ndarray) -> np.ndarray:
         return (u[2:] - 2 * u[1:-1] + u[:-2]) / (dt * dt)

@@ -50,6 +50,7 @@ from .classical import (
 from .field import Coeff
 from .fock import (
     SQUEEZE_CUTOFF_LIMIT,
+    SQUEEZE_SCALE_LIMIT,
     NullExperimentReport,
     SqueezeReport,
     build_fock,
@@ -74,6 +75,7 @@ from .operators import (
 from .radicals import factorial_sqrt
 from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
+    RAABE_KMAX_LIMIT,
     SQUEEZE_SUM_EXPONENT,
     RaabeReport,
     SeriesTerms,
@@ -773,12 +775,20 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's configuration; raises ValueError for one no run accepts."""
     if args.kmax < 10:
         raise ValueError("--kmax below 10 cannot support the ratio-test protocol")
-    squeezes = args.subcommand in ("squeeze", "all")
-    if squeezes and args.cutoffs and args.cutoffs[-1] > SQUEEZE_CUTOFF_LIMIT:
-        raise ValueError(
-            f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}; "
-            "use smaller --cutoffs"
-        )
+    if args.kmax > RAABE_KMAX_LIMIT:
+        raise ValueError(f"--kmax above {RAABE_KMAX_LIMIT} is not supported")
+    if args.subcommand in ("squeeze", "all"):
+        top = (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1]
+        if top > SQUEEZE_CUTOFF_LIMIT:
+            raise ValueError(
+                f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}; "
+                "use smaller --cutoffs"
+            )
+        if abs(args.theta) * top > SQUEEZE_SCALE_LIMIT:
+            raise ValueError(
+                f"squeeze norms are certified up to |theta| * cutoff = "
+                f"{SQUEEZE_SCALE_LIMIT:.6g}; use a smaller --theta or --cutoffs"
+            )
     omega = args.omega
     if omega is None and args.k_spring is None:
         omega = Fraction(1)

@@ -36,13 +36,18 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .field import Coeff
-from .operators import PolyGauss
+from .operators import PolyGauss, poly_add_term
 from .radicals import SqrtRational
 
 SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
 # Largest cutoff at which the squeeze norms are certified: they match an mpmath
 # reference at 1024, and past it the series' components underflow.
 SQUEEZE_CUTOFF_LIMIT = 1024
+# Largest |theta| * cutoff at which the squeeze norms are certified: the
+# default theta 7 pi / 8 at SQUEEZE_CUTOFF_LIMIT, checked against the same
+# reference.  The hermitian action's cost grows with this product (it takes
+# ceil(|theta| rho / 400) Taylor chunks, rho ~ 2 * cutoff).
+SQUEEZE_SCALE_LIMIT = 7 * math.pi / 8 * SQUEEZE_CUTOFF_LIMIT
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ def _mode_op(op: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
     return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
 
 
-SINGLE_MODE_SPECS = ("a", "adag", "x", "p", "n", "X_squeeze")
+SINGLE_MODE_SPECS = ("a", "adag", "x", "p", "X_squeeze")
 TWO_MODE_SPECS = ("a1", "a2", "adag1", "adag2", "A1", "A2", "B1", "B2", "H")
 
 
@@ -79,7 +84,7 @@ def build_fock(
 ) -> FockOp:
     """Matrix for a named operator at the given per-mode cutoff (N >= 2).
 
-    Single mode: a, adag, x, p, n, X_squeeze = a^2 + adag^2.
+    Single mode: a, adag, x, p, X_squeeze = a^2 + adag^2.
     Two modes:   a1, a2, adag1, adag2, the pseudo-boson pairs A1, A2, B1, B2,
     and H (requires ``params``; ``form`` picks the bosonic or pseudo-boson
     assembly, which agree up to rounding).
@@ -96,8 +101,6 @@ def build_fock(
             m = (a + a.T) / np.sqrt(2.0)
         elif op_spec == "p":
             m = (a - a.T) / (1j * np.sqrt(2.0))
-        elif op_spec == "n":
-            m = np.diag(np.arange(float(cutoff)))
         else:  # X_squeeze
             m = a @ a + a.T @ a.T
         return FockOp(1, cutoff, m.astype(complex))
@@ -488,7 +491,8 @@ def squeeze_truncated_norms(
     is None, and so is the gap of an amplitude that underflowed at its
     cutoff's common scale (for theta != 0 no amplitude is truly zero);
     ``log_norm`` is always finite.  The hermitian generator takes cutoffs up
-    to ``SQUEEZE_CUTOFF_LIMIT``.
+    to ``SQUEEZE_CUTOFF_LIMIT`` and |theta| * cutoff up to
+    ``SQUEEZE_SCALE_LIMIT``.
     """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
@@ -499,6 +503,10 @@ def squeeze_truncated_norms(
         raise ValueError(f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if generator == "hermitian" and abs(theta) * cutoffs[-1] > SQUEEZE_SCALE_LIMIT:
+        raise ValueError(
+            f"squeeze norms are certified up to |theta| * cutoff = {SQUEEZE_SCALE_LIMIT:.6g}"
+        )
 
     factored = squeeze_factored_action(3)
     reference = [float(c) * 2.0 ** 0.25 for c in factored]
@@ -555,10 +563,7 @@ def hermite_state(coeffs: dict[tuple[int, int], Coeff | int | Fraction]) -> Poly
         h2 = hermite_coefficients(n2)
         for p1, c1 in h1.items():
             for p2, c2 in h2.items():
-                key = (p1, p2)
-                cur = poly.get(key)
-                add = c * (c1 * c2)
-                poly[key] = add if cur is None else cur + add
+                poly_add_term(poly, (p1, p2), c * (c1 * c2))
     return PolyGauss(2, poly, [[1, 0], [0, 1]])
 
 

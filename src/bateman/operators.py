@@ -19,7 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, TypeVar
 
 from .field import Coeff, INV_SQRT2, ONE, ZERO
 
@@ -30,6 +30,7 @@ MultiIndex = tuple[int, ...]
 PolyDict = dict[MultiIndex, Coeff]
 
 Scalar = Coeff | int | Fraction
+Key = TypeVar("Key")
 
 
 def _zero_index(nvars: int) -> MultiIndex:
@@ -62,13 +63,19 @@ def monomial_str(alpha: MultiIndex, var: str = "x") -> str:
 # polynomial helpers (plain dicts: multi-index -> Coeff)
 # ---------------------------------------------------------------------------
 
-def poly_add_term(poly: PolyDict, index: MultiIndex, coeff: Coeff) -> None:
-    cur = poly.get(index)
+def poly_add_term(poly: dict[Key, Coeff], key: Key, coeff: Coeff) -> None:
+    """Add coeff into the sparse map at key, dropping a zero result.
+
+    Every sum into a sparse map of coefficients in the exact layer goes
+    through this update, so no map stores a zero and map equality is value
+    equality.
+    """
+    cur = poly.get(key)
     new = coeff if cur is None else cur + coeff
     if new.is_zero():
-        poly.pop(index, None)
+        poly.pop(key, None)
     else:
-        poly[index] = new
+        poly[key] = new
 
 
 def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
@@ -79,7 +86,7 @@ def poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
     return out
 
 
-def poly_scale(p: PolyDict, c: Coeff) -> PolyDict:
+def poly_scale(p: dict[Key, Coeff], c: Coeff) -> dict[Key, Coeff]:
     if c.is_zero():
         return {}
     return {i: v * c for i, v in p.items()}
@@ -271,7 +278,7 @@ class PolyGauss:
             expo += complex(self.lin[i]) * pt[i]
             for j in range(self.nvars):
                 expo -= 0.5 * complex(self.quad[i][j]) * pt[i] * pt[j]
-        return total * _cexp(expo)
+        return total * cmath.exp(expo)
 
     def substitute_affine(
         self, shift: Iterable[Scalar], frame: Iterable[Iterable[Scalar]]
@@ -354,10 +361,6 @@ class PolyGauss:
         return f"[{poly_str(self.poly)}] * exp({expo})"
 
 
-def _cexp(z: complex) -> complex:
-    return cmath.exp(z)
-
-
 # ---------------------------------------------------------------------------
 # normal-ordered differential operators
 # ---------------------------------------------------------------------------
@@ -386,12 +389,7 @@ class LinDiffOp:
                     raise ValueError("multi-index length mismatch")
                 if any(e < 0 for e in alpha + beta):
                     raise ValueError("negative exponent in multi-index")
-                cur = clean.get((alpha, beta))
-                new = Coeff.coerce(c) if cur is None else cur + Coeff.coerce(c)
-                if new.is_zero():
-                    clean.pop((alpha, beta), None)
-                else:
-                    clean[(alpha, beta)] = new
+                poly_add_term(clean, (alpha, beta), Coeff.coerce(c))
         self.terms = clean
 
     # -- constructors -----------------------------------------------------------
@@ -469,12 +467,7 @@ class LinDiffOp:
             raise ValueError("variable count mismatch in operator sum")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
+            poly_add_term(out, key, c)
         return self._raw(self.nvars, out)
 
     def __radd__(self, other: Scalar) -> LinDiffOp:
@@ -484,18 +477,13 @@ class LinDiffOp:
         return self._raw(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "LinDiffOp | Scalar") -> LinDiffOp:
-        if isinstance(other, (Coeff, int, Fraction)):
-            other = LinDiffOp.identity(self.nvars).scale(other)
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> LinDiffOp:
         return (-self) + other
 
     def scale(self, c: Scalar) -> LinDiffOp:
-        c = Coeff.coerce(c)
-        if c.is_zero():
-            return LinDiffOp.zero(self.nvars)
-        return self._raw(self.nvars, {k: v * c for k, v in self.terms.items()})
+        return self._raw(self.nvars, poly_scale(self.terms, Coeff.coerce(c)))
 
     def __mul__(self, other: "LinDiffOp | Scalar") -> LinDiffOp:
         if isinstance(other, LinDiffOp):
@@ -568,12 +556,7 @@ def op_compose(left: LinDiffOp, right: LinDiffOp) -> LinDiffOp:
                     _add_indices(a1, _sub_indices(a2, j)),
                     _add_indices(_sub_indices(b1, j), b2),
                 )
-                cur = out.get(key)
-                new = c * m if cur is None else cur + c * m
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                poly_add_term(out, key, c * m)
     return LinDiffOp._raw(left.nvars, out)
 
 
@@ -622,12 +605,7 @@ def op_adjoint(op: LinDiffOp) -> LinDiffOp:
         cc = c.conjugate() * sign
         for j, m in _exchange(beta, alpha):
             key = (_sub_indices(alpha, j), _sub_indices(beta, j))
-            cur = out.get(key)
-            new = cc * m if cur is None else cur + cc * m
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
+            poly_add_term(out, key, cc * m)
     return LinDiffOp._raw(op.nvars, out)
 
 
@@ -689,14 +667,9 @@ def make_pseudo(which: str) -> LinDiffOp:
 
 
 HamiltonianForm = Literal["bosonic", "pseudo"]
-HamiltonianPart = Literal["full", "free", "interaction"]
 
 
-def hamiltonian_build(
-    params: "BatemanParams",
-    form: HamiltonianForm,
-    part: HamiltonianPart = "full",
-) -> LinDiffOp:
+def hamiltonian_build(params: "BatemanParams", form: HamiltonianForm) -> LinDiffOp:
     """Two-mode Hamiltonian in canonical form.
 
     ``bosonic``: H0 = omega (a1+ a1 - a2+ a2), HI = (i gamma / 2m)(a1 a2 - a1+ a2+).
@@ -708,8 +681,6 @@ def hamiltonian_build(
     """
     if form not in ("bosonic", "pseudo"):
         raise ValueError(f"unknown Hamiltonian form {form!r}")
-    if part not in ("full", "free", "interaction"):
-        raise ValueError(f"unknown Hamiltonian part {part!r}")
     omega = params.rational_omega
     if omega is None:
         raise ValueError(
@@ -732,9 +703,4 @@ def hamiltonian_build(
         n2 = big_b2 * big_a2
         free = (n1 - n2).scale(omega)
         inter = (n1 + n2 + LinDiffOp.identity(2)).scale(ig)
-
-    if part == "free":
-        return free
-    if part == "interaction":
-        return inter
     return free + inter

@@ -28,6 +28,7 @@ from .operators import (
     monomial_str,
     op_adjoint,
     op_apply,
+    poly_add_term,
     poly_str,
     _sub_indices,
     _unit_index,
@@ -97,20 +98,12 @@ def _eliminate(
         for i, row in enumerate(work):
             if i == pivot or col not in row:
                 continue
-            factor = row[col]
+            neg_factor = -row[col]
             for j, v in work[pivot].items():
-                cur = row.get(j, ZERO) - factor * v
-                if cur.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = cur
-            rhs[i] = rhs[i] - factor * rhs[pivot]
+                poly_add_term(row, j, neg_factor * v)
+            rhs[i] = rhs[i] + neg_factor * rhs[pivot]
             for j, v in combos[pivot].items():
-                cur = combos[i].get(j, ZERO) - factor * v
-                if cur.is_zero():
-                    combos[i].pop(j, None)
-                else:
-                    combos[i][j] = cur
+                poly_add_term(combos[i], j, neg_factor * v)
         pivots[col] = pivot
     for i, row in enumerate(work):
         if not row and not rhs[i].is_zero():
@@ -186,35 +179,23 @@ def gaussian_ansatz_solve(ops: Sequence[LinDiffOp]) -> AnsatzReport:
     rows: list[dict[int, Coeff]] = []
     consts: list[Coeff] = []
     sources: list[str] = []
-    zero = _zero_index(nvars)
     for opi, op in enumerate(ops):
         per_mono: dict[MultiIndex, dict[int, Coeff]] = {}
-        per_const: dict[MultiIndex, Coeff] = {}
-
-        def touch(mono: MultiIndex) -> None:
-            per_mono.setdefault(mono, {})
-            per_const.setdefault(mono, ZERO)
-
+        per_const: PolyDict = {}
         for (alpha, beta), c in op.terms.items():
             if sum(beta) == 0:
-                touch(alpha)
-                per_const[alpha] = per_const[alpha] + c
+                poly_add_term(per_const, alpha, c)
                 continue
             k = beta.index(1)
             # d_k psi = (t_k - sum_j S_kj x_j) psi
-            touch(alpha)
-            row = per_mono[alpha]
-            ti = uindex[("t", k, -1)]
-            row[ti] = row.get(ti, ZERO) + c
+            poly_add_term(per_mono.setdefault(alpha, {}), uindex[("t", k, -1)], c)
             for j in range(nvars):
                 mono = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-                touch(mono)
                 sij = uindex[("S", min(k, j), max(k, j))]
-                row = per_mono[mono]
-                row[sij] = row.get(sij, ZERO) - c
-        for mono in sorted(per_mono):
-            row = {u: c for u, c in per_mono[mono].items() if not c.is_zero()}
-            const = per_const[mono]
+                poly_add_term(per_mono.setdefault(mono, {}), sij, -c)
+        for mono in sorted(per_mono.keys() | per_const.keys()):
+            row = per_mono.get(mono, {})
+            const = per_const.get(mono, ZERO)
             if not row and const.is_zero():
                 continue
             rows.append(row)
@@ -243,12 +224,8 @@ def gaussian_ansatz_solve(ops: Sequence[LinDiffOp]) -> AnsatzReport:
             equations=equations,
         )
 
-    values = [ZERO] * len(unknowns)
-    for col in range(len(unknowns)):
-        if col in solved:
-            row, rhs = solved[col]
-            # free unknowns are set to zero, so dependent ones equal the rhs
-            values[col] = rhs
+    # free unknowns are set to zero, so dependent ones equal the rhs
+    values = [solved[col][1] if col in solved else ZERO for col in range(len(unknowns))]
     quad = [[ZERO] * nvars for _ in range(nvars)]
     lin = [ZERO] * nvars
     for (kind, i, j), col in uindex.items():
@@ -323,7 +300,6 @@ def multiplier_reduction(ops: Sequence[LinDiffOp]) -> list[MultiplierCert]:
     columns: list[tuple[MultiIndex, MultiIndex]] = sorted(
         {key for op in ops for key in op.derivative_part()}
     )
-    colindex = {key: i for i, key in enumerate(columns)}
 
     # null space of the ops x derivative-terms matrix
     nops = len(ops)
@@ -331,12 +307,7 @@ def multiplier_reduction(ops: Sequence[LinDiffOp]) -> list[MultiplierCert]:
     consts: list[Coeff] = []
     # transpose: one equation per derivative column, unknowns are combo weights
     for key in columns:
-        row = {}
-        for i, op in enumerate(ops):
-            c = op.terms.get(key)
-            if c is not None and not c.is_zero():
-                row[i] = c
-        rows.append(row)
+        rows.append({i: op.terms[key] for i, op in enumerate(ops) if key in op.terms})
         consts.append(ZERO)
     solved, bad = _eliminate(rows, consts, nops)
     assert bad is None  # homogeneous system

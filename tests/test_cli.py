@@ -12,6 +12,7 @@ import bateman
 import bateman.cli
 from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
 from bateman.fock import SQUEEZE_CUTOFF_LIMIT
+from bateman.series import RAABE_KMAX_LIMIT
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
 
@@ -306,6 +307,36 @@ def test_squeeze_past_the_limit_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(SQUEEZE_CUTOFF_LIMIT) in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["squeeze", "--theta", "1e300"],
+        ["squeeze", "--theta=-1e300"],
+        ["all", "--theta", "30"],
+        ["squeeze", "--kmax", "1000000"],
+        ["vacuum", "--kmax", str(RAABE_KMAX_LIMIT + 1)],
+    ],
+)
+def test_unbounded_theta_or_kmax_exits_2_at_once(argv, tmp_path, capsys):
+    # rejected with the configuration, before any check runs
+    with pytest.raises(ValueError):
+        config_from_args(build_parser().parse_args(argv))
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_theta_and_kmax_at_their_ceilings_run(tmp_path):
+    parse = build_parser().parse_args
+    assert config_from_args(parse(["all", "--kmax", str(RAABE_KMAX_LIMIT)])).kmax == RAABE_KMAX_LIMIT
+    # the default theta at the largest certified cutoff is exactly the bound
+    argv = ["squeeze", "--cutoffs", f"16,{SQUEEZE_CUTOFF_LIMIT}", "--kmax", "10"]
+    assert run_cli([*argv, "--out", str(tmp_path / "squeeze")]) == 0
+    # the theta ceiling is the squeeze's; vacuum does not use theta
+    assert run_cli(["vacuum", "--theta", "1e300", "--out", str(tmp_path / "vacuum")]) == 0
 
 
 def test_vacuum_accepts_cutoffs_past_the_squeeze_limit():

@@ -12,6 +12,7 @@ from bateman.field import Coeff
 from bateman.fock import (
     SIGMA_FLOOR_RATIO,
     SQUEEZE_CUTOFF_LIMIT,
+    SQUEEZE_SCALE_LIMIT,
     build_fock,
     commutator_residual,
     even_squeeze_state,
@@ -493,3 +494,16 @@ def test_truncated_norms_refuse_cutoffs_past_the_certified_limit():
     # past the limit the positive series underflows and log_norm drifts
     with pytest.raises(ValueError, match=str(SQUEEZE_CUTOFF_LIMIT)):
         squeeze_truncated_norms(THETA, [16, SQUEEZE_CUTOFF_LIMIT + 1])
+
+
+def test_truncated_norms_refuse_theta_past_the_certified_scale():
+    # the default theta at the largest cutoff is the boundary itself, which
+    # test_truncated_norm_pinned_reference_at_1024 runs
+    assert THETA * SQUEEZE_CUTOFF_LIMIT == SQUEEZE_SCALE_LIMIT
+    past = ((math.nextafter(THETA, 4.0), SQUEEZE_CUTOFF_LIMIT), (1e300, 16), (-1e300, 16))
+    for theta, cutoff in past:
+        with pytest.raises(ValueError, match="theta"):
+            squeeze_truncated_norms(theta, [8, cutoff])
+    # the unitary control has no such cost and keeps norm one
+    control = squeeze_truncated_norms(1e4, [16], generator="antihermitian")
+    assert control.norms()[0] == pytest.approx(1.0)

@@ -6,6 +6,7 @@ import pytest
 from bateman.field import Coeff, SQRT2
 from bateman.radicals import primes_up_to
 from bateman.series import (
+    RAABE_KMAX_LIMIT,
     SeriesTerms,
     _central_binomial,
     _squeeze_terms,
@@ -153,13 +154,6 @@ def test_harmonic_is_inconclusive_without_fallback():
     report = raabe_test(series_1_over(1, "harmonic"), 100)
     assert all(report.ratio(k) == Coeff(1) for k in range(1, 101))
     assert report.verdict == "inconclusive"
-    assert report.comparison_verdict is None
-
-
-def test_harmonic_fallback_flags_divergence():
-    report = raabe_test(series_1_over(1, "harmonic"), 100, comparison_fallback=True)
-    assert report.verdict == "inconclusive"
-    assert report.comparison_verdict == "divergent-by-comparison"
 
 
 def test_verdict_soundness_across_controls():
@@ -247,3 +241,10 @@ def test_csv_matches_per_term_construction():
         if k >= 1:
             lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
     assert raabe_csv(report) == "\n".join(lines) + "\n"
+
+
+def test_ratio_test_depth_is_bounded():
+    constant = SeriesTerms("constant", lambda k: Coeff(1), k_start=1)
+    assert raabe_test(constant, RAABE_KMAX_LIMIT).verdict == "divergent"
+    with pytest.raises(ValueError, match=str(RAABE_KMAX_LIMIT)):
+        raabe_test(constant, RAABE_KMAX_LIMIT + 1)
