@@ -26,8 +26,6 @@ from .fock import (
     build_fock,
     commutator_residual,
     hamiltonian_equiv_residual,
-    hermite_decompose,
-    hermite_state,
     interior_indices,
     joint_null_experiment,
     squeeze_factored_action,

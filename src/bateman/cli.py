@@ -49,11 +49,10 @@ from .classical import (
 )
 from .field import Coeff
 from .fock import (
-    SQUEEZE_CUTOFF_LIMIT,
-    SQUEEZE_SCALE_LIMIT,
     NullExperimentReport,
     SqueezeReport,
     build_fock,
+    check_squeeze_range,
     commutator_residual,
     hamiltonian_equiv_residual,
     joint_null_experiment,
@@ -522,8 +521,7 @@ def squeeze_truncated_norms_check(art: Artifacts):
     }
     if None in payload["norms"] or any(None in g for g in gaps):
         payload["null_reason"] = (
-            "a null norm or amplitude gap exceeds the float range, or its "
-            "amplitude fell below the float range at the cutoff's common scale; "
+            "a null norm or amplitude gap exceeds the float range; "
             "log_norms holds the scale of every norm"
         )
     return None, payload
@@ -778,17 +776,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.kmax > RAABE_KMAX_LIMIT:
         raise ValueError(f"--kmax above {RAABE_KMAX_LIMIT} is not supported")
     if args.subcommand in ("squeeze", "all"):
-        top = (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1]
-        if top > SQUEEZE_CUTOFF_LIMIT:
-            raise ValueError(
-                f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}; "
-                "use smaller --cutoffs"
-            )
-        if abs(args.theta) * top > SQUEEZE_SCALE_LIMIT:
-            raise ValueError(
-                f"squeeze norms are certified up to |theta| * cutoff = "
-                f"{SQUEEZE_SCALE_LIMIT:.6g}; use a smaller --theta or --cutoffs"
-            )
+        check_squeeze_range(args.theta, (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1])
     omega = args.omega
     if omega is None and args.k_spring is None:
         omega = Fraction(1)

@@ -20,10 +20,9 @@ Experiments:
   factored squeeze action on the ground state as radical pairs;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
   cutoffs, whose norms grow without bound because the untruncated image is
-  not square integrable.  The hermitian generator's even block is entrywise
-  nonnegative, so the action is a positive Taylor series (no cancellation).
-  Norms and amplitude gaps are kept in log space, and a value beyond the
-  float range is reported as None.
+  not square integrable.  Both it and the antihermitian control are a Gauss
+  quadrature of the even block J, a Jacobi matrix, in log space; a norm or
+  gap beyond the float range is reported as None.
 """
 
 from __future__ import annotations
@@ -35,18 +34,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .field import Coeff
-from .operators import PolyGauss, poly_add_term
 from .radicals import SqrtRational
 
 SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
-# Largest cutoff at which the squeeze norms are certified: they match an mpmath
-# reference at 1024, and past it the series' components underflow.
+# The largest cutoff and |theta| * cutoff at which the squeeze norms are
+# certified: the mpmath references pinned in the tests reach cutoff 1024 at
+# the default theta 7 pi / 8, and no larger product of the two is checked.
 SQUEEZE_CUTOFF_LIMIT = 1024
-# Largest |theta| * cutoff at which the squeeze norms are certified: the
-# default theta 7 pi / 8 at SQUEEZE_CUTOFF_LIMIT, checked against the same
-# reference.  The hermitian action's cost grows with this product (it takes
-# ceil(|theta| rho / 400) Taylor chunks, rho ~ 2 * cutoff).
 SQUEEZE_SCALE_LIMIT = 7 * math.pi / 8 * SQUEEZE_CUTOFF_LIMIT
 
 
@@ -72,7 +66,7 @@ def _mode_op(op: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
     return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
 
 
-SINGLE_MODE_SPECS = ("a", "adag", "x", "p", "X_squeeze")
+SINGLE_MODE_SPECS = ("a", "adag")
 TWO_MODE_SPECS = ("a1", "a2", "adag1", "adag2", "A1", "A2", "B1", "B2", "H")
 
 
@@ -84,7 +78,7 @@ def build_fock(
 ) -> FockOp:
     """Matrix for a named operator at the given per-mode cutoff (N >= 2).
 
-    Single mode: a, adag, x, p, X_squeeze = a^2 + adag^2.
+    Single mode: a, adag.
     Two modes:   a1, a2, adag1, adag2, the pseudo-boson pairs A1, A2, B1, B2,
     and H (requires ``params``; ``form`` picks the bosonic or pseudo-boson
     assembly, which agree up to rounding).
@@ -93,16 +87,7 @@ def build_fock(
         raise ValueError("cutoff must be at least 2")
     a = _annihilation(cutoff)
     if op_spec in SINGLE_MODE_SPECS:
-        if op_spec == "a":
-            m = a
-        elif op_spec == "adag":
-            m = a.T.copy()
-        elif op_spec == "x":
-            m = (a + a.T) / np.sqrt(2.0)
-        elif op_spec == "p":
-            m = (a - a.T) / (1j * np.sqrt(2.0))
-        else:  # X_squeeze
-            m = a @ a + a.T @ a.T
+        m = a if op_spec == "a" else a.T.copy()
         return FockOp(1, cutoff, m.astype(complex))
 
     if op_spec not in TWO_MODE_SPECS:
@@ -371,20 +356,6 @@ def _exp_or_none(log_value: float) -> float | None:
         return None
 
 
-def _relative_gap(log_scale: float, scaled: float, ref: float) -> float | None:
-    """|e^log_scale * scaled - ref| / |ref| without forming e^log_scale.
-
-    The difference is taken on the scale of its larger term; None when the
-    gap itself exceeds the float range.
-    """
-    log_amp = log_scale + math.log(abs(scaled)) if scaled else -math.inf
-    top = max(log_amp, math.log(abs(ref)))
-    diff = abs(math.copysign(math.exp(log_amp - top), scaled) - ref * math.exp(-top))
-    if diff == 0.0:
-        return 0.0
-    return _exp_or_none(top + math.log(diff / abs(ref)))
-
-
 def _even_squeeze_couplings(cutoff: int) -> np.ndarray:
     """Off-diagonal of J, the block of a^2 + adag^2 on the even states 0, 2, 4, ... < cutoff.
 
@@ -396,79 +367,86 @@ def _even_squeeze_couplings(cutoff: int) -> np.ndarray:
     return np.sqrt(odd * (odd + 1))
 
 
-# h * rho per Taylor chunk: every partial sum stays below e^400, inside the float range
-_CHUNK_GROWTH = 400.0
-# a chunk's sum stops once every component's new term is at most this share of its sum
-_TAYLOR_STOP = 2.0**-60
+def _signed_log_sum(log_terms: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
+    """log|sum_i f_i e^(l_i)| and its sign along the last axis, for |f_i| <= 1,
+    accurate relative to the largest term."""
+    top = np.max(log_terms, axis=-1)
+    total = np.sum(factors * np.exp(log_terms - top[..., None]), axis=-1)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.abs(total)), np.sign(total)
 
 
-def _positive_taylor_chunk(hc: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(hJ) v for nonnegative v, where hc holds J's couplings times h.
+def _jacobi_quadrature(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gauss quadrature of the Jacobi matrix J with zero diagonal and these couplings.
 
-    Every term (hJ)^k v / k! is nonnegative, so the sum has no cancellation
-    and each component is accurate relative to itself.  The sum stops per
-    component, not on a norm: a small component can still be growing when
-    the largest has converged, and the next chunk amplifies it.
+    Returns the nodes lambda_i (the eigenvalues of J), the log weights
+    log w_i = -log sum_j p_j(lambda_i)^2, and log|p_j(lambda_i)| with its sign
+    (row j, column i) from the orthonormal recurrence p_0 = 1,
+    b_j p_(j+1) = lambda p_j - b_(j-1) p_(j-1), so that <e_j| f(J) |e_0> =
+    sum_i w_i f(lambda_i) p_j(lambda_i).  Exact power-of-two rescaling per
+    node keeps the recurrence in range; no eigenvector is formed.
     """
-    term = v
-    total = v.copy()
-    k = 0
-    while True:
-        k += 1
-        nxt = np.zeros_like(term)
-        nxt[:-1] = hc * term[1:]
-        nxt[1:] += hc * term[:-1]
-        term = nxt / k
-        total += term
-        if np.all(term <= _TAYLOR_STOP * total):
-            return total
+    n = len(couplings) + 1
+    nodes = np.linalg.eigvalsh(np.diag(couplings, 1) + np.diag(couplings, -1))
+    mantissa = np.ones((n, n))  # p_j(lambda_i) = mantissa * 2^exponent
+    exponent = np.zeros((n, n), dtype=int)
+    prev, cur = np.zeros(n), np.ones(n)
+    for j, (b_prev, b) in enumerate(zip(np.append(0.0, couplings), couplings)):
+        prev, cur = cur, (nodes * cur - b_prev * prev) / b
+        shift = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
+        prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
+        mantissa[j + 1] = cur
+        exponent[j + 1] = exponent[j] + shift
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.abs(mantissa)) + exponent * math.log(2.0)
+    log_w = -_signed_log_sum(2.0 * log_p.T, 1.0)[0]
+    return nodes, log_w, log_p, np.sign(mantissa)
 
 
 def even_squeeze_state(
     theta: float,
     cutoff: int,
     generator: Literal["hermitian", "antihermitian"] = "hermitian",
-) -> tuple[float, np.ndarray]:
-    """exp(theta X)|0> on the even states 0, 2, 4, ... < cutoff, as (log_scale, v).
+) -> tuple[np.ndarray, np.ndarray]:
+    """exp(theta X)|0> on the even states 0, 2, 4, ... < cutoff, as (log|v|, sign v).
 
-    The state is e^log_scale * v; entry j of v is the amplitude of basis
-    state 2j.  ``hermitian`` is X = a^2 + adag^2, whose even block J is
-    entrywise nonnegative: exp(|theta| J) e0 is summed as a positive Taylor
-    series in chunks with h * rho <= 400 (rho the Gershgorin bound of J), and
-    v is renormalised by its maximum after each chunk, whose log adds to the
-    scale.  For theta < 0 the amplitudes flip sign by parity, since
-    D J D = -J with D = diag((-1)^j) and D e0 = e0.  Components below the
-    float range at the common scale underflow to 0 (cutoffs near 1024 at
-    the default theta).
-
-    ``antihermitian`` is X = a^2 - adag^2, whose even block is
-    K = -i D^-1 J D with D = diag(i^j), so exp(theta K) e0 =
-    D^-1 V exp(-i theta L) V^T e0 from the eigendecomposition J = V L V^T.
-    The map is unitary and log_scale is 0.
+    Entry j, the amplitude of basis state 2j, is a signed log-sum-exp over
+    the quadrature nodes of J (``_jacobi_quadrature``), so none under- or
+    overflows.  ``hermitian``, X = a^2 + adag^2: v_j = sum_i w_i
+    e^(|theta| lambda_i) p_j(lambda_i), with odd j negated for theta < 0
+    (D J D = -J for D = diag((-1)^j)).  ``antihermitian``, X = a^2 - adag^2,
+    has even block -i D^-1 J D with D = diag(i^j): v_j = Re(i^-j sum_i w_i
+    e^(-i theta lambda_i) p_j(lambda_i)).  theta = 0 gives e0 exactly.  The
+    nodes are off by about eps * ||J|| ~ eps * 2 cutoff, so log_norm is off
+    by about |theta| eps * 2 cutoff.
     """
+    if generator not in ("hermitian", "antihermitian"):
+        raise ValueError(f"unknown generator {generator!r}")
     couplings = _even_squeeze_couplings(cutoff)
     n = len(couplings) + 1
+    if theta == 0.0:
+        log_abs, sign = np.full(n, -np.inf), np.zeros(n)
+        log_abs[0], sign[0] = 0.0, 1.0
+        return log_abs, sign
+    nodes, log_w, log_p, sign_p = _jacobi_quadrature(couplings)
     if generator == "hermitian":
-        rho = float(np.max(np.append(couplings, 0.0) + np.insert(couplings, 0, 0.0)))
-        chunks = math.ceil(abs(theta) * rho / _CHUNK_GROWTH)
-        v = np.zeros(n)
-        v[0] = 1.0
-        log_scale = 0.0
-        step_couplings = abs(theta) / max(chunks, 1) * couplings
-        for _ in range(chunks):
-            v = _positive_taylor_chunk(step_couplings, v)
-            top = float(np.max(v))
-            v /= top
-            log_scale += math.log(top)
+        log_abs, sign = _signed_log_sum(log_w + abs(theta) * nodes + log_p, sign_p)
         if theta < 0:
-            v[1::2] *= -1.0
-        return log_scale, v
-    if generator == "antihermitian":
-        evals, evecs = np.linalg.eigh(np.diag(couplings, 1) + np.diag(couplings, -1))
-        rotated = evecs @ (np.exp(-1j * theta * evals) * evecs[0])
-        phases = np.array([1, -1j, -1, 1j])[np.arange(n) % 4]  # i^-j
-        return 0.0, (phases * rotated).real
-    raise ValueError(f"unknown generator {generator!r}")
+            sign[1::2] *= -1.0
+        return log_abs, sign
+    phases = np.array([1, -1j, -1, 1j])[np.arange(n) % 4, None]  # i^-j on row j
+    return _signed_log_sum(log_w + log_p, (phases * sign_p * np.exp(-1j * theta * nodes)).real)
+
+
+def check_squeeze_range(theta: float, cutoff: int) -> None:
+    """Raise ValueError unless the hermitian squeeze norms at this theta and
+    largest cutoff lie inside what the pinned references certify."""
+    if cutoff > SQUEEZE_CUTOFF_LIMIT:
+        raise ValueError(f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}")
+    if abs(theta) * cutoff > SQUEEZE_SCALE_LIMIT:
+        raise ValueError(
+            f"squeeze norms are certified up to |theta| * cutoff = {SQUEEZE_SCALE_LIMIT:.6g}"
+        )
 
 
 def squeeze_truncated_norms(
@@ -480,45 +458,38 @@ def squeeze_truncated_norms(
 
     ``hermitian`` is the unbounded generator a^2 + adag^2, whose norms grow
     without bound; ``antihermitian`` is the control a^2 - adag^2 whose
-    exponential is orthogonal, so the norm stays 1.  Both act through their
-    even block (``even_squeeze_state``), and norms are kept in log space.
+    exponential is orthogonal, so the norm stays 1.  log_norm is taken from
+    the per-component logs of ``even_squeeze_state``.
 
     ``coeff_gaps`` reports, per cutoff, the relative gap between the
-    truncated-exponential amplitudes on basis states 0, 2, 4, 6 and the
-    exact factored amplitudes times 2^(1/4).  The two sides agree only for
-    the untruncated operators; truncation breaks them differently, so the
+    amplitudes on basis states 0, 2, 4, 6 and the exact factored amplitudes
+    times 2^(1/4).  The two agree only for the untruncated operators, so the
     gaps are reported, never asserted.  A norm or gap beyond the float range
-    is None, and so is the gap of an amplitude that underflowed at its
-    cutoff's common scale (for theta != 0 no amplitude is truly zero);
-    ``log_norm`` is always finite.  The hermitian generator takes cutoffs up
-    to ``SQUEEZE_CUTOFF_LIMIT`` and |theta| * cutoff up to
-    ``SQUEEZE_SCALE_LIMIT``.
+    is None; ``log_norm`` is always finite.  The hermitian generator takes
+    the theta and cutoffs that ``check_squeeze_range`` accepts.
     """
     cutoffs = list(cutoffs)
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing and nonempty")
     if any(c < 8 for c in cutoffs):
         raise ValueError("cutoffs below 8 cannot hold the compared amplitudes")
-    if generator == "hermitian" and cutoffs[-1] > SQUEEZE_CUTOFF_LIMIT:
-        raise ValueError(f"squeeze norms are certified up to cutoff {SQUEEZE_CUTOFF_LIMIT}")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if generator == "hermitian" and abs(theta) * cutoffs[-1] > SQUEEZE_SCALE_LIMIT:
-        raise ValueError(
-            f"squeeze norms are certified up to |theta| * cutoff = {SQUEEZE_SCALE_LIMIT:.6g}"
-        )
+    if generator == "hermitian":
+        check_squeeze_range(theta, cutoffs[-1])
 
-    factored = squeeze_factored_action(3)
-    reference = [float(c) * 2.0 ** 0.25 for c in factored]
+    reference = np.array([float(c) for c in squeeze_factored_action(3)]) * 2.0 ** 0.25
+    log_ref, minus_ref_sign = np.log(np.abs(reference)), -np.sign(reference)
 
     records = []
     for cutoff in cutoffs:
-        log_scale, v = even_squeeze_state(theta, cutoff, generator)
-        log_norm = log_scale + math.log(float(np.linalg.norm(v)))
-        gaps = tuple(
-            None if amp == 0.0 and theta != 0.0 else _relative_gap(log_scale, amp, ref)
-            for amp, ref in zip(v[:4].tolist(), reference)
-        )
+        log_abs, sign = even_squeeze_state(theta, cutoff, generator)
+        log_norm = float(_signed_log_sum(2.0 * log_abs, 1.0)[0]) / 2.0
+        # |v_j - ref_j| / |ref_j| on the scale of the larger of the two
+        log_diff = _signed_log_sum(
+            np.column_stack([log_abs[:4], log_ref]), np.column_stack([sign[:4], minus_ref_sign])
+        )[0]
+        gaps = tuple(_exp_or_none(g) for g in (log_diff - log_ref).tolist())
         records.append(SqueezeNormRecord(cutoff, _exp_or_none(log_norm), log_norm, gaps))
     return SqueezeReport(theta=theta, generator=generator, records=tuple(records))
 
@@ -530,57 +501,3 @@ def squeeze_csv(report: SqueezeReport) -> str:
         norm = "" if r.norm is None else repr(r.norm)
         lines.append(f"{r.cutoff},{norm},{r.log_norm!r}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Hermite-basis isomorphism (cross-validation against the symbolic layer)
-# ---------------------------------------------------------------------------
-
-def hermite_coefficients(n: int) -> dict[int, int]:
-    """Integer coefficients of the physicists' Hermite polynomial H_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev: dict[int, int] = {0: 1}
-    if n == 0:
-        return prev
-    cur: dict[int, int] = {1: 2}
-    for m in range(1, n):
-        nxt: dict[int, int] = {}
-        for p, c in cur.items():
-            nxt[p + 1] = nxt.get(p + 1, 0) + 2 * c
-        for p, c in prev.items():
-            nxt[p] = nxt.get(p, 0) - 2 * m * c
-        prev, cur = cur, {p: c for p, c in nxt.items() if c}
-    return cur
-
-
-def hermite_state(coeffs: dict[tuple[int, int], Coeff | int | Fraction]) -> PolyGauss:
-    """sum c[(n1,n2)] H_n1(x1) H_n2(x2) exp(-(x1^2+x2^2)/2), exactly."""
-    poly: dict[tuple[int, int], Coeff] = {}
-    for (n1, n2), c in coeffs.items():
-        c = Coeff.coerce(c)
-        h1 = hermite_coefficients(n1)
-        h2 = hermite_coefficients(n2)
-        for p1, c1 in h1.items():
-            for p2, c2 in h2.items():
-                poly_add_term(poly, (p1, p2), c * (c1 * c2))
-    return PolyGauss(2, poly, [[1, 0], [0, 1]])
-
-
-def hermite_decompose(f: PolyGauss) -> dict[tuple[int, int], Coeff]:
-    """Exact expansion of f in the unnormalized Hermite-Gaussian product basis.
-
-    Requires the standard weight exp(-(x1^2+x2^2)/2).  Works by peeling the
-    top-degree monomial: the leading coefficient of H_n1 H_n2 is 2^(n1+n2).
-    """
-    expected = PolyGauss.standard_vacuum(2)
-    if not f.same_weight(expected):
-        raise ValueError("decomposition needs the standard Gaussian weight")
-    residue = f
-    out: dict[tuple[int, int], Coeff] = {}
-    while not residue.is_zero():
-        idx = max(residue.poly, key=lambda i: (sum(i), i))
-        coeff = residue.poly[idx] * Fraction(1, 2 ** sum(idx))
-        out[idx] = coeff
-        residue = residue - hermite_state({idx: coeff})
-    return out

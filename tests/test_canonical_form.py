@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bateman.fock import hermite_state
 from bateman.operators import LinDiffOp, op_adjoint, op_apply, op_compose
 from bateman.vacuum import gaussian_ansatz_solve
+from hermite import hermite_state
 from strategies import coeffs, first_order_ops, lin_diff_ops, poly_gausses
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,13 +14,12 @@ from bateman.fock import (
     SIGMA_FLOOR_RATIO,
     SQUEEZE_CUTOFF_LIMIT,
     SQUEEZE_SCALE_LIMIT,
+    FockOp,
+    _even_squeeze_couplings,
     build_fock,
     commutator_residual,
     even_squeeze_state,
     hamiltonian_equiv_residual,
-    hermite_coefficients,
-    hermite_decompose,
-    hermite_state,
     interior_indices,
     joint_null_experiment,
     null_experiment_csv,
@@ -30,12 +30,24 @@ from bateman.fock import (
 )
 from bateman.operators import commutator, make_ladder, make_pseudo, op_apply
 from bateman.radicals import SqrtRational, factorial_sqrt
+from hermite import hermite_coefficients, hermite_decompose, hermite_state
 
 THETA = 7 * math.pi / 8
 
 
 def default_params():
     return BatemanParams.from_omega(1, Fraction(1, 5), 1)
+
+
+def _single_mode(name, cutoff):
+    """Position, momentum or the squeeze generator a^2 + adag^2 at this cutoff."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    m = {
+        "x": (a + a.T) / np.sqrt(2.0),
+        "p": (a - a.T) / (1j * np.sqrt(2.0)),
+        "X_squeeze": a @ a + a.T @ a.T,
+    }[name]
+    return FockOp(1, cutoff, m.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +71,21 @@ def test_two_mode_kron_structure():
 
 
 def test_squeeze_generator_symmetric_real():
-    x = build_fock("X_squeeze", 6).matrix
+    x = _single_mode("X_squeeze", 6).matrix
     assert np.allclose(x, x.T)
     assert np.allclose(x.imag, 0)
+    # its even block is the Jacobi matrix J the squeeze routes act through
+    for cutoff in (6, 9, 16):
+        even = _single_mode("X_squeeze", cutoff).matrix.real[0::2, 0::2]
+        couplings = _even_squeeze_couplings(cutoff)
+        jacobi = np.diag(couplings, 1) + np.diag(couplings, -1)
+        assert np.allclose(even, jacobi, rtol=1e-15, atol=0)
 
 
 def test_position_momentum_commutator():
     n = 14
-    x = build_fock("x", n)
-    p = build_fock("p", n)
+    x = _single_mode("x", n)
+    p = _single_mode("p", n)
     res = commutator_residual(x, p, 1j, n - 2)
     assert res < 1e-12
 
@@ -134,7 +152,8 @@ def test_interior_residual_matches_dense_projector():
         (12, 10, ("A2", "B1"), 0.0),
         (14, 12, ("x", "p"), 1j),
     ):
-        x, y = (build_fock(n, cutoff) for n in names)
+        build = _single_mode if names == ("x", "p") else build_fock
+        x, y = (build(n, cutoff) for n in names)
         delta = x.matrix @ y.matrix - y.matrix @ x.matrix - expected * np.eye(x.dim)
         proj = np.diag((total_excitations(x.modes, cutoff) < bound).astype(float))
         dense = float(np.linalg.norm(proj @ delta @ proj, 2))
@@ -311,7 +330,7 @@ def test_truncated_norms_strictly_increase():
 
 def test_truncated_norm_matches_direct_expm_small_cutoff():
     report = squeeze_truncated_norms(THETA, [16])
-    x = np.real(build_fock("X_squeeze", 16).matrix)
+    x = np.real(_single_mode("X_squeeze", 16).matrix)
     direct = float(np.linalg.norm(scipy.linalg.expm(THETA * x)[:, 0]))
     assert abs(report.norms()[0] / direct - 1.0) < 1e-8
 
@@ -339,12 +358,12 @@ def test_squeeze_amplitudes_match_high_precision_reference():
     # log amplitudes on |0>, |2>, |4>, |6> at N = 128 by the same mpmath route
     # (40 and 60 digits agree), all positive; tolerance 1e-12 on the log is a
     # relative 1e-12 on the amplitude
-    log_scale, v = even_squeeze_state(THETA, 128)
-    assert np.all(v[:4] > 0)
+    log_abs, sign = even_squeeze_state(THETA, 128)
+    assert np.all(sign[:4] > 0)
     reference = [446.96151986708998202, 452.04363285688607666,
                  456.22982758720453994, 459.95768429609523484]
-    for amp, ref in zip(v[:4], reference):
-        assert abs(log_scale + math.log(amp) - ref) < 1e-12
+    for log_amp, ref in zip(log_abs[:4], reference):
+        assert abs(log_amp - ref) < 1e-12
 
 
 def _stev_even_action(theta, cutoff):
@@ -369,10 +388,11 @@ def test_squeeze_series_matches_stev_oracle(cutoff, theta):
     log_norm, log_amps, signs = _stev_even_action(theta, cutoff)
     report = squeeze_truncated_norms(theta, [cutoff])
     assert report.log_norms()[0] == pytest.approx(log_norm, rel=1e-12)
-    log_scale, v = even_squeeze_state(theta, cutoff)
-    assert log_scale + math.log(float(np.linalg.norm(v))) == report.log_norms()[0]
-    assert list(np.sign(v[:4])) == list(signs)
-    assert list(log_scale + np.log(np.abs(v[:4]))) == pytest.approx(list(log_amps), rel=1e-12)
+    log_abs, sign = even_squeeze_state(theta, cutoff)
+    top = np.max(2.0 * log_abs)
+    assert float(top + np.log(np.sum(np.exp(2.0 * log_abs - top)))) / 2.0 == report.log_norms()[0]
+    assert list(sign[:4]) == list(signs)
+    assert list(log_abs[:4]) == pytest.approx(list(log_amps), rel=1e-12)
 
 
 @pytest.mark.parametrize("cutoff", [16, 64, 512])
@@ -380,12 +400,12 @@ def test_squeeze_parity_symmetry(cutoff):
     # D J D = -J with D = diag((-1)^j): equal norms, amplitudes flip by parity
     plus, minus = (squeeze_truncated_norms(t, [cutoff]) for t in (THETA, -THETA))
     assert plus.log_norms() == minus.log_norms()
-    scale_plus, v_plus = even_squeeze_state(THETA, cutoff)
-    scale_minus, v_minus = even_squeeze_state(-THETA, cutoff)
-    parity = (-1.0) ** np.arange(len(v_plus))
-    assert scale_plus == scale_minus
-    assert np.array_equal(v_minus, parity * v_plus)
-    assert np.all(v_plus > 0)
+    log_plus, sign_plus = even_squeeze_state(THETA, cutoff)
+    log_minus, sign_minus = even_squeeze_state(-THETA, cutoff)
+    parity = (-1.0) ** np.arange(len(sign_plus))
+    assert np.array_equal(log_minus, log_plus)
+    assert np.array_equal(sign_minus, parity * sign_plus)
+    assert np.all(sign_plus > 0)
 
 
 @pytest.mark.parametrize("theta", [0.1, 1.3])
@@ -393,22 +413,89 @@ def test_squeeze_parity_symmetry(cutoff):
 def test_antihermitian_control_matches_expm(cutoff, theta):
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     direct = scipy.linalg.expm(theta * (a @ a - a.T @ a.T))[:, 0]
-    log_scale, v = even_squeeze_state(theta, cutoff, "antihermitian")
-    assert log_scale == 0.0
-    assert np.max(np.abs(v - direct[0::2])) < 1e-12
+    log_abs, sign = even_squeeze_state(theta, cutoff, "antihermitian")
+    assert np.max(np.abs(sign * np.exp(log_abs) - direct[0::2])) < 1e-12
     assert np.max(np.abs(direct[1::2])) == 0.0
     report = squeeze_truncated_norms(theta, [cutoff], generator="antihermitian")
     assert abs(report.log_norms()[0]) < 1e-12
 
 
 def test_squeeze_gap_of_underflowed_amplitude_is_none():
-    # at N = 1024 the amplitudes on |0>..|6> are below the float range at the
-    # common scale; their gaps are not computed
-    log_scale, v = even_squeeze_state(THETA, 1024)
-    assert np.all(v[:4] == 0.0)
+    # at N = 1024 the amplitudes on |0>..|6> (about e^3906) and so their gaps
+    # are beyond the float range
+    log_abs, sign = even_squeeze_state(THETA, 1024)
+    assert np.all(log_abs[:4] > math.log(sys.float_info.max))
     assert squeeze_truncated_norms(THETA, [1024]).records[0].coeff_gaps == (None,) * 4
     # theta = 0 leaves |0>: the zeros there are exact and the gaps are 1
     assert squeeze_truncated_norms(0.0, [16]).records[0].coeff_gaps[1:] == (1.0, 1.0, 1.0)
+
+
+def _positive_series_state(theta, cutoff):
+    """exp(theta J) e0 as (log_scale, v) by a positive Taylor series.
+
+    J is entrywise nonnegative, so every term of exp(|theta| J) e0 is too and
+    each component is accurate relative to itself.  The series runs in
+    chunks of h rho <= 400 (rho the Gershgorin bound of J), each stopped once
+    every component's new term is at most 2^-60 of its sum, and v is
+    renormalised by its maximum after each chunk, whose log adds to the
+    scale.  Components below the float range at that common scale underflow
+    to 0.  theta < 0 flips the odd entries by parity (D J D = -J).
+    """
+    couplings = _even_squeeze_couplings(cutoff)
+    rho = float(np.max(np.append(couplings, 0.0) + np.insert(couplings, 0, 0.0)))
+    chunks = math.ceil(abs(theta) * rho / 400.0)
+    v = np.zeros(len(couplings) + 1)
+    v[0] = 1.0
+    log_scale = 0.0
+    step = abs(theta) / max(chunks, 1) * couplings
+    for _ in range(chunks):
+        term, total, k = v, v.copy(), 0
+        while True:
+            k += 1
+            nxt = np.zeros_like(term)
+            nxt[:-1] = step * term[1:]
+            nxt[1:] += step * term[:-1]
+            term = nxt / k
+            total += term
+            if np.all(term <= 2.0**-60 * total):
+                break
+        top = float(np.max(total))
+        v = total / top
+        log_scale += math.log(top)
+    if theta < 0:
+        v[1::2] *= -1.0
+    return log_scale, v
+
+
+@pytest.mark.parametrize("theta", [THETA, 0.5, -THETA])
+@pytest.mark.parametrize("cutoff", [16, 256, 1024])
+def test_quadrature_matches_positive_series_oracle(cutoff, theta):
+    log_scale, v = _positive_series_state(theta, cutoff)
+    log_abs, sign = even_squeeze_state(theta, cutoff)
+    series_log_norm = log_scale + math.log(float(np.linalg.norm(v)))
+    assert squeeze_truncated_norms(theta, [cutoff]).log_norms()[0] == pytest.approx(
+        series_log_norm, rel=1e-12
+    )
+    # compare every component the series holds clear of its subnormal range
+    held = np.abs(v) > 1e-280
+    assert held.sum() > 0.9 * len(v)
+    assert np.array_equal(sign[held], np.sign(v[held]))
+    series_logs = log_scale + np.log(np.abs(v[held]))
+    assert list(log_abs[held]) == pytest.approx(list(series_logs), rel=1e-12)
+
+
+def test_squeeze_gaps_are_finite_where_the_series_scale_underflowed():
+    # at theta = 0.8, N = 1024 the series' common scale underflowed the
+    # amplitudes on |0>..|6> and wrote null gaps, though the gaps are finite;
+    # <0|e^(theta J)|0> = ||e^(theta J / 2) e0||^2 pins the one on |0>
+    record = squeeze_truncated_norms(0.8, [1024]).records[0]
+    assert all(g is not None and math.isfinite(g) for g in record.coeff_gaps)
+    log_abs, sign = even_squeeze_state(0.8, 1024)
+    log_scale, v = _positive_series_state(0.4, 1024)
+    assert sign[0] == 1.0
+    half_log_norm = log_scale + math.log(float(np.linalg.norm(v)))
+    assert log_abs[0] == pytest.approx(2.0 * half_log_norm, rel=1e-12)
+    assert log_abs[0] == pytest.approx(28.94362199207561, rel=1e-12)
 
 
 def test_theta_zero_is_identity():
