@@ -302,11 +302,21 @@ def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> Hamilton
     return HamiltonianConsistency(gap, drift, float(energies[0]))
 
 
+# Rows formatted per block of trajectory_csv: the Python floats and row
+# strings of one block are alive at a time, not those of the whole trajectory.
+CSV_BLOCK_ROWS = 500
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """CSV with columns t, x, y, p_x, p_y, H."""
-    lines = ["t,x,y,p_x,p_y,H"]
+    """CSV with columns t, x, y, p_x, p_y, H, built CSV_BLOCK_ROWS rows at a time."""
     energies = traj.energies()
-    # Python floats: a numpy scalar's repr reads np.float64(...)
-    for t, (x, y, px, py), h in zip(traj.times.tolist(), traj.states.tolist(), energies.tolist()):
-        lines.append(f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}")
-    return "\n".join(lines) + "\n"
+
+    def block(start: int) -> str:
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        table = np.column_stack([traj.times[rows], traj.states[rows], energies[rows]])
+        # Python floats: a numpy scalar's repr reads np.float64(...)
+        return "".join([
+            f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}\n" for t, x, y, px, py, h in table.tolist()
+        ])
+
+    return "t,x,y,p_x,p_y,H\n" + "".join(map(block, range(0, len(energies), CSV_BLOCK_ROWS)))

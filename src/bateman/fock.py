@@ -1,9 +1,13 @@
 """Truncated Fock-space matrix realizations and cutoff experiments.
 
 Operators act on one or two truncated oscillator modes (cutoff N per mode,
-mode 1 tensor mode 2 ordering).  Identity checks always exclude the top two
-excitation levels by restricting to the interior indices, since finite ladder
-matrices necessarily violate the commutation relations at the edge.
+mode 1 tensor mode 2 ordering).  The ladder operators and their linear
+combinations are float64 matrices; only H, which carries i gamma/2m, is
+complex.  Identity checks always exclude the top two excitation levels by
+restricting to the interior indices, since finite ladder matrices necessarily
+violate the commutation relations at the edge.  For the coordinate projector P
+onto an index set S, P X Y P = (P X)(Y P): the restricted product is
+X[S] @ Y[:, S], so the checks never form a full two-mode product.
 
 Experiments:
 
@@ -81,14 +85,14 @@ def build_fock(
     Single mode: a, adag.
     Two modes:   a1, a2, adag1, adag2, the pseudo-boson pairs A1, A2, B1, B2,
     and H (requires ``params``; ``form`` picks the bosonic or pseudo-boson
-    assembly, which agree up to rounding).
+    assembly, which agree up to rounding).  H is complex, every other
+    operator float64.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     a = _annihilation(cutoff)
     if op_spec in SINGLE_MODE_SPECS:
-        m = a if op_spec == "a" else a.T.copy()
-        return FockOp(1, cutoff, m.astype(complex))
+        return FockOp(1, cutoff, a if op_spec == "a" else a.T.copy())
 
     if op_spec not in TWO_MODE_SPECS:
         raise ValueError(f"unknown operator spec {op_spec!r}")
@@ -114,30 +118,34 @@ def build_fock(
     else:  # H
         if params is None:
             raise ValueError("H needs oscillator parameters")
-        return _hamiltonian_fock(params, cutoff, form)
-    return FockOp(2, cutoff, m.astype(complex))
+        return FockOp(2, cutoff, _hamiltonian_fock(params, cutoff, form, np.arange(cutoff**2)))
+    return FockOp(2, cutoff, m)
 
 
-def _hamiltonian_fock(params, cutoff: int, form: str) -> FockOp:
+def _hamiltonian_fock(params, cutoff: int, form: str, index: np.ndarray) -> np.ndarray:
+    """P H P on the basis indices ``index``, products restricted as X[index] @ Y[:, index]."""
     omega = params.omega
     g2m = float(params.gamma) / (2.0 * float(params.m))
+
+    def prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x[index] @ y[:, index]
+
     if form == "bosonic":
         a1 = build_fock("a1", cutoff).matrix
         a2 = build_fock("a2", cutoff).matrix
-        h = omega * (a1.conj().T @ a1 - a2.conj().T @ a2) + 1j * g2m * (
-            a1 @ a2 - a1.conj().T @ a2.conj().T
+        return omega * (prod(a1.T, a1) - prod(a2.T, a2)) + 1j * g2m * (
+            prod(a1, a2) - prod(a1.T, a2.T)
         )
-    elif form == "pseudo":
+    if form == "pseudo":
         big_a1 = build_fock("A1", cutoff).matrix
         big_a2 = build_fock("A2", cutoff).matrix
         big_b1 = build_fock("B1", cutoff).matrix
         big_b2 = build_fock("B2", cutoff).matrix
-        n1 = big_b1 @ big_a1
-        n2 = big_b2 @ big_a2
-        h = omega * (n1 - n2) + 1j * g2m * (n1 + n2 + np.eye(cutoff * cutoff))
-    else:
-        raise ValueError(f"unknown Hamiltonian form {form!r}")
-    return FockOp(2, cutoff, h)
+        n1 = prod(big_b1, big_a1)
+        n2 = prod(big_b2, big_a2)
+        eye = np.equal.outer(index, index)
+        return omega * (n1 - n2) + 1j * g2m * (n1 + n2 + eye)
+    raise ValueError(f"unknown Hamiltonian form {form!r}")
 
 
 def total_excitations(modes: int, cutoff: int) -> np.ndarray:
@@ -162,23 +170,24 @@ def _check_interior(cutoff: int, bound: int) -> None:
 
 
 def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> float:
-    """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace."""
+    """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace,
+    from the restricted products X[S] @ Y[:, S] over the interior indices S."""
     if x.modes != y.modes or x.cutoff != y.cutoff:
         raise ValueError("operators live on different truncated spaces")
     _check_interior(x.cutoff, bound)
-    comm = x.matrix @ y.matrix - y.matrix @ x.matrix
-    delta = comm - expected * np.eye(x.dim)
     inside = interior_indices(x.modes, x.cutoff, bound)
-    return float(np.linalg.norm(delta[np.ix_(inside, inside)], 2))
+    xm, ym = x.matrix, y.matrix
+    comm = xm[inside] @ ym[:, inside] - ym[inside] @ xm[:, inside]
+    return float(np.linalg.norm(comm - expected * np.eye(len(inside)), 2))
 
 
 def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
     """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff."""
     _check_interior(cutoff, bound)
-    h1 = build_fock("H", cutoff, params=params, form="bosonic").matrix
-    h2 = build_fock("H", cutoff, params=params, form="pseudo").matrix
     inside = interior_indices(2, cutoff, bound)
-    return float(np.linalg.norm((h1 - h2)[np.ix_(inside, inside)], 2))
+    h1 = _hamiltonian_fock(params, cutoff, "bosonic", inside)
+    h2 = _hamiltonian_fock(params, cutoff, "pseudo", inside)
+    return float(np.linalg.norm(h1 - h2, 2))
 
 
 # ---------------------------------------------------------------------------

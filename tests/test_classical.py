@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bateman.classical import (
+    CSV_BLOCK_ROWS,
     BatemanParams,
     PhaseState,
     Trajectory,
@@ -349,6 +350,28 @@ def test_trajectory_csv_cells_are_floats():
         expected = [traj.times[i], *traj.states[i], energies[i]]
         assert values == expected
         assert all(math.copysign(1.0, v) == math.copysign(1.0, e) for v, e in zip(values, expected))
+
+
+def _single_pass_csv(traj):
+    """The trajectory CSV built in one pass, one f-string per row."""
+    lines = ["t,x,y,p_x,p_y,H"]
+    energies = traj.energies()
+    for t, (x, y, px, py), h in zip(traj.times.tolist(), traj.states.tolist(), energies.tolist()):
+        lines.append(f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_block_built_csv_equals_single_pass():
+    # the default CLI trajectory (10 001 rows) and row counts around one block
+    p = default_params()
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+    traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
+    assert len(traj.times) == 10_001
+    assert trajectory_csv(traj) == _single_pass_csv(traj)
+    for rows in (1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1):
+        part = Trajectory(traj.times[:rows], traj.states[:rows], p)
+        assert trajectory_csv(part) == _single_pass_csv(part)
+        assert trajectory_csv(part).count("\n") == rows + 1
 
 
 def test_pointwise_error_is_fourth_order():

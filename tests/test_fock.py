@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -163,6 +165,66 @@ def test_interior_residual_matches_dense_projector():
     proj = np.diag((total_excitations(2, 10) < 8).astype(float))
     dense = float(np.linalg.norm(proj @ (h[0] - h[1]) @ proj, 2))
     assert hamiltonian_equiv_residual(params, 10, 8) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+
+
+def _dense_projector_residual(x, y, expected, bound):
+    """||P([X, Y] - expected) P|| from the full two-mode products and a dense projector."""
+    delta = x.matrix @ y.matrix - y.matrix @ x.matrix - expected * np.eye(x.dim)
+    proj = np.diag((total_excitations(x.modes, x.cutoff) < bound).astype(float))
+    return float(np.linalg.norm(proj @ delta @ proj, 2))
+
+
+def test_interior_residual_matches_dense_projector_where_it_is_order_one():
+    # wrong scalars give residuals far above rounding: [A1, B1] = 1 on the
+    # interior, [x, p] = i, and the exact values pin the operators themselves
+    for cutoff, bound, names, expected, value in (
+        (12, 10, ("A1", "B1"), 0.0, 1.0),
+        (12, 10, ("B1", "A1"), 1.0, 2.0),
+        (14, 12, ("x", "p"), -1j, 2.0),
+        (14, 12, ("x", "p"), 1.0, math.sqrt(2.0)),
+    ):
+        build = _single_mode if names == ("x", "p") else build_fock
+        x, y = (build(n, cutoff) for n in names)
+        res = commutator_residual(x, y, expected, bound)
+        assert res == pytest.approx(_dense_projector_residual(x, y, expected, bound), rel=1e-12)
+        assert res == pytest.approx(value, rel=1e-12), (names, expected)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs (after one warm-up call)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_interior_checks_never_form_a_full_two_mode_product():
+    # At cutoff N a full two-mode product is a complex N^2 x N^2 matrix of
+    # 16 N^4 bytes; the restricted products X[S] @ Y[:, S] are interior-sized.
+    # The Hamiltonian check holds its six float64 ladder matrices (8 N^4 bytes
+    # each) and small blocks, so eight such matrices bound it; the commutator
+    # checks, with their operators built beforehand, stay below one complex
+    # two-mode matrix.
+    peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16, 14))
+    assert peak < 8 * (8 * 16**4), peak
+    names = ("A1", "A2", "B1", "B2")
+    fock = {n: build_fock(n, 12) for n in names}
+    peak = _traced_peak(lambda: [
+        commutator_residual(fock[left], fock[right], 0, 10)
+        for left, right in product(names, repeat=2)
+    ])
+    assert peak < 16 * 12**4, peak
+
+
+def test_ladder_specs_are_real_and_h_complex():
+    for name in ("a", "adag", "a1", "a2", "adag1", "adag2", "A1", "A2", "B1", "B2"):
+        assert build_fock(name, 6).matrix.dtype == np.float64, name
+    for form in ("bosonic", "pseudo"):
+        h = build_fock("H", 6, params=default_params(), form=form).matrix
+        assert h.dtype == np.complex128
 
 
 def test_interior_projector_counts():
