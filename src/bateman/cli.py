@@ -49,9 +49,11 @@ from .classical import (
 )
 from .field import Coeff
 from .fock import (
+    NULL_CUTOFF_LIMIT,
     NullExperimentReport,
     SqueezeReport,
     build_fock,
+    check_cutoffs,
     check_squeeze_range,
     commutator_residual,
     hamiltonian_equiv_residual,
@@ -98,6 +100,9 @@ GROWTH_CHECKPOINTS = (10**3, 10**4, 10**5)
 # 4e-3/2e-3 it can sit at the rounding floor (1.2e-15 at gamma = 1/10).
 DRIFT_ORDER_STEPS = (2e-2, 1e-2)
 _PAIR_NAMES = ("A1", "A2", "B1", "B2")
+FORM_GAP_TOL = 1e-10  # absolute, on the gap between the mixed and rotated energy forms
+DRIFT_TOL = 1e-7  # absolute, on the energy drift along the trajectory
+EOM_TOL = 1e-4  # absolute, on the equation-of-motion residuals
 
 Runner = Callable[["Artifacts"], tuple[list[VerdictReport], dict[str, str]]]
 
@@ -449,7 +454,7 @@ def hamiltonian_forms_fock(art: Artifacts):
        "is conserved")
 def hamiltonian_forms_classical(art: Artifacts):
     cons = art.consistency
-    return cons.max_form_gap < 1e-10 and cons.max_drift < 1e-7, {
+    return cons.max_form_gap < FORM_GAP_TOL and cons.max_drift < DRIFT_TOL, {
         "max_form_gap": cons.max_form_gap,
         "max_drift": cons.max_drift,
         "initial_energy": cons.initial_energy,
@@ -543,10 +548,10 @@ def squeeze_unitary_control(art: Artifacts):
        "second-order equations within finite-difference tolerance")
 def classical_eom_residuals(art: Artifacts):
     residuals = eom_residual(art.trajectory, art.params)
-    return max(residuals.damped, residuals.amplified) < 1e-4, {
+    return max(residuals.damped, residuals.amplified) < EOM_TOL, {
         "damped_residual": residuals.damped,
         "amplified_residual": residuals.amplified,
-        "tol": 1e-4,
+        "tol": EOM_TOL,
     }
 
 
@@ -555,14 +560,14 @@ def classical_eom_residuals(art: Artifacts):
        "under the coordinate rotation")
 def classical_energy_forms(art: Artifacts):
     gap = art.consistency.max_form_gap
-    return gap < 1e-10, {"max_form_gap": gap, "tol": 1e-10}
+    return gap < FORM_GAP_TOL, {"max_form_gap": gap, "tol": FORM_GAP_TOL}
 
 
 @check("classical", "classical-energy-drift",
        "the energy is conserved along the trajectory")
 def classical_energy_drift(art: Artifacts):
     drift = art.consistency.max_drift
-    return drift < 1e-7, {"max_drift": drift, "tol": 1e-7}
+    return drift < DRIFT_TOL, {"max_drift": drift, "tol": DRIFT_TOL}
 
 
 @check("classical", "classical-drift-order",
@@ -705,9 +710,10 @@ def _cutoff_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
-    if not values or any(b <= a for a, b in zip(values, values[1:])) or values[0] < 8:
-        raise argparse.ArgumentTypeError("cutoffs must be strictly increasing and at least 8")
-    return values
+    try:
+        return check_cutoffs(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -734,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--k-spring",
             type=_fraction,
             default=None,
-            help="spring constant (exact rational); overrides --omega for the classical layer",
+            help="spring constant (exact rational), used by every layer; "
+            "must agree with --omega when both are given",
         )
         p.add_argument(
             "--omega",
@@ -775,6 +782,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--kmax below 10 cannot support the ratio-test protocol")
     if args.kmax > RAABE_KMAX_LIMIT:
         raise ValueError(f"--kmax above {RAABE_KMAX_LIMIT} is not supported")
+    if args.subcommand in ("vacuum", "all"):
+        if (args.cutoffs or DEFAULT_NULL_CUTOFFS)[-1] > NULL_CUTOFF_LIMIT:
+            raise ValueError(f"the null sweep takes cutoffs up to {NULL_CUTOFF_LIMIT}")
     if args.subcommand in ("squeeze", "all"):
         check_squeeze_range(args.theta, (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1])
     omega = args.omega

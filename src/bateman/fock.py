@@ -1,13 +1,16 @@
 """Truncated Fock-space matrix realizations and cutoff experiments.
 
 Operators act on one or two truncated oscillator modes (cutoff N per mode,
-mode 1 tensor mode 2 ordering).  The ladder operators and their linear
-combinations are float64 matrices; only H, which carries i gamma/2m, is
-complex.  Identity checks always exclude the top two excitation levels by
-restricting to the interior indices, since finite ladder matrices necessarily
-violate the commutation relations at the edge.  For the coordinate projector P
-onto an index set S, P X Y P = (P X)(Y P): the restricted product is
-X[S] @ Y[:, S], so the checks never form a full two-mode product.
+mode 1 tensor mode 2 ordering).  The two-mode ladder family is one table of
+integer weights over a1, a2, a1^T and a2^T, ``LADDER_WEIGHTS``.  The ladder
+operators are float64; only H, which carries i gamma/2m, is complex.  Identity
+checks always exclude the top two excitation levels by restricting to the
+interior indices, since finite ladder matrices necessarily violate the
+commutation relations at the edge.  For the coordinate projector P onto an
+index set S, P X Y P = (P X)(Y P): the restricted product is X[S] @ Y[:, S],
+so the checks never form a full two-mode product.  Each ladder factor changes
+the total excitation by one, so the Hamiltonian check takes X[S, T] @ Y[T, S]
+over the one-step shell T of S.
 
 Experiments:
 
@@ -46,6 +49,19 @@ SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical
 # the default theta 7 pi / 8, and no larger product of the two is checked.
 SQUEEZE_CUTOFF_LIMIT = 1024
 SQUEEZE_SCALE_LIMIT = 7 * math.pi / 8 * SQUEEZE_CUTOFF_LIMIT
+# The largest cutoff of the null sweep, for a budget of about a minute per
+# cutoff: both families at one cutoff took 1.0 s at N = 300, 5.5 s at 500,
+# 27 s at 800 and 64 s at 1024 on 2 vCPUs; 2048 ran past 60 s unfinished.
+NULL_CUTOFF_LIMIT = 1024
+
+
+def check_cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
+    """The cutoffs of a sweep as a tuple; raises ValueError unless they are non-empty,
+    strictly increasing and at least 8 (for an interior and four squeeze amplitudes)."""
+    cutoffs = tuple(cutoffs)
+    if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])) or cutoffs[0] < 8:
+        raise ValueError("cutoffs must be strictly increasing and at least 8")
+    return cutoffs
 
 
 @dataclass(frozen=True)
@@ -65,13 +81,27 @@ def _annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
 
 
-def _mode_op(op: np.ndarray, mode: int, cutoff: int) -> np.ndarray:
-    eye = np.eye(cutoff)
-    return np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+# The two-mode ladder family as integers (w, d): the matrix is sum_i w_i part_i
+# / sqrt(d) over the parts (a1, a2, a1^T, a2^T), with a1 = a (x) 1, a2 = 1 (x) a.
+LADDER_WEIGHTS = {
+    "a1": ((1, 0, 0, 0), 1), "adag1": ((0, 0, 1, 0), 1),
+    "a2": ((0, 1, 0, 0), 1), "adag2": ((0, 0, 0, 1), 1),
+    "A1": ((1, 0, 0, -1), 2), "B1": ((0, 1, 1, 0), 2),
+    "A2": ((0, 1, -1, 0), 2), "B2": ((1, 0, 0, 1), 2),
+}
 
 
-SINGLE_MODE_SPECS = ("a", "adag")
-TWO_MODE_SPECS = ("a1", "a2", "adag1", "adag2", "A1", "A2", "B1", "B2", "H")
+def _ladder(op_spec: str, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_i w_i part_i / sqrt(d) for the ``LADDER_WEIGHTS`` row (w, d) of ``op_spec``."""
+    weights, d = LADDER_WEIGHTS[op_spec]
+    return sum(w * part for w, part in zip(weights, parts) if w) / np.sqrt(d)
+
+
+def _ladder_blocks(cutoff: int, rows: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The parts a1, a2, a1^T, a2^T restricted to [rows, inner]."""
+    a, eye = _annihilation(cutoff), np.eye(cutoff)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    return tuple(m[np.ix_(rows, inner)] for m in (a1, a2, a1.T, a2.T))
 
 
 def build_fock(
@@ -83,68 +113,43 @@ def build_fock(
     """Matrix for a named operator at the given per-mode cutoff (N >= 2).
 
     Single mode: a, adag.
-    Two modes:   a1, a2, adag1, adag2, the pseudo-boson pairs A1, A2, B1, B2,
-    and H (requires ``params``; ``form`` picks the bosonic or pseudo-boson
-    assembly, which agree up to rounding).  H is complex, every other
-    operator float64.
+    Two modes:   a1, a2, adag1, adag2, the pseudo-boson pairs A1, A2, B1, B2
+    (one row of ``LADDER_WEIGHTS`` each), and H (requires ``params``; ``form``
+    picks the bosonic or pseudo-boson assembly, which agree up to rounding).
+    H is complex, every other operator float64.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    a = _annihilation(cutoff)
-    if op_spec in SINGLE_MODE_SPECS:
+    if op_spec in ("a", "adag"):
+        a = _annihilation(cutoff)
         return FockOp(1, cutoff, a if op_spec == "a" else a.T.copy())
-
-    if op_spec not in TWO_MODE_SPECS:
+    every = np.arange(cutoff**2)
+    if op_spec in LADDER_WEIGHTS:
+        return FockOp(2, cutoff, _ladder(op_spec, _ladder_blocks(cutoff, every, every)))
+    if op_spec != "H":
         raise ValueError(f"unknown operator spec {op_spec!r}")
-    a1 = _mode_op(a, 0, cutoff)
-    a2 = _mode_op(a, 1, cutoff)
-    s = np.sqrt(2.0)
-    if op_spec == "a1":
-        m = a1
-    elif op_spec == "a2":
-        m = a2
-    elif op_spec == "adag1":
-        m = a1.T.copy()
-    elif op_spec == "adag2":
-        m = a2.T.copy()
-    elif op_spec == "A1":
-        m = (a1 - a2.T) / s
-    elif op_spec == "A2":
-        m = (-a1.T + a2) / s
-    elif op_spec == "B1":
-        m = (a1.T + a2) / s
-    elif op_spec == "B2":
-        m = (a1 + a2.T) / s
-    else:  # H
-        if params is None:
-            raise ValueError("H needs oscillator parameters")
-        return FockOp(2, cutoff, _hamiltonian_fock(params, cutoff, form, np.arange(cutoff**2)))
-    return FockOp(2, cutoff, m)
+    if params is None:
+        raise ValueError("H needs oscillator parameters")
+    return FockOp(2, cutoff, _hamiltonian_fock(params, form, _ladder_blocks(cutoff, every, every)))
 
 
-def _hamiltonian_fock(params, cutoff: int, form: str, index: np.ndarray) -> np.ndarray:
-    """P H P on the basis indices ``index``, products restricted as X[index] @ Y[:, index]."""
+def _hamiltonian_fock(params, form: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """P H P on S from ``blocks = _ladder_blocks(cutoff, S, T)``: each product X Y
+    is X[S, T] @ Y[T, S], exact when T holds every state one ladder step from
+    S.  Y[T, S] is Y^T[S, T] transposed, whose parts swap a_j and a_j^T."""
     omega = params.omega
     g2m = float(params.gamma) / (2.0 * float(params.m))
+    flipped = blocks[2:] + blocks[:2]
 
-    def prod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x[index] @ y[:, index]
+    def prod(x: str, y: str) -> np.ndarray:
+        return _ladder(x, blocks) @ _ladder(y, flipped).T
 
     if form == "bosonic":
-        a1 = build_fock("a1", cutoff).matrix
-        a2 = build_fock("a2", cutoff).matrix
-        return omega * (prod(a1.T, a1) - prod(a2.T, a2)) + 1j * g2m * (
-            prod(a1, a2) - prod(a1.T, a2.T)
-        )
+        number = prod("adag1", "a1") - prod("adag2", "a2")
+        return omega * number + 1j * g2m * (prod("a1", "a2") - prod("adag1", "adag2"))
     if form == "pseudo":
-        big_a1 = build_fock("A1", cutoff).matrix
-        big_a2 = build_fock("A2", cutoff).matrix
-        big_b1 = build_fock("B1", cutoff).matrix
-        big_b2 = build_fock("B2", cutoff).matrix
-        n1 = prod(big_b1, big_a1)
-        n2 = prod(big_b2, big_a2)
-        eye = np.equal.outer(index, index)
-        return omega * (n1 - n2) + 1j * g2m * (n1 + n2 + eye)
+        n1, n2 = prod("B1", "A1"), prod("B2", "A2")
+        return omega * (n1 - n2) + 1j * g2m * (n1 + n2 + np.eye(len(n1)))
     raise ValueError(f"unknown Hamiltonian form {form!r}")
 
 
@@ -185,8 +190,10 @@ def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
     """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff."""
     _check_interior(cutoff, bound)
     inside = interior_indices(2, cutoff, bound)
-    h1 = _hamiltonian_fock(params, cutoff, "bosonic", inside)
-    h2 = _hamiltonian_fock(params, cutoff, "pseudo", inside)
+    # every ladder factor changes the total excitation by one
+    blocks = _ladder_blocks(cutoff, inside, interior_indices(2, cutoff, bound + 1))
+    h1 = _hamiltonian_fock(params, "bosonic", blocks)
+    h2 = _hamiltonian_fock(params, "pseudo", blocks)
     return float(np.linalg.norm(h1 - h2, 2))
 
 
@@ -268,11 +275,7 @@ def joint_null_experiment(
     sector blocks, clamped against the largest one, and the minimizer is the
     singular vector of the first sector (in increasing d) that attains it.
     """
-    cutoffs = list(cutoffs)
-    if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly increasing and nonempty")
-    if any(c < 8 for c in cutoffs):
-        raise ValueError("cutoffs below 8 give a degenerate interior")
+    cutoffs = check_cutoffs(cutoffs)
     if family not in _LOWERING_PAIRS:
         raise ValueError(f"unknown family {family!r}")
     alpha, beta = _LOWERING_PAIRS[family]
@@ -477,11 +480,7 @@ def squeeze_truncated_norms(
     is None; ``log_norm`` is always finite.  The hermitian generator takes
     the theta and cutoffs that ``check_squeeze_range`` accepts.
     """
-    cutoffs = list(cutoffs)
-    if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly increasing and nonempty")
-    if any(c < 8 for c in cutoffs):
-        raise ValueError("cutoffs below 8 cannot hold the compared amplitudes")
+    cutoffs = check_cutoffs(cutoffs)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if generator == "hermitian":

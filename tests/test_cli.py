@@ -11,7 +11,7 @@ import pytest
 import bateman
 import bateman.cli
 from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
-from bateman.fock import SQUEEZE_CUTOFF_LIMIT
+from bateman.fock import NULL_CUTOFF_LIMIT, SQUEEZE_CUTOFF_LIMIT
 from bateman.series import RAABE_KMAX_LIMIT
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
@@ -339,9 +339,18 @@ def test_theta_and_kmax_at_their_ceilings_run(tmp_path):
     assert run_cli(["vacuum", "--theta", "1e300", "--out", str(tmp_path / "vacuum")]) == 0
 
 
-def test_vacuum_accepts_cutoffs_past_the_squeeze_limit():
-    args = build_parser().parse_args(["vacuum", "--cutoffs", "8,2048"])
-    assert config_from_args(args).cutoffs == (8, 2048)
+def test_vacuum_cutoffs_past_the_null_limit_exit_2(tmp_path, capsys):
+    # rejected with the configuration, before the sweep runs
+    parse = build_parser().parse_args
+    with pytest.raises(ValueError, match=str(NULL_CUTOFF_LIMIT)):
+        config_from_args(parse(["vacuum", "--cutoffs", "8,2048"]))
+    assert run_cli(["vacuum", "--out", str(tmp_path), "--cutoffs", "8,2048"]) == 2
+    err = capsys.readouterr().err
+    assert str(NULL_CUTOFF_LIMIT) in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+    # the limit itself is accepted
+    cfg = config_from_args(parse(["vacuum", "--cutoffs", f"8,{NULL_CUTOFF_LIMIT}"]))
+    assert cfg.cutoffs == (8, NULL_CUTOFF_LIMIT)
 
 
 @pytest.mark.parametrize("gamma", ["100", "300"])

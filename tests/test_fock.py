@@ -72,6 +72,22 @@ def test_two_mode_kron_structure():
     assert np.allclose(op.matrix, manual)
 
 
+@pytest.mark.parametrize("cutoff", [6, 12, 16])
+def test_ladder_specs_match_textbook_kron_formulas(cutoff):
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    eye = np.eye(cutoff)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    adag1, adag2 = np.kron(a.T, eye), np.kron(eye, a.T)
+    s = np.sqrt(2.0)
+    textbook = {
+        "a": a, "adag": a.T, "a1": a1, "a2": a2, "adag1": adag1, "adag2": adag2,
+        "A1": (a1 - adag2) / s, "A2": (a2 - adag1) / s,
+        "B1": (adag1 + a2) / s, "B2": (a1 + adag2) / s,
+    }
+    for name, matrix in textbook.items():
+        assert np.array_equal(build_fock(name, cutoff).matrix, matrix), name
+
+
 def test_squeeze_generator_symmetric_real():
     x = _single_mode("X_squeeze", 6).matrix
     assert np.allclose(x, x.T)
@@ -204,12 +220,12 @@ def _traced_peak(fn) -> int:
 def test_interior_checks_never_form_a_full_two_mode_product():
     # At cutoff N a full two-mode product is a complex N^2 x N^2 matrix of
     # 16 N^4 bytes; the restricted products X[S] @ Y[:, S] are interior-sized.
-    # The Hamiltonian check holds its six float64 ladder matrices (8 N^4 bytes
-    # each) and small blocks, so eight such matrices bound it; the commutator
-    # checks, with their operators built beforehand, stay below one complex
-    # two-mode matrix.
+    # The Hamiltonian check forms a1 and a2 (8 N^4 bytes each) once, and then
+    # only blocks on the interior and its one-step shell, so six float64
+    # two-mode matrices bound it; the commutator checks, with their operators
+    # built beforehand, stay below one complex two-mode matrix.
     peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16, 14))
-    assert peak < 8 * (8 * 16**4), peak
+    assert peak < 6 * (8 * 16**4), peak
     names = ("A1", "A2", "B1", "B2")
     fock = {n: build_fock(n, 12) for n in names}
     peak = _traced_peak(lambda: [
