@@ -1,70 +1,61 @@
 """Exact and numerical verification toolkit for the two-oscillator model of
 the damped harmonic oscillator: pseudo-bosonic operator algebra over
 Q(sqrt2, i), vacuum existence analysis, truncated Fock-space experiments,
-divergent-series certification, and the classical Hamiltonian layer."""
+divergent-series certification, and the classical Hamiltonian layer.
 
-from .classical import (
-    BatemanParams,
-    EomResiduals,
-    HamiltonianConsistency,
-    IntegrationError,
-    PhaseState,
-    Trajectory,
-    eom_residual,
-    hamiltonian_consistency,
-    hamiltonian_mixed,
-    hamiltonian_rotated,
-    integrate_eom,
-    rotate,
-    trajectory_csv,
-)
-from .field import Coeff, I_UNIT, INV_SQRT2, ONE, SQRT2, ZERO, rational_sqrt
-from .fock import (
-    FockOp,
-    NullExperimentReport,
-    SqueezeReport,
-    build_fock,
-    commutator_residual,
-    hamiltonian_equiv_residual,
-    interior_indices,
-    joint_null_experiment,
-    squeeze_factored_action,
-    squeeze_truncated_norms,
-)
-from .operators import (
-    LinDiffOp,
-    PolyGauss,
-    commutator,
-    hamiltonian_build,
-    make_ladder,
-    make_pseudo,
-    op_adjoint,
-    op_apply,
-    op_compose,
-)
-from .radicals import SqrtRational, factorial_sqrt, squarefree_decompose
-from .series import (
-    GrowthReport,
-    RaabeReport,
-    SeriesTerms,
-    partial_sum_growth,
-    raabe_test,
-    squeeze_norm_series,
-    term_norm2,
-)
-from .vacuum import (
-    AnsatzReport,
-    DeltaDist,
-    DistributionalCheckReport,
-    MultiplierCert,
-    QuadratureError,
-    delta_pair,
-    distributional_vacuum_check,
-    gaussian_ansatz_solve,
-    multiplier_reduction,
-)
+The names below are imported from their submodule on first use (PEP 562), so
+the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``) loads
+without the numpy-based ``fock`` and ``series`` layers."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "classical": (
+            "BatemanParams", "EomResiduals", "HamiltonianConsistency", "IntegrationError",
+            "PhaseState", "Trajectory", "eom_residual", "hamiltonian_consistency",
+            "hamiltonian_mixed", "hamiltonian_rotated", "integrate_eom", "rotate",
+            "trajectory_csv",
+        ),
+        "field": ("Coeff", "I_UNIT", "INV_SQRT2", "ONE", "SQRT2", "ZERO", "rational_sqrt"),
+        "fock": (
+            "FockOp", "NullExperimentReport", "SqueezeReport", "build_fock",
+            "commutator_residual", "hamiltonian_equiv_residual", "interior_indices",
+            "joint_null_experiment", "squeeze_factored_action", "squeeze_truncated_norms",
+        ),
+        "operators": (
+            "LinDiffOp", "PolyGauss", "commutator", "hamiltonian_build", "make_ladder",
+            "make_pseudo", "op_adjoint", "op_apply", "op_compose",
+        ),
+        "radicals": ("SqrtRational", "factorial_sqrt", "squarefree_decompose"),
+        "series": (
+            "GrowthReport", "RaabeReport", "SeriesTerms", "partial_sum_growth", "raabe_test",
+            "squeeze_norm_series", "term_norm2",
+        ),
+        "vacuum": (
+            "AnsatzReport", "DeltaDist", "DistributionalCheckReport", "MultiplierCert",
+            "QuadratureError", "delta_pair", "distributional_vacuum_check",
+            "gaussian_ansatz_solve", "multiplier_reduction",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __all__ = [
     "BatemanParams",

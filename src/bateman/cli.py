@@ -17,7 +17,7 @@ for a report-only entry.
 
 Exit status: 0 when no pass/fail check fails, 1 on any failure, 2 on
 configuration errors.  Reports are byte-deterministic for a fixed
-configuration.
+configuration and BLAS thread count.
 """
 
 from __future__ import annotations

@@ -1,16 +1,30 @@
-"""Lint-style check: the floating-point Fock engine imports nothing from the
-exact symbolic engine.
+"""Import-graph checks between the floating-point and the exact engines.
 
-The Fock matrices and the exact operators are cross-checked against each
-other, which proves something only while neither side is derived from the
-other.  The Hermite map that joins them lives in ``tests/hermite.py``.
+One direction is lint-style: the Fock engine imports nothing from the exact
+symbolic engine.  The Fock matrices and the exact operators are cross-checked
+against each other, which proves something only while neither side is derived
+from the other.  The Hermite map that joins them lives in ``tests/hermite.py``.
+
+The other direction runs fresh interpreters: importing the exact layer, and
+running the README's library example, leaves numpy's code unrun, while
+``import bateman.cli`` still loads every layer the benchmark tracer looks up
+in ``sys.modules``.  ``classical`` loads numpy lazily when it is imported
+first, and gives the same results that way.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bateman"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bateman"
 EXACT_MODULES = {"field", "operators", "vacuum", "series"}
+# numpy's own code has run once any of its submodules is loaded; ``"numpy" in
+# sys.modules`` alone is no test, since a lazily loaded numpy sits there unrun.
+NUMPY_RAN = "any(m.startswith('numpy.') for m in sys.modules)"
 
 
 def imported_modules(source: str) -> set[str]:
@@ -46,3 +60,76 @@ def test_import_check_sees_every_spelling():
         "from bateman.series import raabe_test\n"
     )
     assert imported_modules(source) == {"field", "operators", "radicals", "vacuum", "series"}
+
+
+def run_fresh(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter with ``src`` on the path."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.splitlines()
+
+
+def readme_library_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+
+
+def test_exact_layer_imports_leave_numpy_unrun():
+    code = f"import sys; from bateman import classical, field, operators, radicals, vacuum; print({NUMPY_RAN})"
+    assert run_fresh(code) == ["False"]
+
+
+def test_readme_library_example_leaves_numpy_unrun():
+    example = readme_library_example()
+    assert "BatemanParams" in example and "gaussian_ansatz_solve" in example
+    lines = run_fresh(f"import sys\n{example}\nprint({NUMPY_RAN})")
+    assert lines[-1] == "False"
+    assert "False" in lines[:-1]  # the example ran: ``report.solvable`` printed
+
+
+def test_cli_import_loads_every_traced_layer():
+    # perfbench/tracer.py finds each layer of its SPANNED table in sys.modules
+    # after ``import bateman.cli``
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import SPANNED\n"
+        "import bateman.cli\n"
+        "print(len(SPANNED), sorted(layer for layer in SPANNED if f'bateman.{layer}' not in sys.modules))"
+    )
+    count, missing = run_fresh(code)[0].split(" ", 1)
+    assert int(count) >= 8 and missing == "[]"
+
+
+# The default run's classical outputs, printed exactly: digests of the arrays
+# and the CSV, reprs of the float results.  ``{prelude}`` runs first.
+CLASSICAL_OUTPUTS = f"""\
+import sys
+{{prelude}}
+from bateman.classical import (
+    BatemanParams, PhaseState, eom_residual, hamiltonian_consistency, integrate_eom,
+    trajectory_csv,
+)
+import hashlib
+from fractions import Fraction
+print({NUMPY_RAN})
+p = BatemanParams.from_omega(1, Fraction(1, 5), 1)
+traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0, 1e-3)
+print(hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest())
+print(repr(hamiltonian_consistency(traj, p)))
+print(repr(eom_residual(traj, p)))
+print(hashlib.sha256(trajectory_csv(traj).encode()).hexdigest())
+"""
+
+
+def test_deferred_numpy_gives_the_same_results():
+    # ``python -m bateman.cli`` always loads numpy before ``classical``; here
+    # one process imports ``classical`` alone, so its numpy is loaded lazily
+    lazy, eager = (run_fresh(CLASSICAL_OUTPUTS.format(prelude=prelude))
+                   for prelude in ("", "import numpy"))
+    assert (lazy[0], eager[0]) == ("False", "True")
+    assert len(lazy) == 5 and lazy[1:] == eager[1:]
