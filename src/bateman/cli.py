@@ -26,7 +26,7 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -49,11 +49,12 @@ from .classical import (
 )
 from .field import Coeff
 from .fock import (
-    NULL_CUTOFF_LIMIT,
+    DEFAULT_THETA,
     NullExperimentReport,
     SqueezeReport,
     build_fock,
     check_cutoffs,
+    check_null_range,
     check_squeeze_range,
     commutator_residual,
     hamiltonian_equiv_residual,
@@ -76,10 +77,10 @@ from .operators import (
 from .radicals import factorial_sqrt
 from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
-    RAABE_KMAX_LIMIT,
     SQUEEZE_SUM_EXPONENT,
     RaabeReport,
     SeriesTerms,
+    check_kmax,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
@@ -752,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--theta",
             type=_finite_float,
-            default=7 * math.pi / 8,
+            default=DEFAULT_THETA,
             help="squeeze exponent parameter (default 7*pi/8)",
         )
         p.add_argument(
@@ -778,31 +779,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's configuration; raises ValueError for one no run accepts."""
-    if args.kmax < 10:
-        raise ValueError("--kmax below 10 cannot support the ratio-test protocol")
-    if args.kmax > RAABE_KMAX_LIMIT:
-        raise ValueError(f"--kmax above {RAABE_KMAX_LIMIT} is not supported")
+    check_kmax(args.kmax)
     if args.subcommand in ("vacuum", "all"):
-        if (args.cutoffs or DEFAULT_NULL_CUTOFFS)[-1] > NULL_CUTOFF_LIMIT:
-            raise ValueError(f"the null sweep takes cutoffs up to {NULL_CUTOFF_LIMIT}")
+        check_null_range((args.cutoffs or DEFAULT_NULL_CUTOFFS)[-1])
     if args.subcommand in ("squeeze", "all"):
         check_squeeze_range(args.theta, (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1])
-    omega = args.omega
-    if omega is None and args.k_spring is None:
-        omega = Fraction(1)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        m=args.m,
-        gamma=args.gamma,
-        omega=omega,
-        k_spring=args.k_spring,
-        theta=args.theta,
-        cutoffs=args.cutoffs,
-        kmax=args.kmax,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    cfg = RunConfig(**vars(args))
+    if cfg.omega is None and cfg.k_spring is None:
+        cfg = replace(cfg, omega=Fraction(1))
     resolve_params(cfg)  # every subcommand rejects parameters the model rejects
     return cfg
 

@@ -44,15 +44,22 @@ import numpy as np
 from .radicals import SqrtRational
 
 SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
+DEFAULT_THETA = 7 * math.pi / 8  # the squeeze exponent parameter of the reference setup
 # The largest cutoff and |theta| * cutoff at which the squeeze norms are
 # certified: the mpmath references pinned in the tests reach cutoff 1024 at
-# the default theta 7 pi / 8, and no larger product of the two is checked.
+# the default theta, and no larger product of the two is checked.
 SQUEEZE_CUTOFF_LIMIT = 1024
-SQUEEZE_SCALE_LIMIT = 7 * math.pi / 8 * SQUEEZE_CUTOFF_LIMIT
+SQUEEZE_SCALE_LIMIT = DEFAULT_THETA * SQUEEZE_CUTOFF_LIMIT
 # The largest cutoff of the null sweep, for a budget of about a minute per
 # cutoff: both families at one cutoff took 1.0 s at N = 300, 5.5 s at 500,
 # 27 s at 800 and 64 s at 1024 on 2 vCPUs; 2048 ran past 60 s unfinished.
 NULL_CUTOFF_LIMIT = 1024
+
+
+def check_null_range(cutoff: int) -> None:
+    """Raise ValueError unless the null sweep's largest cutoff is within its budget."""
+    if cutoff > NULL_CUTOFF_LIMIT:
+        raise ValueError(f"the null sweep takes cutoffs up to {NULL_CUTOFF_LIMIT}")
 
 
 def check_cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
@@ -276,6 +283,7 @@ def joint_null_experiment(
     singular vector of the first sector (in increasing d) that attains it.
     """
     cutoffs = check_cutoffs(cutoffs)
+    check_null_range(cutoffs[-1])
     if family not in _LOWERING_PAIRS:
         raise ValueError(f"unknown family {family!r}")
     alpha, beta = _LOWERING_PAIRS[family]

@@ -1,15 +1,15 @@
 """Machine-readable run reports: configuration, verdicts, serialization.
 
-Reports are deterministic: identical configuration produces byte-identical
-JSON (sorted keys, repr-based floats, no timestamps).  Pass/fail status is
-reserved for exact or toleranced claims; exploratory cutoff sweeps are
-emitted as report-only entries.
+Reports are deterministic: identical configuration and BLAS thread count
+produce byte-identical JSON (sorted keys, repr-based floats, no
+timestamps).  Pass/fail status is reserved for exact or toleranced claims;
+exploratory cutoff sweeps are emitted as report-only entries.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Literal, Sequence
@@ -39,8 +39,9 @@ class VerdictReport:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved CLI configuration; defaults reproduce the reference setup
-    (m = 1, gamma = 1/5, omega = 1, theta = 7 pi / 8, tolerance 1e-10)."""
+    """Resolved CLI configuration, one field per parser destination; defaults
+    reproduce the reference setup (m = 1, gamma = 1/5, omega = 1,
+    theta = 7 pi / 8, tolerance 1e-10)."""
 
     subcommand: str
     m: Fraction
@@ -55,17 +56,11 @@ class RunConfig:
     fmt: Literal["json", "csv", "both"]
 
     def to_jsonable(self) -> dict[str, Any]:
+        """Every field but ``out``, with ``fmt`` written as ``format``."""
         return {
-            "subcommand": self.subcommand,
-            "m": str(self.m),
-            "gamma": str(self.gamma),
-            "omega": None if self.omega is None else str(self.omega),
-            "k_spring": None if self.k_spring is None else str(self.k_spring),
-            "theta": self.theta,
-            "cutoffs": None if self.cutoffs is None else list(self.cutoffs),
-            "kmax": self.kmax,
-            "tol": self.tol,
-            "format": self.fmt,
+            "format" if f.name == "fmt" else f.name: jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "out"
         }
 
 

@@ -170,15 +170,19 @@ class RaabeReport:
 RAABE_KMAX_LIMIT = 10**4
 
 
+def check_kmax(kmax: int) -> None:
+    """Raise ValueError unless the ratio-test depth satisfies
+    10 <= kmax <= RAABE_KMAX_LIMIT."""
+    if not 10 <= kmax <= RAABE_KMAX_LIMIT:
+        raise ValueError(f"kmax must be between 10 and {RAABE_KMAX_LIMIT}")
+
+
 def raabe_test(series: SeriesTerms, kmax: int) -> RaabeReport:
-    """Exact ratio test over k = 1..kmax, for 10 <= kmax <= RAABE_KMAX_LIMIT.
+    """Exact ratio test over k = 1..kmax, for the kmax that ``check_kmax`` accepts.
 
     Raises ValueError if any encountered term is not strictly positive.
     """
-    if kmax < 10:
-        raise ValueError("kmax must be at least 10")
-    if kmax > RAABE_KMAX_LIMIT:
-        raise ValueError(f"kmax must be at most {RAABE_KMAX_LIMIT}")
+    check_kmax(kmax)
     k0 = series.k_start
     if k0 not in (0, 1):
         raise ValueError("ratio test expects a series starting at k = 0 or 1")

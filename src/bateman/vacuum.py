@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .field import Coeff, HALF, ONE, ZERO
 from .operators import (
@@ -76,6 +76,14 @@ def _eliminate(
     original row indices combining to 0 = nonzero, or None when consistent.
     Rows are given as sparse dicts column -> Coeff; consts holds the
     right-hand sides, so each row reads  sum_j row[j] u_j = const.
+
+    The inconsistent rows are a minimal inconsistent subset.  Each combo is
+    supported on its own row and the pivot rows, whose original rows are
+    linearly independent (each reduces to its own pivot column), and
+    ``poly_add_term`` keeps only nonzero weights.
+    So the zero row's combo is, up to scale, the only dependency among the
+    rows it uses, and it weights every one of them: dropping any row leaves
+    rows of full rank, which are consistent.
     """
     work = [dict(r) for r in rows]
     rhs = list(consts)
@@ -214,13 +222,12 @@ def gaussian_ansatz_solve(ops: Sequence[LinDiffOp]) -> AnsatzReport:
 
     solved, bad = _eliminate(rows, consts, len(unknowns))
     if bad is not None:
-        bad_set = _minimize_inconsistent(rows, consts, len(unknowns), bad)
         return AnsatzReport(
             solvable=False,
             nvars=nvars,
             witness_quad=None,
             witness_lin=None,
-            inconsistency=tuple(equations[i] for i in bad_set),
+            inconsistency=tuple(equations[i] for i in bad),
             equations=equations,
         )
 
@@ -247,26 +254,6 @@ def gaussian_ansatz_solve(ops: Sequence[LinDiffOp]) -> AnsatzReport:
         if not op_apply(op, psi).is_zero():
             raise AssertionError("internal error: ansatz witness fails re-verification")
     return report
-
-
-def _minimize_inconsistent(
-    rows: list[dict[int, Coeff]], consts: list[Coeff], ncols: int, seed: Iterable[int]
-) -> list[int]:
-    """Greedy minimization of an inconsistent equation subset."""
-    current = list(seed)
-    changed = True
-    while changed:
-        changed = False
-        for drop in list(current):
-            trial = [i for i in current if i != drop]
-            if not trial:
-                continue
-            _, bad = _eliminate([rows[i] for i in trial], [consts[i] for i in trial], ncols)
-            if bad is not None:
-                current = trial
-                changed = True
-                break
-    return sorted(current)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import bateman
@@ -87,7 +88,6 @@ def _reject_constant(name):
 
 def test_squeeze_report_strict_json_past_float_range(tmp_path):
     # at cutoff 512 the truncated norm and amplitude gaps exceed the float range
-    jsonschema = pytest.importorskip("jsonschema")
     code = run_cli(["squeeze", "--out", str(tmp_path), "--cutoffs", "16,512", "--kmax", "10"])
     assert code == 0
     doc = json.loads(
@@ -190,7 +190,6 @@ def test_low_kmax_rejected_by_protocol():
 
 
 def test_report_validates_against_schema(tmp_path):
-    jsonschema = pytest.importorskip("jsonschema")
     assert run_cli(["commutators", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "report_commutators.json").read_text())
     schema = json.loads(SCHEMA_PATH.read_text())

@@ -10,9 +10,11 @@ import pytest
 import scipy.linalg
 import scipy.special
 
+import bateman.fock
 from bateman.classical import BatemanParams
 from bateman.field import Coeff
 from bateman.fock import (
+    NULL_CUTOFF_LIMIT,
     SIGMA_FLOOR_RATIO,
     SQUEEZE_CUTOFF_LIMIT,
     SQUEEZE_SCALE_LIMIT,
@@ -367,6 +369,16 @@ def test_null_experiment_validation():
         joint_null_experiment([4, 8], "pseudo")
     with pytest.raises(ValueError):
         joint_null_experiment([8, 12], "fermionic")
+
+
+def test_null_experiment_rejects_cutoffs_past_its_limit(monkeypatch):
+    # the ceiling holds in the library too, before any sector SVD runs
+    def sentinel(*args):
+        raise AssertionError("a sector block was built before the ceiling was checked")
+
+    monkeypatch.setattr(bateman.fock, "_sector_block", sentinel)
+    with pytest.raises(ValueError, match=str(NULL_CUTOFF_LIMIT)):
+        joint_null_experiment([8, NULL_CUTOFF_LIMIT + 1])
 
 
 def test_null_experiment_csv_shape():

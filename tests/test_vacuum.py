@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bateman.field import Coeff, I_UNIT, ONE
+from bateman.field import Coeff, I_UNIT, ONE, ZERO
 from bateman.operators import (
     LinDiffOp,
     PolyGauss,
@@ -17,6 +17,7 @@ from bateman.operators import (
 from bateman.vacuum import (
     DeltaDist,
     QuadratureError,
+    _eliminate,
     delta_pair,
     distributional_vacuum_check,
     gaussian_ansatz_solve,
@@ -63,10 +64,76 @@ def test_ansatz_adjoint_raising_pair_unsolvable():
     assert report.inconsistency
 
 
+def _rank(matrix: list[list[Coeff]]) -> int:
+    """Rank by dense row reduction with row exchanges, written apart from
+    the solver's sparse elimination so that it can judge it."""
+    rows = [list(r) for r in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _consistent(equations) -> bool:
+    """Rouche-Capelli: the equations (sparse row, rhs) are solvable iff
+    rank A == rank [A | b]."""
+    cols = sorted({c for row, _ in equations for c in row})
+    a = [[row.get(c, ZERO) for c in cols] for row, _ in equations]
+    return _rank(a) == _rank([r + [rhs] for r, (_, rhs) in zip(a, equations)])
+
+
+def _assert_minimal_inconsistent(equations):
+    assert not _consistent(equations)
+    for drop in range(len(equations)):
+        assert _consistent(equations[:drop] + equations[drop + 1 :])
+
+
 def test_ansatz_minimal_subset_is_minimal():
-    report = gaussian_ansatz_solve(list(pseudo_pair()))
+    reports = [gaussian_ansatz_solve(list(f)) for f in (pseudo_pair(), adjoint_raising_pair())]
+    assert len(reports[0].inconsistency) == 2
     # dropping any single equation from the reported subset restores consistency
-    assert len(report.inconsistency) == 2
+    for report in reports:
+        _assert_minimal_inconsistent([(dict(eq.coeffs), eq.rhs) for eq in report.inconsistency])
+
+
+@st.composite
+def planted_systems(draw):
+    """A sparse system over Q(sqrt2, i) whose later rows are combinations of
+    earlier ones, each rhs either following its combination or not, in a
+    shuffled order: (rows, consts, ncols)."""
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    entries = st.one_of(st.just(ZERO), coeffs(allow_zero=False))
+    mostly_nonzero = st.one_of(entries, coeffs())
+    dense, consts = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        dense.append([draw(mostly_nonzero) for _ in range(ncols)])
+        consts.append(draw(coeffs()))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        weights = [draw(mostly_nonzero) for _ in dense]
+        dense.append([sum((w * r[j] for w, r in zip(weights, dense)), ZERO) for j in range(ncols)])
+        consts.append(sum((w * b for w, b in zip(weights, consts)), draw(entries)))
+    order = draw(st.permutations(range(len(dense))))
+    rows = [{j: v for j, v in enumerate(dense[i]) if not v.is_zero()} for i in order]
+    return rows, [consts[i] for i in order], ncols
+
+
+@given(planted_systems())
+@settings(max_examples=150, deadline=None)
+def test_eliminate_reports_a_minimal_inconsistent_subset(system):
+    rows, consts, ncols = system
+    _, bad = _eliminate(rows, consts, ncols)
+    equations = list(zip(rows, consts))
+    assert (bad is None) == _consistent(equations)
+    if bad is not None:
+        _assert_minimal_inconsistent([equations[i] for i in bad])
 
 
 def test_ansatz_underdetermined_family():
