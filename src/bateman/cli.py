@@ -679,16 +679,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -762,9 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="comma-separated increasing cutoffs for the sweeps",
         )
-        p.add_argument(
-            "--kmax", type=_positive_int, default=1000, help="ratio-test depth (positive)"
-        )
+        p.add_argument("--kmax", type=int, default=1000, help="ratio-test depth")
         p.add_argument("--tol", type=_positive_float, default=1e-10, help="residual tolerance")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument(

@@ -10,16 +10,21 @@ A value is stored as four integer numerators over one positive integer
 denominator, (_a + _b sqrt2 + i (_c + _d sqrt2)) / _n, in canonical form:
 gcd(_a, _b, _c, _d, _n) == 1 and zero is (0, 0, 0, 0, 1).  So equality and
 hashing are componentwise, and every operation is integer arithmetic
-followed by one normalisation (``_canonical``).
+followed by one normalisation (``_canonical``).  Sums of many products,
+as in the operator calculus, can stay on integer numerators over one common
+denominator (``over_common_denominator``, ``mul_numerators``) and normalise
+once per result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt as _float_sqrt
-from typing import Union
+from typing import Iterable, Union
 
 RatLike = Union[int, Fraction]
+# The integer numerators (a, b, c, d) of (a + b sqrt2 + i (c + d sqrt2)) / n.
+Numerators = tuple[int, int, int, int]
 
 _SQRT2_FLOAT = _float_sqrt(2.0)
 
@@ -82,6 +87,45 @@ def _canonical(a: int, b: int, c: int, d: int, n: int) -> Coeff:
             d >>= shift
             n >>= shift
     return _new(a, b, c, d, n)
+
+
+def mul_numerators(
+    a1: int, b1: int, c1: int, d1: int, a2: int, b2: int, c2: int, d2: int
+) -> Numerators:
+    """Numerators of (a1 + b1 sqrt2 + i (c1 + d1 sqrt2)) (a2 + b2 sqrt2 + i (c2 + d2 sqrt2)).
+
+    The product of two values is this over the product of their denominators.
+    """
+    # Short paths give the same value as the general product: every term
+    # they drop has a zero factor.
+    if not (b1 or c1 or d1):  # rational times anything
+        return a1 * a2, a1 * b2, a1 * c2, a1 * d2
+    if not (b2 or c2 or d2):
+        return a1 * a2, b1 * a2, c1 * a2, d1 * a2
+    if not (c1 or d1 or c2 or d2):  # real times real
+        return a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, 0, 0
+    # (u1 + i v1)(u2 + i v2) with u, v in Q(sqrt2); sqrt2*sqrt2 -> 2.
+    return (
+        a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def over_common_denominator(values: Iterable[Coeff]) -> tuple[list[Numerators], int]:
+    """The numerators of each value over the lcm of their denominators, and that lcm.
+
+    Sums and products of such numerators are exact integer arithmetic; a
+    result goes back to a Coeff through one ``_canonical`` call.
+    """
+    values = list(values)
+    n = lcm(*(v._n for v in values))
+    out = []
+    for v in values:
+        s = n // v._n
+        out.append((v._a * s, v._b * s, v._c * s, v._d * s))
+    return out, n
 
 
 def _operand(x: object) -> Coeff | None:
@@ -224,24 +268,9 @@ class Coeff:
         o = _operand(other)
         if o is None:
             return NotImplemented
-        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
-        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
-        n = self._n * o._n
-        # Short paths give the same value as the general product: every
-        # term they drop has a zero factor.
-        if not (b1 or c1 or d1):  # rational times anything
-            return _canonical(a1 * a2, a1 * b2, a1 * c2, a1 * d2, n)
-        if not (b2 or c2 or d2):
-            return _canonical(a1 * a2, b1 * a2, c1 * a2, d1 * a2, n)
-        if not (c1 or d1 or c2 or d2):  # real times real
-            return _canonical(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, 0, 0, n)
-        # (u1 + i v1)(u2 + i v2) with u, v in Q(sqrt2); sqrt2*sqrt2 -> 2.
         return _canonical(
-            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            n,
+            *mul_numerators(self._a, self._b, self._c, self._d, o._a, o._b, o._c, o._d),
+            self._n * o._n,
         )
 
     __rmul__ = __mul__

@@ -18,10 +18,21 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
-from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, TypeVar
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, TypeVar
 
-from .field import Coeff, INV_SQRT2, ONE, ZERO
+from .field import (
+    Coeff,
+    INV_SQRT2,
+    ONE,
+    ZERO,
+    Numerators,
+    _canonical,
+    mul_numerators,
+    over_common_denominator,
+)
 
 if TYPE_CHECKING:
     from .classical import BatemanParams
@@ -42,11 +53,11 @@ def _unit_index(k: int, nvars: int) -> MultiIndex:
 
 
 def _add_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub_indices(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_str(alpha: MultiIndex, var: str = "x") -> str:
@@ -66,9 +77,12 @@ def monomial_str(alpha: MultiIndex, var: str = "x") -> str:
 def poly_add_term(poly: dict[Key, Coeff], key: Key, coeff: Coeff) -> None:
     """Add coeff into the sparse map at key, dropping a zero result.
 
-    Every sum into a sparse map of coefficients in the exact layer goes
-    through this update, so no map stores a zero and map equality is value
-    equality.
+    This is the one no-zero rule of the exact layer: every sum into a sparse
+    map of coefficients follows it, so no map stores a zero and map equality
+    is value equality.  Sums of ``Coeff`` values go through this update; the
+    kernels ``op_apply``, ``op_compose`` and ``op_adjoint`` sum integer
+    numerators over one denominator with ``_add_numerators``, which applies
+    the same rule, so their terms come out in the order this update gives.
     """
     cur = poly.get(key)
     new = coeff if cur is None else cur + coeff
@@ -244,22 +258,6 @@ class PolyGauss:
     def mul_x(self, k: int) -> PolyGauss:
         ek = _unit_index(k, self.nvars)
         return self._with_poly({_add_indices(i, ek): c for i, c in self.poly.items()})
-
-    def diff(self, k: int) -> PolyGauss:
-        """d/dx_k of P e^Q = (dP + P dQ) e^Q, with dQ_k = t_k - (S x)_k."""
-        ek = _unit_index(k, self.nvars)
-        t = self.lin[k]
-        # x_j P picks up -S[k][j]; only the nonzero entries contribute
-        srow = [(_unit_index(j, self.nvars), -s) for j, s in enumerate(self.quad[k]) if s]
-        out: PolyDict = {}
-        for idx, c in self.poly.items():
-            if idx[k] > 0:
-                poly_add_term(out, _sub_indices(idx, ek), c * idx[k])
-            if t:
-                poly_add_term(out, idx, c * t)
-            for ej, neg_s in srow:
-                poly_add_term(out, _add_indices(idx, ej), c * neg_s)
-        return self._with_poly(out)
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -527,37 +525,95 @@ class LinDiffOp:
 # the calculus
 # ---------------------------------------------------------------------------
 
-def _exchange(beta: MultiIndex, alpha: MultiIndex) -> Iterator[tuple[MultiIndex, int]]:
-    """Normal-order d^beta x^alpha: yields (j, m) with term m * x^(alpha-j) d^(beta-j).
+def _add_numerators(acc: dict[Key, Numerators], key: Key, nums: Numerators) -> None:
+    """``poly_add_term`` on numerators over one common denominator.
+
+    The running sum at key drops out when it is zero, as a zero Coeff does,
+    so the keys of acc come in the order ``poly_add_term`` would leave them.
+    """
+    cur = acc.get(key)
+    if cur is not None:
+        nums = (cur[0] + nums[0], cur[1] + nums[1], cur[2] + nums[2], cur[3] + nums[3])
+    if nums != (0, 0, 0, 0):
+        acc[key] = nums
+    else:
+        acc.pop(key, None)
+
+
+def _reduced(acc: dict[Key, Numerators], denominator: int) -> dict[Key, Coeff]:
+    """Each accumulated sum as a Coeff: one reduction per output term."""
+    return {key: _canonical(a, b, c, d, denominator) for key, (a, b, c, d) in acc.items()}
+
+
+@lru_cache(maxsize=4096)  # bounded: a long-lived caller may meet ever higher orders
+def _exchange(beta: MultiIndex, alpha: MultiIndex) -> tuple[tuple[TermKey, int], ...]:
+    """Normal-order d^beta x^alpha: pairs ((alpha - j, beta - j), m), one per
+    term m * x^(alpha-j) d^(beta-j).
 
     Componentwise this is the resolved Leibniz exchange d x = x d + 1:
-    d^b x^a = sum_j C(b,j) C(a,j) j! x^(a-j) d^(b-j).
+    d^b x^a = sum_j C(b,j) C(a,j) j! x^(a-j) d^(b-j).  The table depends on
+    (beta, alpha) alone, so it is built once per pair.
     """
     ranges = [range(min(b, a) + 1) for b, a in zip(beta, alpha)]
-    for j in _cartesian(*ranges):
-        m = 1
-        for b, a, ji in zip(beta, alpha, j):
-            m *= math.comb(b, ji) * math.comb(a, ji) * math.factorial(ji)
-        yield j, m
+    return tuple(
+        ((_sub_indices(alpha, j), _sub_indices(beta, j)), math.prod(
+            math.comb(b, i) * math.comb(a, i) * math.factorial(i)
+            for b, a, i in zip(beta, alpha, j)
+        ))
+        for j in _cartesian(*ranges)
+    )
 
 
 def op_compose(left: LinDiffOp, right: LinDiffOp) -> LinDiffOp:
-    """Product of two operators in canonical normal order; exact."""
+    """Product of two operators in canonical normal order; exact.
+
+    Each side is brought to one common denominator, the terms accumulate as
+    integer numerators, and each output term is reduced once.
+    """
     if left.nvars != right.nvars:
         raise ValueError(
             f"operator composition: variable counts differ ({left.nvars} vs {right.nvars})"
         )
-    out: dict[TermKey, Coeff] = {}
-    for (a1, b1), c1 in left.terms.items():
-        for (a2, b2), c2 in right.terms.items():
-            c = c1 * c2
-            for j, m in _exchange(b1, a2):
-                key = (
-                    _add_indices(a1, _sub_indices(a2, j)),
-                    _add_indices(_sub_indices(b1, j), b2),
-                )
-                poly_add_term(out, key, c * m)
-    return LinDiffOp._raw(left.nvars, out)
+    lnums, ln = over_common_denominator(left.terms.values())
+    rnums, rn = over_common_denominator(right.terms.values())
+    out: dict[TermKey, Numerators] = {}
+    for (a1, b1), (la, lb, lc, ld) in zip(left.terms, lnums):
+        for (a2, b2), (ra, rb, rc, rd) in zip(right.terms, rnums):
+            pa, pb, pc, pd = mul_numerators(la, lb, lc, ld, ra, rb, rc, rd)
+            for (a, b), m in _exchange(b1, a2):
+                key = (_add_indices(a1, a), _add_indices(b, b2))
+                _add_numerators(out, key, (m * pa, m * pb, m * pc, m * pd))
+    return LinDiffOp._raw(left.nvars, _reduced(out, ln * rn))
+
+
+def _diff_numerators(
+    g: dict[int, Numerators],
+    place: int,
+    base: int,
+    lin: Numerators,
+    neg_row: list[tuple[int, Numerators]],
+    denominator: int,
+) -> dict[int, Numerators]:
+    """d/dx_k of P e^Q = (dP + P dQ) e^Q, with dQ_k = t_k - (S x)_k, on numerators.
+
+    g holds P over some G, keyed by monomial codes (see ``op_apply``), and
+    place is B^k.  lin is t_k, and neg_row the place B^j with -S[k][j] for
+    each nonzero entry, over ``denominator``.  The result is over
+    G * denominator.
+    """
+    ta, tb, tc, td = lin
+    has_lin = any(lin)
+    out: dict[int, Numerators] = {}
+    for code, (a, b, c, d) in g.items():
+        e = code // place % base
+        if e:
+            e *= denominator
+            _add_numerators(out, code - place, (a * e, b * e, c * e, d * e))
+        if has_lin:
+            _add_numerators(out, code, mul_numerators(a, b, c, d, ta, tb, tc, td))
+        for pj, (sa, sb, sc, sd) in neg_row:
+            _add_numerators(out, code + pj, mul_numerators(a, b, c, d, sa, sb, sc, sd))
+    return out
 
 
 def op_apply(op: LinDiffOp, f: PolyGauss) -> PolyGauss:
@@ -566,28 +622,67 @@ def op_apply(op: LinDiffOp, f: PolyGauss) -> PolyGauss:
     Each derivative d^beta f is computed once per call, as d_k of
     d^(beta - e_k) f with k the last mode that beta differentiates, so the
     derivatives are taken in mode order, as differentiating f mode by mode
-    takes them, and the terms come out in the same order.  Every term
-    c x^alpha d^beta f is added into one dict.
+    takes them, and the terms come out in the same order.  With N0 the
+    common denominator of f's polynomial and D that of its S and t, d^beta f
+    is kept as integer numerators over N0 * D^|beta|.  Every term
+    c x^alpha d^beta f is added into one map of numerators over one
+    denominator, and each output term is reduced once.
+
+    Inside the call a monomial x^idx is keyed by its code sum_i idx_i B^i,
+    with B above every exponent a term can reach, so multiplying by x_j or
+    x^alpha adds a code and no exponent carries into the next place.
     """
     if op.nvars != f.nvars:
         raise ValueError(
             f"operator application: variable counts differ ({op.nvars} vs {f.nvars})"
         )
-    derivs: dict[MultiIndex, PolyGauss] = {_zero_index(f.nvars): f}
+    nvars = f.nvars
+    top = max((sum(beta) for _, beta in op.terms), default=0)
+    base = 1 + top + max((e for idx in f.poly for e in idx), default=0) + max(
+        (e for alpha, _ in op.terms for e in alpha), default=0
+    )
+    places = [base**i for i in range(nvars)]
 
-    def derivative(beta: MultiIndex) -> PolyGauss:
+    def code(idx: MultiIndex) -> int:
+        return sum(e * p for e, p in zip(idx, places))
+
+    pnums, n0 = over_common_denominator(f.poly.values())
+    wnums, dw = over_common_denominator([*(s for row in f.quad for s in row), *f.lin])
+    lin = wnums[nvars * nvars:]
+    neg_rows = [
+        [
+            (places[j], (-a, -b, -c, -d))
+            for j, (a, b, c, d) in enumerate(wnums[k * nvars:(k + 1) * nvars])
+            if a or b or c or d
+        ]
+        for k in range(nvars)
+    ]
+    derivs: dict[MultiIndex, dict[int, Numerators]] = {
+        _zero_index(nvars): {code(idx): v for idx, v in zip(f.poly, pnums)}
+    }
+
+    def derivative(beta: MultiIndex) -> dict[int, Numerators]:
         g = derivs.get(beta)
         if g is None:
             k = max(i for i, b in enumerate(beta) if b)
-            g = derivative(_sub_indices(beta, _unit_index(k, f.nvars))).diff(k)
+            lower = derivative(_sub_indices(beta, _unit_index(k, nvars)))
+            g = _diff_numerators(lower, places[k], base, lin[k], neg_rows[k], dw)
             derivs[beta] = g
         return g
 
-    out: PolyDict = {}
-    for (alpha, beta), c in op.terms.items():
-        for idx, v in derivative(beta).poly.items():
-            poly_add_term(out, _add_indices(idx, alpha), v * c)
-    return f._with_poly(out)
+    cnums, nc = over_common_denominator(op.terms.values())
+    out: dict[int, Numerators] = {}
+    for (alpha, beta), (a, b, c, d) in zip(op.terms, cnums):
+        # d^beta f is over N0 D^|beta|: every product is brought to N0 D^top nc
+        lift = dw ** (top - sum(beta))
+        a, b, c, d = a * lift, b * lift, c * lift, d * lift
+        shift = code(alpha)
+        for key, (va, vb, vc, vd) in derivative(beta).items():
+            _add_numerators(out, key + shift, mul_numerators(va, vb, vc, vd, a, b, c, d))
+    reduced = _reduced(out, n0 * dw**top * nc)
+    return f._with_poly(
+        {tuple(key // p % base for p in places): v for key, v in reduced.items()}
+    )
 
 
 def commutator(x: LinDiffOp, y: LinDiffOp) -> LinDiffOp:
@@ -598,15 +693,17 @@ def op_adjoint(op: LinDiffOp) -> LinDiffOp:
     """Formal L2 adjoint: x_k -> x_k, d_k -> -d_k, scalars conjugated.
 
     (x^a d^b)^dagger = (-1)^|b| d^b x^a, then normal-ordered; involutive.
+    The terms accumulate as integer numerators over one common denominator.
     """
-    out: dict[TermKey, Coeff] = {}
-    for (alpha, beta), c in op.terms.items():
+    nums, n = over_common_denominator(op.terms.values())
+    out: dict[TermKey, Numerators] = {}
+    for (alpha, beta), (a, b, c, d) in zip(op.terms, nums):
         sign = -1 if sum(beta) % 2 else 1
-        cc = c.conjugate() * sign
-        for j, m in _exchange(beta, alpha):
-            key = (_sub_indices(alpha, j), _sub_indices(beta, j))
-            poly_add_term(out, key, cc * m)
-    return LinDiffOp._raw(op.nvars, out)
+        for key, m in _exchange(beta, alpha):
+            sm = sign * m
+            # the conjugate negates the imaginary numerators
+            _add_numerators(out, key, (sm * a, sm * b, -sm * c, -sm * d))
+    return LinDiffOp._raw(op.nvars, _reduced(out, n))
 
 
 # ---------------------------------------------------------------------------

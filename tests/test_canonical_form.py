@@ -1,8 +1,12 @@
-"""Canonical form of the exact layer: no sparse map stores a zero.
+"""Canonical form of the exact layer: no sparse map stores a zero, and every
+coefficient the operator kernels return is reduced.
 
 Operator and function equality are dictionary equality only because every
 result keeps this form.  Each case below makes terms cancel inside one call
-for most draws, so a stored zero would show.
+for most draws, so a stored zero would show.  The kernels sum integer
+numerators over a common denominator and reduce each output term once; a
+term left unreduced would compare unequal to the same value without any
+error, so the reduction is checked directly.
 """
 
 import math
@@ -20,17 +24,15 @@ def _stores_no_zero(values) -> bool:
     return not any(c.is_zero() for c in values)
 
 
+def _all_reduced(values) -> bool:
+    """Each value's denominator is positive and its five integers share no factor."""
+    return all(c._n > 0 and math.gcd(c._a, c._b, c._c, c._d, c._n) == 1 for c in values)
+
+
 @given(lin_diff_ops(2), lin_diff_ops(2), coeffs(), poly_gausses(2))
 @settings(max_examples=40, deadline=None)
 def test_operator_results_store_no_zero(x, y, c, f):
-    results = [
-        x + y,
-        x - y,
-        x - x,
-        (x + y) - y,
-        x + c,
-        c - x,
-        x.scale(c),
+    kernel_results = [
         op_compose(x, y),
         # the leading terms of x y and y x cancel inside this one product
         op_compose(x + y, x - y),
@@ -38,10 +40,14 @@ def test_operator_results_store_no_zero(x, y, c, f):
         # the lower-order terms the inner adjoint adds cancel in the outer one
         op_adjoint(op_adjoint(x)),
     ]
+    results = [x + y, x - y, x - x, (x + y) - y, x + c, c - x, x.scale(c), *kernel_results]
     for op in results:
         assert _stores_no_zero(op.terms.values())
-    assert _stores_no_zero(op_apply(x, f).poly.values())
-    assert _stores_no_zero(op_apply(x - x, f).poly.values())
+    for op in kernel_results:
+        assert _all_reduced(op.terms.values())
+    for op in (x, x - x, op_compose(x, y)):
+        assert _stores_no_zero(op_apply(op, f).poly.values())
+        assert _all_reduced(op_apply(op, f).poly.values())
 
 
 def _power_in_hermite(n: int) -> dict[int, Fraction]:

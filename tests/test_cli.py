@@ -132,10 +132,12 @@ def test_json_reports_are_byte_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_kmax_zero_rejected():
-    with pytest.raises(SystemExit) as err:
-        run_cli(["squeeze", "--kmax", "0"])
-    assert err.value.code == 2
+def test_kmax_zero_rejected(tmp_path, capsys):
+    # series.check_kmax alone states the floor, for zero and negative depths too
+    for kmax in ("0", "-1", "9"):
+        assert run_cli(["squeeze", "--kmax", kmax, "--out", str(tmp_path)]) == 2
+        assert "configuration error: kmax must be between 10 and" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_rejected():

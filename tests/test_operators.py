@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from bateman.operators import (
     LinDiffOp,
     PolyGauss,
     _add_indices,
+    _sub_indices,
     _unit_index,
     commutator,
     hamiltonian_build,
@@ -152,6 +155,76 @@ def test_polygauss_evaluation():
     z = 0.7
     expected = (3 * z * z - 1) * cmath.exp(-0.5 * z * z + 0.5 * z)
     assert abs(f([z]) - expected) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# per-term oracles for op_compose and op_adjoint: every term is a Coeff
+# product added by poly_add_term, with the exchange table rebuilt each time
+# ---------------------------------------------------------------------------
+
+def exchange_per_term(beta, alpha):
+    """d^beta x^alpha = sum_j m x^(alpha-j) d^(beta-j), m = prod C(b,j) C(a,j) j!."""
+    for j in product(*(range(min(b, a) + 1) for b, a in zip(beta, alpha))):
+        m = 1
+        for b, a, ji in zip(beta, alpha, j):
+            m *= math.comb(b, ji) * math.comb(a, ji) * math.factorial(ji)
+        yield j, m
+
+
+def op_compose_per_term(left, right):
+    out = {}
+    for (a1, b1), c1 in left.terms.items():
+        for (a2, b2), c2 in right.terms.items():
+            c = c1 * c2
+            for j, m in exchange_per_term(b1, a2):
+                key = (_add_indices(a1, _sub_indices(a2, j)), _add_indices(_sub_indices(b1, j), b2))
+                poly_add_term(out, key, c * m)
+    return LinDiffOp(left.nvars, out)
+
+
+def op_adjoint_per_term(op):
+    out = {}
+    for (alpha, beta), c in op.terms.items():
+        cc = c.conjugate() * (-1 if sum(beta) % 2 else 1)
+        for j, m in exchange_per_term(beta, alpha):
+            poly_add_term(out, (_sub_indices(alpha, j), _sub_indices(beta, j)), cc * m)
+    return LinDiffOp(op.nvars, out)
+
+
+def assert_same_operator(got, want):
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # same term order, so same rendering
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compose_matches_per_term_oracle(data):
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    x, y = data.draw(lin_diff_ops(nvars)), data.draw(lin_diff_ops(nvars))
+    assert_same_operator(op_compose(x, y), op_compose_per_term(x, y))
+    # the leading terms of x y and y x cancel inside this one product
+    assert_same_operator(op_compose(x + y, x - y), op_compose_per_term(x + y, x - y))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_adjoint_matches_per_term_oracle(data):
+    nvars = data.draw(st.integers(min_value=1, max_value=3))
+    x = data.draw(lin_diff_ops(nvars))
+    assert_same_operator(op_adjoint(x), op_adjoint_per_term(x))
+    # the lower-order terms the inner adjoint adds cancel in the outer one
+    inner = op_adjoint_per_term(x)
+    assert_same_operator(op_adjoint(inner), op_adjoint_per_term(inner))
+
+
+def test_oracles_agree_where_terms_cancel():
+    x = LinDiffOp(1, {((1,), (0,)): 1, ((0,), (1,)): Coeff(0, H, 1, 0)})
+    y = LinDiffOp(1, {((0,), (1,)): Coeff(0, -H, -1, 0), ((2,), (1,)): 3})
+    # x + y keeps only x's position term and y's x^2 d term
+    assert len((x + y).terms) == 2
+    assert_same_operator(op_compose(x + y, x - y), op_compose_per_term(x + y, x - y))
+    assert_same_operator(op_compose(x, x - x), LinDiffOp.zero(1))
+    assert_same_operator(op_adjoint(x - x), LinDiffOp.zero(1))
 
 
 # ---------------------------------------------------------------------------
