@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 from .field import RatLike, _rat, rational_sqrt
 
@@ -321,20 +322,18 @@ def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> Hamilton
 
 
 # Rows formatted per block of trajectory_csv: the Python floats and row
-# strings of one block are alive at a time, not those of the whole trajectory.
+# strings of one block are alive at a time, and no string of the whole file.
 CSV_BLOCK_ROWS = 500
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV with columns t, x, y, p_x, p_y, H, built CSV_BLOCK_ROWS rows at a time."""
+def trajectory_csv(traj: Trajectory, out: TextIO) -> None:
+    """Write the CSV with columns t, x, y, p_x, p_y, H to ``out``, CSV_BLOCK_ROWS rows at a time."""
     energies = traj.energies()
-
-    def block(start: int) -> str:
+    out.write("t,x,y,p_x,p_y,H\n")
+    for start in range(0, len(energies), CSV_BLOCK_ROWS):
         rows = slice(start, start + CSV_BLOCK_ROWS)
         table = np.column_stack([traj.times[rows], traj.states[rows], energies[rows]])
         # Python floats: a numpy scalar's repr reads np.float64(...)
-        return "".join([
+        out.write("".join([
             f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}\n" for t, x, y, px, py, h in table.tolist()
-        ])
-
-    return "t,x,y,p_x,p_y,H\n" + "".join(map(block, range(0, len(energies), CSV_BLOCK_ROWS)))
+        ]))

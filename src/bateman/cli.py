@@ -17,7 +17,7 @@ for a report-only entry.
 
 Exit status: 0 when no pass/fail check fails, 1 on any failure, 2 on
 configuration errors.  Reports are byte-deterministic for a fixed
-configuration and BLAS thread count.
+configuration.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -105,7 +105,7 @@ FORM_GAP_TOL = 1e-10  # absolute, on the gap between the mixed and rotated energ
 DRIFT_TOL = 1e-7  # absolute, on the energy drift along the trajectory
 EOM_TOL = 1e-4  # absolute, on the equation-of-motion residuals
 
-Runner = Callable[["Artifacts"], tuple[list[VerdictReport], dict[str, str]]]
+Runner = Callable[["Artifacts"], list[VerdictReport]]
 
 
 def resolve_params(cfg: RunConfig) -> BatemanParams:
@@ -605,17 +605,20 @@ def classical_envelopes(art: Artifacts):
     }
 
 
-# The CSVs each area writes, by file name, built from the run's artifacts.
-CSVS: dict[str, dict[str, Callable[[Artifacts], str]]] = {
+# The CSVs each area writes, by file name: each writer puts its table, built
+# from the run's artifacts, into an open text file.
+CSVS: dict[str, dict[str, Callable[[Artifacts, TextIO], object]]] = {
     "vacuum": {
-        "null_experiment_pseudo.csv": lambda art: null_experiment_csv(art.null_sweeps["pseudo"]),
-        "null_experiment_bosonic.csv": lambda art: null_experiment_csv(art.null_sweeps["bosonic"]),
+        "null_experiment_pseudo.csv":
+            lambda art, out: out.write(null_experiment_csv(art.null_sweeps["pseudo"])),
+        "null_experiment_bosonic.csv":
+            lambda art, out: out.write(null_experiment_csv(art.null_sweeps["bosonic"])),
     },
     "squeeze": {
-        "squeeze_norms.csv": lambda art: squeeze_csv(art.squeeze_norms),
-        "raabe.csv": lambda art: raabe_csv(art.raabe),
+        "squeeze_norms.csv": lambda art, out: out.write(squeeze_csv(art.squeeze_norms)),
+        "raabe.csv": lambda art, out: out.write(raabe_csv(art.raabe)),
     },
-    "classical": {"trajectory.csv": lambda art: trajectory_csv(art.trajectory)},
+    "classical": {"trajectory.csv": lambda art, out: trajectory_csv(art.trajectory, out)},
 }
 
 
@@ -624,13 +627,10 @@ CSVS: dict[str, dict[str, Callable[[Artifacts], str]]] = {
 # ---------------------------------------------------------------------------
 
 def _runner(area: str) -> Runner:
-    """The runner of one area: the verdicts of its checks in report order,
-    and its CSVs when the run writes CSVs."""
+    """The runner of one area: the verdicts of its checks in report order."""
 
-    def run_area(art: Artifacts) -> tuple[list[VerdictReport], dict[str, str]]:
-        verdicts = [c.verdict(art) for c in CHECKS if c.area == area]
-        tables = CSVS.get(area, {}) if art.cfg.fmt in ("csv", "both") else {}
-        return verdicts, {name: build(art) for name, build in tables.items()}
+    def run_area(art: Artifacts) -> list[VerdictReport]:
+        return [c.verdict(art) for c in CHECKS if c.area == area]
 
     return run_area
 
@@ -644,20 +644,20 @@ RUNNERS: dict[str, Runner] = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured subcommand, write reports, return the exit code."""
+    """Execute the configured subcommand, write reports, return the exit code.
+    Every check runs before the first file is opened."""
     art = Artifacts(cfg)
-    verdicts: list[VerdictReport] = []
-    csvs: dict[str, str] = {}
-    for name in RUNNERS if cfg.subcommand == "all" else [cfg.subcommand]:
-        v, c = RUNNERS[name](art)
-        verdicts.extend(v)
-        csvs.update(c)
+    areas = list(RUNNERS) if cfg.subcommand == "all" else [cfg.subcommand]
+    verdicts = [v for area in areas for v in RUNNERS[area](art)]
 
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt in ("json", "both"):
         write_report(cfg.out / f"report_{cfg.subcommand}.json", cfg, verdicts)
-    for fname, text in csvs.items():
-        (cfg.out / fname).write_text(text)
+    if cfg.fmt in ("csv", "both"):
+        for area in areas:
+            for fname, write in CSVS.get(area, {}).items():
+                with open(cfg.out / fname, "w") as out:
+                    write(art, out)
 
     failures = [v for v in verdicts if v.status == "fail"]
     for v in verdicts:

@@ -8,9 +8,14 @@ checks always exclude the top two excitation levels by restricting to the
 interior indices, since finite ladder matrices necessarily violate the
 commutation relations at the edge.  For the coordinate projector P onto an
 index set S, P X Y P = (P X)(Y P): the restricted product is X[S] @ Y[:, S],
-so the checks never form a full two-mode product.  Each ladder factor changes
-the total excitation by one, so the Hamiltonian check takes X[S, T] @ Y[T, S]
-over the one-step shell T of S.
+so the checks never form a full two-mode product.  Both forms of H keep
+d = n1 - n2 and each ladder factor moves d and the total excitation by one,
+so the Hamiltonian check works one sector at a time: X[S, T] @ Y[T, S] for
+the interior S of sector d and the states T of sectors d +- 1 one step
+beyond it, with the blocks built from ladder coefficients.  Each sector's
+complex difference D gets its 2-norm from the real [[Re D, -Im D],
+[Im D, Re D]], which has the same singular values twice, so the check calls
+only small real BLAS and LAPACK routines.
 
 Experiments:
 
@@ -104,11 +109,20 @@ def _ladder(op_spec: str, parts: Sequence[np.ndarray]) -> np.ndarray:
     return sum(w * part for w, part in zip(weights, parts) if w) / np.sqrt(d)
 
 
-def _ladder_blocks(cutoff: int, rows: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The parts a1, a2, a1^T, a2^T restricted to [rows, inner]."""
+def _ladder_blocks(cutoff: int) -> tuple[np.ndarray, ...]:
+    """The parts a1, a2, a1^T, a2^T of the two-mode ladder family."""
     a, eye = _annihilation(cutoff), np.eye(cutoff)
     a1, a2 = np.kron(a, eye), np.kron(eye, a)
-    return tuple(m[np.ix_(rows, inner)] for m in (a1, a2, a1.T, a2.T))
+    return a1, a2, a1.T, a2.T
+
+
+def _sector_parts(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The parts a1, a2, a1^T, a2^T restricted to [rows, cols], each an (n1, n2)
+    pair of state arrays, from ladder coefficients: <n1-1, n2| a1 |n1, n2> = sqrt(n1)."""
+    (m1, m2), (n1, n2) = (n[:, None] for n in rows), cols
+    same1, same2 = m1 == n1, m2 == n2
+    return (((m1 == n1 - 1) & same2) * np.sqrt(n1), (same1 & (m2 == n2 - 1)) * np.sqrt(n2),
+            ((m1 == n1 + 1) & same2) * np.sqrt(m1), (same1 & (m2 == n2 + 1)) * np.sqrt(m2))
 
 
 def build_fock(
@@ -130,18 +144,17 @@ def build_fock(
     if op_spec in ("a", "adag"):
         a = _annihilation(cutoff)
         return FockOp(1, cutoff, a if op_spec == "a" else a.T.copy())
-    every = np.arange(cutoff**2)
     if op_spec in LADDER_WEIGHTS:
-        return FockOp(2, cutoff, _ladder(op_spec, _ladder_blocks(cutoff, every, every)))
+        return FockOp(2, cutoff, _ladder(op_spec, _ladder_blocks(cutoff)))
     if op_spec != "H":
         raise ValueError(f"unknown operator spec {op_spec!r}")
     if params is None:
         raise ValueError("H needs oscillator parameters")
-    return FockOp(2, cutoff, _hamiltonian_fock(params, form, _ladder_blocks(cutoff, every, every)))
+    return FockOp(2, cutoff, _hamiltonian_fock(params, form, _ladder_blocks(cutoff)))
 
 
 def _hamiltonian_fock(params, form: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """P H P on S from ``blocks = _ladder_blocks(cutoff, S, T)``: each product X Y
+    """P H P on S from the parts restricted to [S, T]: each product X Y
     is X[S, T] @ Y[T, S], exact when T holds every state one ladder step from
     S.  Y[T, S] is Y^T[S, T] transposed, whose parts swap a_j and a_j^T."""
     omega = params.omega
@@ -181,6 +194,12 @@ def _check_interior(cutoff: int, bound: int) -> None:
         raise ValueError("interior bound must be positive")
 
 
+def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interior states |n1, n2> with n1 - n2 = d and n1 + n2 < bound, by min(n1, n2)."""
+    n = np.arange((bound - abs(d) + 1) // 2)
+    return n + max(d, 0), n + max(-d, 0)
+
+
 def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> float:
     """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace,
     from the restricted products X[S] @ Y[:, S] over the interior indices S."""
@@ -194,14 +213,21 @@ def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> 
 
 
 def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
-    """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff."""
+    """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff, the largest
+    over the sectors d = n1 - n2, which both forms preserve.  Each sector's
+    complex D has the singular values of [[Re D, -Im D], [Im D, Re D]], twice."""
     _check_interior(cutoff, bound)
-    inside = interior_indices(2, cutoff, bound)
-    # every ladder factor changes the total excitation by one
-    blocks = _ladder_blocks(cutoff, inside, interior_indices(2, cutoff, bound + 1))
-    h1 = _hamiltonian_fock(params, "bosonic", blocks)
-    h2 = _hamiltonian_fock(params, "pseudo", blocks)
-    return float(np.linalg.norm(h1 - h2, 2))
+    top = 0.0
+    for d in range(1 - bound, bound):
+        # every ladder factor moves d and the total excitation by one
+        below, above = _sector_states(d - 1, bound + 1), _sector_states(d + 1, bound + 1)
+        shell = [np.concatenate(n) for n in zip(below, above)]
+        blocks = _sector_parts(_sector_states(d, bound), shell)
+        h1, h2 = (_hamiltonian_fock(params, form, blocks) for form in ("bosonic", "pseudo"))
+        diff = h1 - h2
+        real = np.block([[diff.real, -diff.imag], [diff.imag, diff.real]])
+        top = max(top, np.linalg.norm(real, 2))
+    return float(top)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +270,6 @@ _LOWERING_PAIRS = {
     "pseudo": (1 / np.sqrt(2.0), -1 / np.sqrt(2.0)),  # A1, A2
     "bosonic": (1.0, 0.0),  # a1, a2
 }
-
-
-def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interior states |n1, n2> with n1 - n2 = d and n1 + n2 < bound, by min(n1, n2)."""
-    n = np.arange((bound - abs(d) + 1) // 2)
-    return n + max(d, 0), n + max(-d, 0)
 
 
 def _sector_block(alpha: float, beta: float, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ compared without any floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .field import RatLike, _rat
@@ -33,16 +34,18 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
     return s, n
 
 
-def primes_up_to(n: int) -> list[int]:
-    """The primes p <= n (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
+def prime_sieve(n: int) -> bytearray:
+    """Flags for 0..max(n, 1), 1 exactly at the primes (sieve of Eratosthenes)."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(max(n, 0)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
+    return sieve
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n."""
+    return list(compress(range(n + 1), prime_sieve(n)))
 
 
 def factorial_exponent(n: int, p: int) -> int:

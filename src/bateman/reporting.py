@@ -1,8 +1,7 @@
 """Machine-readable run reports: configuration, verdicts, serialization.
 
-Reports are deterministic: identical configuration and BLAS thread count
-produce byte-identical JSON (sorted keys, repr-based floats, no
-timestamps).  Pass/fail status is reserved for exact or toleranced claims;
+Reports are deterministic: identical configurations produce
+byte-identical JSON (sorted keys, repr-based floats, no timestamps).  Pass/fail status is reserved for exact or toleranced claims;
 exploratory cutoff sweeps are emitted as report-only entries.
 """
 

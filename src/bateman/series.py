@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .field import Coeff, ONE
-from .radicals import factorial_exponent, primes_up_to
+from .radicals import factorial_exponent, prime_sieve
 
 
 @dataclass(frozen=True)
@@ -72,28 +73,29 @@ def _squeeze_terms(first: int, last: int) -> list[Coeff]:
     return out
 
 
-def _product(factors: list[int]) -> int:
-    """Product of the factors, multiplied pairwise as a balanced tree."""
-    while len(factors) > 1:
-        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        factors = paired + factors[len(paired) * 2 :]
-    return factors[0] if factors else 1
-
-
-def _central_binomial(k: int, primes: Sequence[int]) -> int:
-    """C(2k, k) as prod p^e over the given primes (which must cover 2k).
+def _central_binomial(k: int, sieve: bytearray) -> int:
+    """C(2k, k) as prod p^e over the primes flagged in ``sieve`` (which must cover 2k).
 
     Legendre's formula gives the exponent of p in (2k)!/k!^2 as
-    e = v_p((2k)!) - 2 v_p(k!); nothing is divided.
+    e = v_p((2k)!) - 2 v_p(k!), which is 2k//p - 2(k//p) for p^2 > 2k;
+    nothing is divided.  The powers are multiplied through a binary counter:
+    a stack entry (level, value) is the product of 2^level powers, so the
+    products stay balanced and the stack holds about log2 of their number.
     """
-    powers = []
-    for p in primes:
-        if p > 2 * k:
-            break
-        e = factorial_exponent(2 * k, p) - 2 * factorial_exponent(k, p)
+    n = 2 * k
+    stack: list[tuple[int, int]] = []
+    for p in compress(range(n + 1), sieve):
+        if p * p > n:
+            e = n // p - 2 * (k // p)
+        else:
+            e = factorial_exponent(n, p) - 2 * factorial_exponent(k, p)
         if e:
-            powers.append(p**e)
-    return _product(powers)
+            level, value = 0, p**e
+            while stack and stack[-1][0] == level:
+                value *= stack.pop()[1]
+                level += 1
+            stack.append((level, value))
+    return math.prod(value for _, value in reversed(stack))
 
 
 def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
@@ -107,9 +109,9 @@ def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """
     if min(checkpoints) < 0:
         raise ValueError("checkpoints must be nonnegative")
-    primes = primes_up_to(2 * max(checkpoints))
+    sieve = prime_sieve(2 * max(checkpoints))
     return [
-        Coeff.from_integers(0, (2 * k + 1) * _central_binomial(k, primes), denominator=1 << (2 * k))
+        Coeff.from_integers(0, (2 * k + 1) * _central_binomial(k, sieve), denominator=1 << (2 * k))
         for k in checkpoints
     ]
 

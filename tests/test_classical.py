@@ -1,4 +1,6 @@
+import io
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -329,10 +331,17 @@ def test_energy_drift_small_and_fourth_order():
     assert abs(coarse / fine - 32.0) < 1.0
 
 
+def csv_text(traj):
+    """The trajectory CSV that ``trajectory_csv`` writes, as one string."""
+    out = io.StringIO()
+    trajectory_csv(traj, out)
+    return out.getvalue()
+
+
 def test_trajectory_csv_columns():
     p = default_params()
     traj = integrate_eom(p, PhaseState(1.0, 0.0, 0.0, 0.1), t_end=0.01, dt=1e-3)
-    lines = trajectory_csv(traj).strip().splitlines()
+    lines = csv_text(traj).strip().splitlines()
     assert lines[0] == "t,x,y,p_x,p_y,H"
     assert len(lines) == len(traj.times) + 1
     assert len(lines[1].split(",")) == 6
@@ -342,7 +351,7 @@ def test_trajectory_csv_cells_are_floats():
     # every cell is a plain number that reads back as the exact sample
     p = default_params()
     traj = integrate_eom(p, PhaseState(1.0, 0.0, 0.0, 0.1), t_end=0.05, dt=1e-3)
-    rows = [line.split(",") for line in trajectory_csv(traj).splitlines()[1:]]
+    rows = [line.split(",") for line in csv_text(traj).splitlines()[1:]]
     energies = traj.energies()
     assert len(rows) == len(traj.times)
     for i, row in enumerate(rows):
@@ -367,11 +376,34 @@ def test_block_built_csv_equals_single_pass():
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
     assert len(traj.times) == 10_001
-    assert trajectory_csv(traj) == _single_pass_csv(traj)
+    assert csv_text(traj) == _single_pass_csv(traj)
     for rows in (1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1):
         part = Trajectory(traj.times[:rows], traj.states[:rows], p)
-        assert trajectory_csv(part) == _single_pass_csv(part)
-        assert trajectory_csv(part).count("\n") == rows + 1
+        assert csv_text(part) == _single_pass_csv(part)
+        assert csv_text(part).count("\n") == rows + 1
+
+
+def test_writing_the_csv_holds_no_whole_file(tmp_path):
+    # the default 10 001-row trajectory makes a 1.06 MB file; writing it
+    # keeps one block of rows alive, never the whole text
+    p = default_params()
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
+    traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
+    path = tmp_path / "trajectory.csv"
+
+    def write():
+        with open(path, "w") as out:
+            trajectory_csv(traj, out)
+
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10**6
+    assert peak < 500_000, peak
 
 
 def test_pointwise_error_is_fourth_order():

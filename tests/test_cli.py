@@ -227,6 +227,25 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "report_all.json").exists()
 
 
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the Fock residuals call only small real BLAS and LAPACK routines, which
+    # OpenBLAS runs on one thread whatever it is allowed
+    src = str(Path(bateman.__file__).resolve().parents[1])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    reports = []
+    for threads in (None, "1"):
+        out = tmp_path / str(threads)
+        subprocess.run(
+            [sys.executable, "-m", "bateman.cli", "hamiltonian", "--format", "json", "--out", str(out)],
+            env={**env, "PYTHONPATH": src, **({"OPENBLAS_NUM_THREADS": threads} if threads else {})},
+            check=True,
+            capture_output=True,
+        )
+        reports.append((out / "report_hamiltonian.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 FAST = ["--kmax", "50", "--cutoffs", "16,32"]
 CSV_NAMES = {
     "null_experiment_pseudo.csv",

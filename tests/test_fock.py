@@ -20,6 +20,8 @@ from bateman.fock import (
     SQUEEZE_SCALE_LIMIT,
     FockOp,
     _even_squeeze_couplings,
+    _hamiltonian_fock,
+    _sector_parts,
     build_fock,
     commutator_residual,
     even_squeeze_state,
@@ -222,12 +224,12 @@ def _traced_peak(fn) -> int:
 def test_interior_checks_never_form_a_full_two_mode_product():
     # At cutoff N a full two-mode product is a complex N^2 x N^2 matrix of
     # 16 N^4 bytes; the restricted products X[S] @ Y[:, S] are interior-sized.
-    # The Hamiltonian check forms a1 and a2 (8 N^4 bytes each) once, and then
-    # only blocks on the interior and its one-step shell, so six float64
-    # two-mode matrices bound it; the commutator checks, with their operators
-    # built beforehand, stay below one complex two-mode matrix.
+    # The Hamiltonian check builds one sector's blocks at a time from ladder
+    # coefficients, so it stays below one float64 two-mode matrix (8 N^4
+    # bytes); the commutator checks, with their operators built beforehand,
+    # stay below one complex two-mode matrix.
     peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16, 14))
-    assert peak < 6 * (8 * 16**4), peak
+    assert peak < 8 * 16**4, peak
     names = ("A1", "A2", "B1", "B2")
     fock = {n: build_fock(n, 12) for n in names}
     peak = _traced_peak(lambda: [
@@ -266,6 +268,37 @@ def test_hamiltonian_equiv_default_parameters():
 def test_hamiltonian_equiv_other_parameters():
     params = BatemanParams.from_omega(2, 1, Fraction(3, 2))
     assert hamiltonian_equiv_residual(params, 16, 14) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff, bound", [(16, 14), (12, 10), (20, 18)])
+@pytest.mark.parametrize("params", [
+    BatemanParams.from_omega(1, Fraction(1, 5), 1),
+    BatemanParams.from_omega(2, 1, Fraction(3, 2)),
+    BatemanParams.from_omega(1, Fraction(1, 10), 1),
+], ids=["default", "m2", "gamma-1/10"])
+def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
+    # oracle: the dense build_fock("H") of both forms.  H keeps d = n1 - n2,
+    # so P H P is the sum of its sector blocks, each built on the states of
+    # sectors d +- 1 one step beyond the interior (found here by brute force)
+    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
+    d, total = n1 - n2, n1 + n2
+    inside = np.flatnonzero(total < bound)
+    diffs = []
+    for form in ("bosonic", "pseudo"):
+        dense = build_fock("H", cutoff, params=params, form=form).matrix
+        assert np.all(dense[d[:, None] != d[None, :]] == 0.0)
+        rebuilt = np.zeros_like(dense)
+        for sector in range(1 - bound, bound):
+            rows = np.flatnonzero((d == sector) & (total < bound))
+            cols = np.flatnonzero((abs(d - sector) == 1) & (total <= bound))
+            blocks = _sector_parts((n1[rows], n2[rows]), (n1[cols], n2[cols]))
+            rebuilt[np.ix_(rows, rows)] = _hamiltonian_fock(params, form, blocks)
+        rebuilt, dense = rebuilt[np.ix_(inside, inside)], dense[np.ix_(inside, inside)]
+        np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-13)
+        diffs.append(rebuilt)
+    # the real embedding has the complex difference's singular values
+    want = np.linalg.norm(diffs[0] - diffs[1], 2)
+    assert hamiltonian_equiv_residual(params, cutoff, bound) == pytest.approx(want, rel=1e-9)
 
 
 def test_hamiltonian_fock_forms_match_symbolic_action():

@@ -115,6 +115,7 @@ from bateman.classical import (
     trajectory_csv,
 )
 import hashlib
+import io
 from fractions import Fraction
 print({NUMPY_RAN})
 p = BatemanParams.from_omega(1, Fraction(1, 5), 1)
@@ -122,7 +123,9 @@ traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, yd
 print(hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest())
 print(repr(hamiltonian_consistency(traj, p)))
 print(repr(eom_residual(traj, p)))
-print(hashlib.sha256(trajectory_csv(traj).encode()).hexdigest())
+csv = io.StringIO()
+trajectory_csv(traj, csv)
+print(hashlib.sha256(csv.getvalue().encode()).hexdigest())
 """
 
 

@@ -1,14 +1,17 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from bateman.field import Coeff, SQRT2
-from bateman.radicals import primes_up_to
+from bateman.radicals import prime_sieve, primes_up_to
 from bateman.series import (
     RAABE_KMAX_LIMIT,
     SeriesTerms,
     _central_binomial,
+    _squeeze_partial_sums,
     _squeeze_terms,
     partial_sum_growth,
     raabe_csv,
@@ -83,9 +86,25 @@ def test_fast_partial_sums_match_naive_summation():
 
 
 def test_central_binomial_matches_math_comb():
-    primes = primes_up_to(2 * 10**5)
+    sieve = prime_sieve(2 * 10**5)
+    assert list(itertools.compress(range(len(sieve)), sieve))[:10] == primes_up_to(30)
     for k in [*range(301), 10**4, 10**5]:
-        assert _central_binomial(k, primes) == math.comb(2 * k, k), k
+        assert _central_binomial(k, sieve) == math.comb(2 * k, k), k
+
+
+def test_partial_sums_to_1e5_hold_no_list_of_primes():
+    # the primes up to 2 * 10^5 stream from one sieve and their powers
+    # through a binary counter; a list of the ~18 000 primes or of their
+    # powers alone would take about 0.6 MB
+    checkpoints = [10**3, 10**4, 10**5]
+    _squeeze_partial_sums(checkpoints)
+    tracemalloc.start()
+    try:
+        _squeeze_partial_sums(checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000, peak
 
 
 def test_fast_partial_sums_match_comb_closed_form_at_1e5():
