@@ -8,14 +8,19 @@ checks always exclude the top two excitation levels by restricting to the
 interior indices, since finite ladder matrices necessarily violate the
 commutation relations at the edge.  For the coordinate projector P onto an
 index set S, P X Y P = (P X)(Y P): the restricted product is X[S] @ Y[:, S],
-so the checks never form a full two-mode product.  Both forms of H keep
-d = n1 - n2 and each ladder factor moves d and the total excitation by one,
-so the Hamiltonian check works one sector at a time: X[S, T] @ Y[T, S] for
-the interior S of sector d and the states T of sectors d +- 1 one step
-beyond it, with the blocks built from ladder coefficients.  Each sector's
-complex difference D gets its 2-norm from the real [[Re D, -Im D],
-[Im D, Re D]], which has the same singular values twice, so the check calls
-only small real BLAS and LAPACK routines.
+so the checks never form a full two-mode product.  ``build_fock`` assembles
+the dense two-mode matrices from ``kron`` products, which the tests use as
+the oracle for both sector routes below.
+
+Both forms of H keep d = n1 - n2, and each ladder factor moves d and the
+total excitation by one, so the Hamiltonian check and the null sweep work
+one sector at a time on one layout, ``_sector_parts``: the parts a1, a2,
+a1^T, a2^T from ladder coefficients, with columns the interior states S of
+sector d and rows the states T of sectors d +- 1 one ladder step from S.
+The Hamiltonian check forms X[S, T] @ Y[T, S]; each sector's complex
+difference D gets its 2-norm from the real [[Re D, -Im D], [Im D, Re D]],
+which has the same singular values twice, so it calls only small real BLAS
+and LAPACK routines.
 
 Experiments:
 
@@ -23,11 +28,10 @@ Experiments:
   pair comes to a joint null vector as the cutoff grows (it cannot have one
   as a function, only as a distribution, so the least singular value decays
   and the minimizer drifts toward the cutoff).  It never forms a two-mode
-  matrix: A1 = (a1 - a2^dag)/sqrt2 lowers d = n1 - n2 by one and
-  A2 = (a2 - a1^dag)/sqrt2 raises it by one, as do a1 and a2, so the stacked
-  pair on the interior is block diagonal with one block per sector d.  Each
-  block is built from ladder coefficients (two entries per operator and
-  column) and gets its own small SVD;
+  matrix: A1 = (a1 - a2^dag)/sqrt2 lowers d by one and A2 = (a2 - a1^dag)/sqrt2
+  raises it by one, as do a1 and a2, so the stacked pair on the interior is
+  block diagonal, and each sector's block, a weighted sum of its parts, gets
+  its own small SVD;
 * ``squeeze_factored_action`` produces the exact Fock amplitudes of the
   factored squeeze action on the ground state as radical pairs;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
@@ -116,15 +120,6 @@ def _ladder_blocks(cutoff: int) -> tuple[np.ndarray, ...]:
     return a1, a2, a1.T, a2.T
 
 
-def _sector_parts(rows: Sequence[np.ndarray], cols: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The parts a1, a2, a1^T, a2^T restricted to [rows, cols], each an (n1, n2)
-    pair of state arrays, from ladder coefficients: <n1-1, n2| a1 |n1, n2> = sqrt(n1)."""
-    (m1, m2), (n1, n2) = (n[:, None] for n in rows), cols
-    same1, same2 = m1 == n1, m2 == n2
-    return (((m1 == n1 - 1) & same2) * np.sqrt(n1), (same1 & (m2 == n2 - 1)) * np.sqrt(n2),
-            ((m1 == n1 + 1) & same2) * np.sqrt(m1), (same1 & (m2 == n2 + 1)) * np.sqrt(m2))
-
-
 def build_fock(
     op_spec: str,
     cutoff: int,
@@ -200,6 +195,28 @@ def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return n + max(d, 0), n + max(-d, 0)
 
 
+def _sector_parts(d: int, bound: int) -> np.ndarray:
+    """The parts a1, a2, a1^T, a2^T on [T, S], stacked as a (4, 2m + 2, m) array.
+
+    Column k is the k-th of the m states S of ``_sector_states(d, bound)``,
+    |k + p, k + q> with p = max(d, 0) and q = max(-d, 0).  Row r stands for
+    |r + p - 1, r + q> in sector d - 1 and row m + 1 + r for |r + p, r + q - 1>
+    in sector d + 1, so T holds every state one ladder step from S: a1 and a2^T
+    send column k to rows k and k + 1, a2 and a1^T to rows m + 1 + k and
+    m + 2 + k.  The coefficients are <n1 - 1, n2| a1 |n1, n2> = sqrt(n1) and its
+    kin; a row that stands for no state (a negative n1 or n2) stays zero.
+    """
+    n1, n2 = _sector_states(d, bound)
+    m = len(n1)
+    k = np.arange(m)
+    parts = np.zeros((4, 2 * m + 2, m))
+    parts[0, k, k] = np.sqrt(n1)
+    parts[1, m + 1 + k, k] = np.sqrt(n2)
+    parts[2, m + 2 + k, k] = np.sqrt(n1 + 1)
+    parts[3, k + 1, k] = np.sqrt(n2 + 1)
+    return parts
+
+
 def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> float:
     """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace,
     from the restricted products X[S] @ Y[:, S] over the interior indices S."""
@@ -219,10 +236,8 @@ def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
     _check_interior(cutoff, bound)
     top = 0.0
     for d in range(1 - bound, bound):
-        # every ladder factor moves d and the total excitation by one
-        below, above = _sector_states(d - 1, bound + 1), _sector_states(d + 1, bound + 1)
-        shell = [np.concatenate(n) for n in zip(below, above)]
-        blocks = _sector_parts(_sector_states(d, bound), shell)
+        # [S, T] blocks: the [T, S] parts transposed, with a_j and a_j^T swapped
+        blocks = tuple(part.T for part in _sector_parts(d, bound)[[2, 3, 0, 1]])
         h1, h2 = (_hamiltonian_fock(params, form, blocks) for form in ("bosonic", "pseudo"))
         diff = h1 - h2
         real = np.block([[diff.real, -diff.imag], [diff.imag, diff.real]])
@@ -265,32 +280,9 @@ class NullExperimentReport:
         return [r.tail_mass for r in self.records]
 
 
-# Each lowering pair is (alpha a1 + beta a2^dag, alpha a2 + beta a1^dag).
-_LOWERING_PAIRS = {
-    "pseudo": (1 / np.sqrt(2.0), -1 / np.sqrt(2.0)),  # A1, A2
-    "bosonic": (1.0, 0.0),  # a1, a2
-}
-
-
-def _sector_block(alpha: float, beta: float, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """The stacked lowering pair restricted to one sector, from ladder coefficients.
-
-    Column k is the state |n1[k], n2[k]>.  The first operator sends it to
-    |n1-1, n2> and |n1, n2+1> in sector d - 1, rows k and k + 1 of the top
-    half; the second sends it to |n1, n2-1> and |n1+1, n2> in sector d + 1,
-    rows k and k + 1 of the bottom half.  Every target lies below the cutoff,
-    so the block holds exactly the nonzero entries of these columns of the
-    two-mode matrix; rows no state reaches stay zero and leave the singular
-    values unchanged.
-    """
-    m = len(n1)
-    k = np.arange(m)
-    block = np.zeros((2 * m + 2, m))
-    block[k, k] = alpha * np.sqrt(n1)
-    block[k + 1, k] = beta * np.sqrt(n2 + 1)
-    block[m + 1 + k, k] = alpha * np.sqrt(n2)
-    block[m + 2 + k, k] = beta * np.sqrt(n1 + 1)
-    return block
+# Each lowering pair, as two rows of ``LADDER_WEIGHTS``: the first operator
+# lowers d = n1 - n2 by one and the second raises it by one.
+_LOWERING_PAIRS = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}
 
 
 def joint_null_experiment(
@@ -306,23 +298,27 @@ def joint_null_experiment(
     check_null_range(cutoffs[-1])
     if family not in _LOWERING_PAIRS:
         raise ValueError(f"unknown family {family!r}")
-    alpha, beta = _LOWERING_PAIRS[family]
+    # the first operator fills only the sector d - 1 rows of _sector_parts and
+    # the second only the sector d + 1 rows, so the stacked block is one sum of
+    # the parts; ``_ladder`` of the unit vectors gives each row's weights over them
+    weights = sum(_ladder(op_spec, np.eye(4)) for op_spec in _LOWERING_PAIRS[family])
 
     records = []
     for cutoff in cutoffs:
         bound = cutoff - 2
         top = 0.0
-        best_d, sigma = 0, np.inf
+        best_d, best, sigma = 0, None, np.inf
         for d in range(1 - bound, bound):
-            block = _sector_block(alpha, beta, *_sector_states(d, bound))
+            parts = _sector_parts(d, bound)
+            block = (weights @ parts.reshape(4, -1)).reshape(parts.shape[1:])
             svals = np.linalg.svd(block, compute_uv=False)
             top = max(top, float(svals[0]))
             if svals[-1] < sigma:
-                best_d, sigma = d, float(svals[-1])
+                best_d, best, sigma = d, block, float(svals[-1])
         if sigma < SIGMA_FLOOR_RATIO * top:
             sigma = 0.0
         n1, n2 = _sector_states(best_d, bound)
-        vec = np.linalg.svd(_sector_block(alpha, beta, n1, n2), full_matrices=False)[2][-1]
+        vec = np.linalg.svd(best, full_matrices=False)[2][-1]
         total = n1 + n2
         # interior index of |n1, n2>: all states of lower total, then by n1
         minimizer = np.zeros(bound * (bound + 1) // 2)

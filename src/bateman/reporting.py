@@ -64,22 +64,18 @@ class RunConfig:
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert exact and numpy types to JSON-safe values."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    """Recursively convert a payload to JSON values: None, bool, int, float
+    (numpy's float64 among them) and str pass, a Fraction becomes its string,
+    dicts, lists and tuples convert item by item; anything else is a TypeError."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if hasattr(value, "item") and callable(value.item):  # numpy scalar
-        return jsonable(value.item())
-    return str(value)
+    raise TypeError(f"cannot write {type(value).__name__} to a report")
 
 
 def render_report(config: RunConfig, verdicts: Sequence[VerdictReport]) -> str:

@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import bateman
 import bateman.cli
 from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
 from bateman.fock import NULL_CUTOFF_LIMIT, SQUEEZE_CUTOFF_LIMIT
+from bateman.reporting import jsonable
 from bateman.series import RAABE_KMAX_LIMIT
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report_schema.json"
@@ -103,6 +106,15 @@ def test_squeeze_report_strict_json_past_float_range(tmp_path):
     assert payload["strictly_increasing"] is True
     norms_csv = (tmp_path / "squeeze_norms.csv").read_text().splitlines()
     assert norms_csv[2].startswith("512,,")
+
+
+def test_report_payloads_refuse_values_json_cannot_hold():
+    # an array or a complex would otherwise reach the report as a lossy string
+    for value in (np.arange(2), 1j, {"sigma": [0.5, np.arange(2)]}):
+        with pytest.raises(TypeError):
+            jsonable(value)
+    # numpy's float64 is a float
+    assert jsonable({"x": [np.float64(0.5), Fraction(1, 3), None]}) == {"x": [0.5, "1/3", None]}
 
 
 def test_drift_order_measured_above_rounding_floor(tmp_path):

@@ -22,6 +22,7 @@ from bateman.fock import (
     _even_squeeze_couplings,
     _hamiltonian_fock,
     _sector_parts,
+    _sector_states,
     build_fock,
     commutator_residual,
     even_squeeze_state,
@@ -278,8 +279,8 @@ def test_hamiltonian_equiv_other_parameters():
 ], ids=["default", "m2", "gamma-1/10"])
 def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
     # oracle: the dense build_fock("H") of both forms.  H keeps d = n1 - n2,
-    # so P H P is the sum of its sector blocks, each built on the states of
-    # sectors d +- 1 one step beyond the interior (found here by brute force)
+    # so P H P is the sum of its sector blocks, each placed at the interior
+    # states of its sector (found here by brute force)
     n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
     d, total = n1 - n2, n1 + n2
     inside = np.flatnonzero(total < bound)
@@ -290,8 +291,9 @@ def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
         rebuilt = np.zeros_like(dense)
         for sector in range(1 - bound, bound):
             rows = np.flatnonzero((d == sector) & (total < bound))
-            cols = np.flatnonzero((abs(d - sector) == 1) & (total <= bound))
-            blocks = _sector_parts((n1[rows], n2[rows]), (n1[cols], n2[cols]))
+            np.testing.assert_array_equal(_sector_states(sector, bound), (n1[rows], n2[rows]))
+            parts = _sector_parts(sector, bound)
+            blocks = tuple(part.T for part in parts[[2, 3, 0, 1]])
             rebuilt[np.ix_(rows, rows)] = _hamiltonian_fock(params, form, blocks)
         rebuilt, dense = rebuilt[np.ix_(inside, inside)], dense[np.ix_(inside, inside)]
         np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-13)
@@ -299,6 +301,33 @@ def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
     # the real embedding has the complex difference's singular values
     want = np.linalg.norm(diffs[0] - diffs[1], 2)
     assert hamiltonian_equiv_residual(params, cutoff, bound) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("cutoff, bound", [(12, 10), (16, 14), (20, 18)])
+def test_sector_parts_are_the_dense_kron_parts_on_each_sector(cutoff, bound):
+    # oracle: the kron-built a1, a2, a1^T, a2^T restricted to [T, S].  Row r of
+    # the layout stands for |r + p - 1, r + q> and row m + 1 + r for
+    # |r + p, r + q - 1>; each is matched to its dense index by brute force
+    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
+    dense = [build_fock(name, cutoff).matrix for name in ("a1", "a2", "adag1", "adag2")]
+    for d in range(1 - bound, bound):
+        cols = np.flatnonzero((n1 - n2 == d) & (n1 + n2 < bound))
+        m, p, q = len(cols), max(d, 0), max(-d, 0)
+        parts = _sector_parts(d, bound)
+        assert parts.shape == (4, 2 * m + 2, m)
+        states = [(r + p - 1, r + q) for r in range(m + 1)] + [(r + p, r + q - 1) for r in range(m + 1)]
+        reached = []
+        for row, (s1, s2) in enumerate(states):
+            index = np.flatnonzero((n1 == s1) & (n2 == s2))
+            if len(index) == 0:  # a row that stands for no state
+                assert np.all(parts[:, row] == 0.0)
+                continue
+            reached.append(index[0])
+            for part, full in zip(parts, dense):
+                np.testing.assert_array_equal(part[row], full[index[0], cols])
+        # T holds every state one ladder step from S
+        outside = np.setdiff1d(np.arange(cutoff**2), reached)
+        assert all(np.all(full[np.ix_(outside, cols)] == 0.0) for full in dense)
 
 
 def test_hamiltonian_fock_forms_match_symbolic_action():
@@ -409,7 +438,7 @@ def test_null_experiment_rejects_cutoffs_past_its_limit(monkeypatch):
     def sentinel(*args):
         raise AssertionError("a sector block was built before the ceiling was checked")
 
-    monkeypatch.setattr(bateman.fock, "_sector_block", sentinel)
+    monkeypatch.setattr(bateman.fock, "_sector_parts", sentinel)
     with pytest.raises(ValueError, match=str(NULL_CUTOFF_LIMIT)):
         joint_null_experiment([8, NULL_CUTOFF_LIMIT + 1])
 
