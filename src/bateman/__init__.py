@@ -33,8 +33,8 @@ _EXPORTS = {
         ),
         "radicals": ("SqrtRational", "factorial_sqrt", "squarefree_decompose"),
         "series": (
-            "GrowthReport", "RaabeReport", "SeriesTerms", "partial_sum_growth", "raabe_test",
-            "squeeze_norm_series", "term_norm2",
+            "GrowthReport", "RaabeReport", "partial_sum_growth", "raabe_test",
+            "squeeze_partial_sums", "squeeze_terms", "term_norm2",
         ),
         "vacuum": (
             "AnsatzReport", "DeltaDist", "DistributionalCheckReport", "MultiplierCert",
@@ -66,7 +66,6 @@ __all__ = [
     "PhaseState",
     "PolyGauss",
     "SqrtRational",
-    "SeriesTerms",
     "Trajectory",
     "build_fock",
     "commutator",
@@ -89,7 +88,6 @@ __all__ = [
     "partial_sum_growth",
     "raabe_test",
     "squeeze_factored_action",
-    "squeeze_norm_series",
     "squeeze_truncated_norms",
     "term_norm2",
 ]

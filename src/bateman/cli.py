@@ -79,12 +79,12 @@ from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
     SQUEEZE_SUM_EXPONENT,
     RaabeReport,
-    SeriesTerms,
     check_kmax,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
-    squeeze_norm_series,
+    squeeze_partial_sums,
+    squeeze_terms,
 )
 from .vacuum import (
     DeltaDist,
@@ -174,12 +174,8 @@ class Artifacts:
         return {family: joint_null_experiment(cutoffs, family) for family in ("pseudo", "bosonic")}
 
     @cached_property
-    def series(self) -> SeriesTerms:
-        return squeeze_norm_series()
-
-    @cached_property
     def raabe(self) -> RaabeReport:
-        return raabe_test(self.series, self.cfg.kmax)
+        return raabe_test(squeeze_terms(0, self.cfg.kmax + 1))
 
     @cached_property
     def squeeze_norms(self) -> SqueezeReport:
@@ -497,7 +493,7 @@ def squeeze_series_ratio_test(art: Artifacts):
        "positive power of the truncation point and exceed 100 within "
        "the computed range")
 def squeeze_series_partial_sums(art: Artifacts):
-    growth = partial_sum_growth(art.series, list(GROWTH_CHECKPOINTS))
+    growth = partial_sum_growth(GROWTH_CHECKPOINTS, squeeze_partial_sums(GROWTH_CHECKPOINTS))
     exceeds = growth.partial_sums[1] > Coeff(100)
     p = growth.fitted_exponent
     return 0.45 <= p <= 0.55 and exceeds, {
@@ -785,6 +781,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run(config_from_args(args))
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write to {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
         rate = float(args.gamma / (2 * args.m))

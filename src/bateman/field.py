@@ -8,12 +8,13 @@ Hamiltonian prefactors are rational multiples of 1 and i.
 
 A value is stored as four integer numerators over one positive integer
 denominator, (_a + _b sqrt2 + i (_c + _d sqrt2)) / _n, in canonical form:
-gcd(_a, _b, _c, _d, _n) == 1 and zero is (0, 0, 0, 0, 1).  So equality and
-hashing are componentwise, and every operation is integer arithmetic
-followed by one normalisation (``_canonical``).  Sums of many products,
-as in the operator calculus, can stay on integer numerators over one common
-denominator (``over_common_denominator``, ``mul_numerators``) and normalise
-once per result.
+gcd(_a, _b, _c, _d, _n) == 1 and zero is (0, 0, 0, 0, 1).  So equality is
+componentwise; a rational value hashes as the equal ``Fraction`` (so as the
+equal int too) and any other by its components.  Every operation is integer
+arithmetic followed by one normalisation (``_canonical``).  Sums of many
+products, as in the operator calculus, can stay on integer numerators over
+one common denominator (``over_common_denominator``, ``mul_numerators``) and
+normalise once per result.
 """
 
 from __future__ import annotations
@@ -216,6 +217,10 @@ class Coeff:
         return not self.is_zero()
 
     def __hash__(self) -> int:
+        # a rational value compares equal to an int or Fraction, so it must
+        # hash like one
+        if not (self._b or self._c or self._d):
+            return hash(Fraction(self._a, self._n))
         return hash((self._a, self._b, self._c, self._d, self._n))
 
     # -- ring operations ----------------------------------------------------

@@ -101,6 +101,9 @@ class SqrtRational:
         return self.r == other.r and self.n == other.n
 
     def __hash__(self) -> int:
+        # r * sqrt(1) compares equal to the rational r, so it hashes like it
+        if self.n == 1:
+            return hash(self.r)
         return hash((self.r, self.n))
 
     def __neg__(self) -> SqrtRational:

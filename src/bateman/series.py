@@ -3,7 +3,11 @@
 The central series is the squared norm of the factored squeeze action on the
 oscillator ground state, a_k = sqrt2 * (2k)! / (k!^2 4^k).  Its ratio-test
 quantities simplify to rho_k = k/(2k+1) exactly, certifying divergence.
-Everything up to the final curve fit runs in exact arithmetic.
+``squeeze_terms`` states its terms by stepping C(2k, k), ``squeeze_partial_sums``
+its partial sums by a telescoped closed form, and ``term_norm2`` is the
+per-term closed form both are held to.  ``raabe_test`` and
+``partial_sum_growth`` take these exact values and certify them; everything
+up to the final curve fit runs in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -11,43 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .field import Coeff, ONE
 from .radicals import factorial_exponent, prime_sieve
-
-
-@dataclass(frozen=True)
-class SeriesTerms:
-    """A positive term sequence a_k in Q(sqrt2) with a closed-form generator.
-
-    ``fast_partial_sums``, when provided, must return the same exact values
-    as naive summation of the generator; it exists because generic
-    fraction summation is infeasible for 10^5 terms of some sequences.
-    ``fast_terms(first, last)``, when provided, must return the generator's
-    values for k = first..last; it exists because consecutive terms of some
-    sequences are cheaper to step than to build one by one.
-    """
-
-    label: str
-    generator: Callable[[int], Coeff]
-    k_start: int = 0
-    fast_partial_sums: Callable[[Sequence[int]], list[Coeff]] | None = None
-    fast_terms: Callable[[int, int], list[Coeff]] | None = None
-
-    def term(self, k: int) -> Coeff:
-        value = self.generator(k)
-        if not value.is_real():
-            raise ValueError(f"{self.label}: term {k} is not real")
-        return value
-
-    def terms(self, first: int, last: int) -> list[Coeff]:
-        """The terms a_first .. a_last."""
-        if self.fast_terms is not None:
-            return self.fast_terms(first, last)
-        return [self.term(k) for k in range(first, last + 1)]
 
 
 def term_norm2(k: int) -> Coeff:
@@ -58,7 +31,7 @@ def term_norm2(k: int) -> Coeff:
     return Coeff.from_integers(0, math.comb(2 * k, k), denominator=1 << (2 * k))
 
 
-def _squeeze_terms(first: int, last: int) -> list[Coeff]:
+def squeeze_terms(first: int, last: int) -> list[Coeff]:
     """term_norm2(k) for k = first..last, stepping C(2k,k) by exact integers.
 
     C(2k+2, k+1) = C(2k,k) * 2(2k+1) / (k+1), and the division is exact.
@@ -98,7 +71,7 @@ def _central_binomial(k: int, sieve: bytearray) -> int:
     return math.prod(value for _, value in reversed(stack))
 
 
-def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
+def squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
     """Exact S_K = sqrt2 * sum_{k<=K} C(2k,k)/4^k in closed form.
 
     The sum telescopes: (2K+1) C(2K,K)/4^K - (2K-1) C(2K-2,K-1)/4^(K-1)
@@ -118,16 +91,6 @@ def _squeeze_partial_sums(checkpoints: Sequence[int]) -> list[Coeff]:
 
 # C(2K,K)/4^K ~ 1/sqrt(pi K), so S_K grows like K^(1/2).
 SQUEEZE_SUM_EXPONENT = 0.5
-
-
-def squeeze_norm_series() -> SeriesTerms:
-    return SeriesTerms(
-        label="squeeze-action squared norms",
-        generator=term_norm2,
-        k_start=0,
-        fast_partial_sums=_squeeze_partial_sums,
-        fast_terms=_squeeze_terms,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +114,8 @@ class RaabeReport:
     ratios were built from, kept so that ``raabe_csv`` need not rebuild them.
     """
 
-    label: str
     kmax: int
-    k_start: int
-    terms: tuple[Coeff, ...]  # a_{k_start} .. a_{kmax+1}
+    terms: tuple[Coeff, ...]  # a_0 .. a_{kmax+1}
     ratios: tuple[Coeff, ...]  # rho_1 .. rho_kmax
     tail_monotone: bool
     limit_low: Coeff
@@ -179,24 +140,18 @@ def check_kmax(kmax: int) -> None:
         raise ValueError(f"kmax must be between 10 and {RAABE_KMAX_LIMIT}")
 
 
-def raabe_test(series: SeriesTerms, kmax: int) -> RaabeReport:
-    """Exact ratio test over k = 1..kmax, for the kmax that ``check_kmax`` accepts.
+def raabe_test(terms: Sequence[Coeff]) -> RaabeReport:
+    """Exact ratio test of the terms a_0 .. a_{kmax+1} over k = 1..kmax, for
+    the kmax = len(terms) - 2 that ``check_kmax`` accepts.
 
-    Raises ValueError if any encountered term is not strictly positive.
+    Raises ValueError if any term is not real and strictly positive.
     """
+    kmax = len(terms) - 2
     check_kmax(kmax)
-    k0 = series.k_start
-    if k0 not in (0, 1):
-        raise ValueError("ratio test expects a series starting at k = 0 or 1")
-    terms = series.terms(k0, kmax + 1)
-    for i, a in enumerate(terms):
+    for k, a in enumerate(terms):
         if a.sign() <= 0:
-            raise ValueError(f"{series.label}: term k={k0 + i} is not positive")
-    ratios: list[Coeff] = []
-    for k in range(1, kmax + 1):
-        a_k = terms[k - k0]
-        a_k1 = terms[k + 1 - k0]
-        ratios.append(Coeff(k) * (a_k / a_k1 - ONE))
+            raise ValueError(f"term k={k} is not positive")
+    ratios = [Coeff(k) * (terms[k] / terms[k + 1] - ONE) for k in range(1, kmax + 1)]
 
     tail = ratios[kmax // 2 - 1 :]
     nondecreasing = all(tail[i] <= tail[i + 1] for i in range(len(tail) - 1))
@@ -217,9 +172,7 @@ def raabe_test(series: SeriesTerms, kmax: int) -> RaabeReport:
         verdict = "convergent"
 
     return RaabeReport(
-        label=series.label,
         kmax=kmax,
-        k_start=k0,
         terms=tuple(terms),
         ratios=tuple(ratios),
         tail_monotone=tail_monotone,
@@ -237,38 +190,32 @@ def raabe_test(series: SeriesTerms, kmax: int) -> RaabeReport:
 class GrowthReport:
     """Exact partial sums at checkpoints and a log-log growth exponent fit."""
 
-    label: str
     checkpoints: tuple[int, ...]
     partial_sums: tuple[Coeff, ...]
     partial_sum_floats: tuple[float, ...]
     fitted_exponent: float
 
 
-def partial_sum_growth(series: SeriesTerms, checkpoints: Sequence[int]) -> GrowthReport:
-    """Exact S_K at each checkpoint, plus the least-squares slope of
-    log S_K against log K (floats only enter at the fitting step)."""
-    cps = list(checkpoints)
+def partial_sum_growth(checkpoints: Sequence[int], partial_sums: Sequence[Coeff]) -> GrowthReport:
+    """The exact partial sums S_K at the checkpoints K, with the least-squares
+    slope of log S_K against log K (floats only enter at the fitting step).
+
+    Raises ValueError unless the checkpoints are nonempty and strictly
+    increasing and each has one strictly positive sum.
+    """
+    cps, sums = list(checkpoints), list(partial_sums)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing and nonempty")
-    if cps[0] < series.k_start:
-        raise ValueError("first checkpoint precedes the first term")
-    if series.fast_partial_sums is not None:
-        sums = series.fast_partial_sums(cps)
-    else:
-        sums = []
-        acc = Coeff(0)
-        k = series.k_start
-        for target in cps:
-            while k <= target:
-                acc = acc + series.term(k)
-                k += 1
-            sums.append(acc)
+    if len(sums) != len(cps):
+        raise ValueError(f"{len(sums)} partial sums for {len(cps)} checkpoints")
+    for k, s in zip(cps, sums):
+        if s.sign() <= 0:
+            raise ValueError(f"partial sum S_{k} is not positive")
     floats = [float(s) for s in sums]
     slope = float(
         np.polyfit(np.log([float(k) for k in cps]), np.log(floats), 1)[0]
     )
     return GrowthReport(
-        label=series.label,
         checkpoints=tuple(cps),
         partial_sums=tuple(sums),
         partial_sum_floats=tuple(floats),
@@ -280,10 +227,8 @@ def raabe_csv(report: RaabeReport) -> str:
     """CSV with columns k, rho_k (decimal), S_k (decimal running sum of the
     report's own terms)."""
     lines = ["k,rho,S_k"]
-    acc = 0.0
-    k0 = report.k_start
-    for k, a_k in enumerate(report.terms[: report.kmax + 1 - k0], start=k0):
-        acc += float(a_k)
-        if k >= 1:
-            lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
+    acc = float(report.terms[0])
+    for k in range(1, report.kmax + 1):
+        acc += float(report.terms[k])
+        lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
     return "\n".join(lines) + "\n"

@@ -41,7 +41,13 @@ from bateman.operators import (
     op_apply,
 )
 from bateman.radicals import factorial_sqrt
-from bateman.series import partial_sum_growth, raabe_test, squeeze_norm_series, term_norm2
+from bateman.series import (
+    partial_sum_growth,
+    raabe_test,
+    squeeze_partial_sums,
+    squeeze_terms,
+    term_norm2,
+)
 from bateman.vacuum import (
     DeltaDist,
     distributional_vacuum_check,
@@ -138,15 +144,15 @@ def test_criterion_4_hamiltonian_equivalence():
 @criterion("5 squared-norm series: exact ratios, divergence verdict, growth")
 def test_criterion_5_series():
     start = time.monotonic()
-    series = squeeze_norm_series()
-    report = raabe_test(series, 1000)
+    report = raabe_test(squeeze_terms(0, 1001))
     for k in range(1, 1001):
         assert report.ratio(k) == Coeff(Fraction(k, 2 * k + 1))
     assert report.verdict == "divergent"
     assert term_norm2(0) == SQRT2
     assert term_norm2(1) == Coeff(0, Fraction(1, 2))
     assert term_norm2(2) == Coeff(0, Fraction(3, 8))
-    growth = partial_sum_growth(series, [10**3, 10**4, 10**5])
+    checkpoints = [10**3, 10**4, 10**5]
+    growth = partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints))
     assert 0.45 <= growth.fitted_exponent <= 0.55
     assert growth.partial_sums[1] > Coeff(100)  # exact comparison
     assert time.monotonic() - start < 30.0

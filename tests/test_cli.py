@@ -341,6 +341,17 @@ def test_squeeze_past_the_limit_exits_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("target", ["existing-file", "existing-file/sub"])
+def test_unusable_out_exits_2(target, tmp_path, capsys):
+    (tmp_path / "existing-file").write_text("kept")
+    out = tmp_path / target
+    assert run_cli(["counterexample", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write to" in err and str(out) in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["existing-file"]
+    assert (tmp_path / "existing-file").read_text() == "kept"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -288,6 +288,18 @@ def test_canonical_form_and_hash(p, q):
     assert Coeff.from_integers(*(v * 6 for v in (x._a, x._b, x._c, x._d)), denominator=6 * x._n) == x
 
 
+def test_rational_values_hash_like_the_equal_int_or_fraction():
+    # equal objects must hash equally, so sets and dicts treat them as one key
+    for value in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-22, 7), Fraction(3, 2**80)):
+        assert Coeff(value) == value and hash(Coeff(value)) == hash(value), value
+    assert len({1, Coeff(1)}) == 1
+    assert 0 in {Coeff(0): "x"}
+    assert {Fraction(1, 2): "half"}[Coeff(Fraction(1, 2))] == "half"
+    assert Coeff(2) * Fraction(1, 4) in {Fraction(1, 2)}
+    # irrational and complex values keep their component hash
+    assert SQRT2 not in {2, Fraction(1, 2)} and I_UNIT not in {1, -1}
+
+
 @given(
     st.tuples(*[st.integers(min_value=-(2**70), max_value=2**70)] * 4),
     st.integers(min_value=0, max_value=80),

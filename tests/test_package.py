@@ -26,8 +26,8 @@ REEXPORTS = {
     ),
     "radicals": ("SqrtRational", "factorial_sqrt", "squarefree_decompose"),
     "series": (
-        "GrowthReport", "RaabeReport", "SeriesTerms", "partial_sum_growth", "raabe_test",
-        "squeeze_norm_series", "term_norm2",
+        "GrowthReport", "RaabeReport", "partial_sum_growth", "raabe_test",
+        "squeeze_partial_sums", "squeeze_terms", "term_norm2",
     ),
     "vacuum": (
         "AnsatzReport", "DeltaDist", "DistributionalCheckReport", "MultiplierCert",
@@ -37,12 +37,12 @@ REEXPORTS = {
 }
 ALL = [
     "BatemanParams", "Coeff", "DeltaDist", "FockOp", "LinDiffOp", "PhaseState", "PolyGauss",
-    "SqrtRational", "SeriesTerms", "Trajectory", "build_fock", "commutator",
+    "SqrtRational", "Trajectory", "build_fock", "commutator",
     "commutator_residual", "delta_pair", "distributional_vacuum_check", "eom_residual",
     "gaussian_ansatz_solve", "hamiltonian_build", "hamiltonian_consistency",
     "hamiltonian_equiv_residual", "integrate_eom", "joint_null_experiment", "make_ladder",
     "make_pseudo", "multiplier_reduction", "op_adjoint", "op_apply", "op_compose",
-    "partial_sum_growth", "raabe_test", "squeeze_factored_action", "squeeze_norm_series",
+    "partial_sum_growth", "raabe_test", "squeeze_factored_action",
     "squeeze_truncated_norms", "term_norm2",
 ]
 

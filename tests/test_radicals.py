@@ -22,6 +22,14 @@ def test_normalization():
     assert SqrtRational(3, 1) == 3
 
 
+def test_rational_values_hash_like_the_equal_rational():
+    for value in (0, 2, -5, Fraction(3, 4)):
+        assert SqrtRational(value) == value and hash(SqrtRational(value)) == hash(value)
+    assert len({2, SqrtRational(2)}) == 1
+    assert SqrtRational.sqrt_int(4) in {2}
+    assert SqrtRational(Fraction(1, 8), 24) in {SqrtRational(Fraction(1, 4), 6)}
+
+
 def test_products_reduce():
     a = SqrtRational.sqrt_int(6)
     b = SqrtRational.sqrt_int(10)

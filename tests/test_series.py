@@ -5,49 +5,65 @@ from fractions import Fraction
 
 import pytest
 
-from bateman.field import Coeff, SQRT2
+from bateman.field import Coeff, I_UNIT, SQRT2
 from bateman.radicals import prime_sieve, primes_up_to
 from bateman.series import (
     RAABE_KMAX_LIMIT,
-    SeriesTerms,
     _central_binomial,
-    _squeeze_partial_sums,
-    _squeeze_terms,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
-    squeeze_norm_series,
+    squeeze_partial_sums,
+    squeeze_terms,
     term_norm2,
 )
 
 
-def series_1_over(power: int, label: str) -> SeriesTerms:
-    return SeriesTerms(label, lambda k: Coeff(Fraction(1, k**power)), k_start=1)
+def from_one(term):
+    """The terms a_0 .. a_{kmax+1}, as ``raabe_test`` takes them, of a control
+    sequence defined from k = 1: a_1 stands in for a_0, which no ratio reads."""
+    return lambda kmax: [term(max(k, 1)) for k in range(kmax + 2)]
 
 
-PAPER_SERIES = squeeze_norm_series()
+def inverse_power(power: int):
+    return lambda k: Coeff(Fraction(1, k**power))
 
-# ten standard control sequences for the verdict-soundness sweep
+
+def naive_partial_sums(term, checkpoints, k_start=1):
+    """S_K = sum of term(k) over k_start <= k <= K at each checkpoint K, by
+    adding every term in turn; S_K below k_start is the empty sum 0."""
+    sums = []
+    acc = Coeff(0)
+    k = k_start
+    for target in checkpoints:
+        while k <= target:
+            acc = acc + term(k)
+            k += 1
+        sums.append(acc)
+    return sums
+
+
+def paper_terms(kmax):
+    return squeeze_terms(0, kmax + 1)
+
+
+def constant(k):
+    return Coeff(1)
+
+
+# ten standard control sequences for the verdict-soundness sweep:
+# (label, terms a_0 .. a_{kmax+1} as a function of kmax, expected verdict)
 CONTROLS = [
-    (PAPER_SERIES, "divergent"),
-    (series_1_over(2, "inverse squares"), "convergent"),
-    (series_1_over(3, "inverse cubes"), "convergent"),
-    (
-        SeriesTerms("telescoping", lambda k: Coeff(Fraction(1, k * (k + 1))), k_start=1),
-        "convergent",
-    ),
-    (SeriesTerms("geometric", lambda k: Coeff(Fraction(1, 2**k)), k_start=1), "convergent"),
-    (
-        SeriesTerms("k times (3/4)^k", lambda k: Coeff(k * Fraction(3, 4) ** k), k_start=1),
-        "convergent",
-    ),
-    (SeriesTerms("constant", lambda k: Coeff(1), k_start=1), "divergent"),
-    (SeriesTerms("linear", lambda k: Coeff(k), k_start=1), "divergent"),
-    (series_1_over(1, "harmonic"), "inconclusive"),
-    (
-        SeriesTerms("shifted harmonic", lambda k: Coeff(Fraction(1, k + 5)), k_start=1),
-        "inconclusive",
-    ),
+    ("squeeze-action squared norms", paper_terms, "divergent"),
+    ("inverse squares", from_one(inverse_power(2)), "convergent"),
+    ("inverse cubes", from_one(inverse_power(3)), "convergent"),
+    ("telescoping", from_one(lambda k: Coeff(Fraction(1, k * (k + 1)))), "convergent"),
+    ("geometric", from_one(lambda k: Coeff(Fraction(1, 2**k))), "convergent"),
+    ("k times (3/4)^k", from_one(lambda k: Coeff(k * Fraction(3, 4) ** k)), "convergent"),
+    ("constant", from_one(constant), "divergent"),
+    ("linear", from_one(lambda k: Coeff(k)), "divergent"),
+    ("harmonic", from_one(inverse_power(1)), "inconclusive"),
+    ("shifted harmonic", from_one(lambda k: Coeff(Fraction(1, k + 5))), "inconclusive"),
 ]
 
 
@@ -76,13 +92,8 @@ def test_recurrence_matches_factorial_closed_form():
 
 def test_fast_partial_sums_match_naive_summation():
     checkpoints = [0, 1, 5, 60, 300, 1000]
-    fast = PAPER_SERIES.fast_partial_sums(checkpoints)
-    acc = Coeff(0)
-    naive = {}
-    for k in range(1001):
-        acc = acc + term_norm2(k)
-        naive[k] = acc
-    assert fast == [naive[k] for k in checkpoints]
+    fast = squeeze_partial_sums(checkpoints)
+    assert fast == naive_partial_sums(term_norm2, checkpoints, k_start=0)
 
 
 def test_central_binomial_matches_math_comb():
@@ -97,10 +108,10 @@ def test_partial_sums_to_1e5_hold_no_list_of_primes():
     # through a binary counter; a list of the ~18 000 primes or of their
     # powers alone would take about 0.6 MB
     checkpoints = [10**3, 10**4, 10**5]
-    _squeeze_partial_sums(checkpoints)
+    squeeze_partial_sums(checkpoints)
     tracemalloc.start()
     try:
-        _squeeze_partial_sums(checkpoints)
+        squeeze_partial_sums(checkpoints)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -109,14 +120,14 @@ def test_partial_sums_to_1e5_hold_no_list_of_primes():
 
 def test_fast_partial_sums_match_comb_closed_form_at_1e5():
     k = 10**5
-    (fast,) = PAPER_SERIES.fast_partial_sums([k])
+    (fast,) = squeeze_partial_sums([k])
     assert fast == Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k))
 
 
 def test_series_values_match_fraction_construction():
     # oracle: the Fraction construction, reduced by a gcd
     ks = [*range(301), 10**3, 10**4, 10**5]
-    sums = PAPER_SERIES.fast_partial_sums(ks)
+    sums = squeeze_partial_sums(ks)
     for k, s_k in zip(ks, sums):
         c = math.comb(2 * k, k)
         assert term_norm2(k) == Coeff(0, Fraction(c, 4**k)), k
@@ -132,17 +143,17 @@ def _comb_terms(first, last):
 def test_stepped_terms_match_math_comb():
     # the integer step C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1) against math.comb,
     # from k = 0 and from later starts, in both orders of the calls
-    assert _squeeze_terms(0, 1001) == _comb_terms(0, 1001)
-    assert _squeeze_terms(37, 140) == _comb_terms(37, 140)
-    assert _squeeze_terms(500, 500) == _comb_terms(500, 500)
-    assert _squeeze_terms(0, 1001) == _comb_terms(0, 1001)
-    assert _squeeze_terms(3, 2) == []
+    assert squeeze_terms(0, 1001) == _comb_terms(0, 1001)
+    assert squeeze_terms(37, 140) == _comb_terms(37, 140)
+    assert squeeze_terms(500, 500) == _comb_terms(500, 500)
+    assert squeeze_terms(0, 1001) == _comb_terms(0, 1001)
+    assert squeeze_terms(3, 2) == []
     with pytest.raises(ValueError):
-        _squeeze_terms(-1, 5)
+        squeeze_terms(-1, 5)
 
 
 def test_raabe_terms_match_math_comb():
-    assert list(raabe_test(PAPER_SERIES, 1000).terms) == _comb_terms(0, 1001)
+    assert list(raabe_test(paper_terms(1000)).terms) == _comb_terms(0, 1001)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ def test_raabe_terms_match_math_comb():
 # ---------------------------------------------------------------------------
 
 def test_paper_series_ratios_exact():
-    report = raabe_test(PAPER_SERIES, 1000)
+    report = raabe_test(paper_terms(1000))
     for k in range(1, 1001):
         assert report.ratio(k) == Coeff(Fraction(k, 2 * k + 1))
     assert report.verdict == "divergent"
@@ -161,7 +172,7 @@ def test_paper_series_ratios_exact():
 
 
 def test_inverse_square_ratios_exact():
-    report = raabe_test(series_1_over(2, "inverse squares"), 100)
+    report = raabe_test(from_one(inverse_power(2))(100))
     for k in (1, 10, 100):
         assert report.ratio(k) == Coeff(Fraction(2 * k + 1, k))
     assert report.verdict == "convergent"
@@ -170,36 +181,43 @@ def test_inverse_square_ratios_exact():
 
 
 def test_harmonic_is_inconclusive_without_fallback():
-    report = raabe_test(series_1_over(1, "harmonic"), 100)
+    report = raabe_test(from_one(inverse_power(1))(100))
     assert all(report.ratio(k) == Coeff(1) for k in range(1, 101))
     assert report.verdict == "inconclusive"
 
 
 def test_verdict_soundness_across_controls():
-    for series, expected in CONTROLS:
-        report = raabe_test(series, 200)
+    for label, terms, expected in CONTROLS:
+        report = raabe_test(terms(200))
         if expected == "divergent":
-            assert report.verdict != "convergent", series.label
+            assert report.verdict != "convergent", label
         elif expected == "convergent":
-            assert report.verdict != "divergent", series.label
+            assert report.verdict != "divergent", label
         else:
-            assert report.verdict == "inconclusive", series.label
+            assert report.verdict == "inconclusive", label
 
 
 def test_verdicts_exact_on_decisive_controls():
-    for series, expected in CONTROLS:
+    for label, terms, expected in CONTROLS:
         if expected == "inconclusive":
             continue
-        report = raabe_test(series, 200)
-        assert report.verdict == expected, (series.label, report.verdict)
+        report = raabe_test(terms(200))
+        assert report.verdict == expected, (label, report.verdict)
 
 
 def test_raabe_rejects_bad_input():
     with pytest.raises(ValueError):
-        raabe_test(PAPER_SERIES, 5)
-    zeros = SeriesTerms("has zero", lambda k: Coeff(Fraction(max(0, 3 - k))), k_start=1)
-    with pytest.raises(ValueError):
-        raabe_test(zeros, 50)
+        raabe_test(paper_terms(5))
+    zeros = from_one(lambda k: Coeff(Fraction(max(0, 3 - k))))
+    with pytest.raises(ValueError, match="k=3 is not positive"):
+        raabe_test(zeros(50))
+
+
+def test_raabe_rejects_a_non_real_term():
+    terms = paper_terms(20)
+    terms[7] = terms[7] * I_UNIT
+    with pytest.raises(ValueError, match="non-real"):
+        raabe_test(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +225,8 @@ def test_raabe_rejects_bad_input():
 # ---------------------------------------------------------------------------
 
 def test_paper_partial_sums_growth():
-    report = partial_sum_growth(PAPER_SERIES, [10**3, 10**4])
+    checkpoints = [10**3, 10**4]
+    report = partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints))
     assert 0.45 <= report.fitted_exponent <= 0.55
     # strictly increasing and exactly exceeding 100 within range
     assert report.partial_sums[0] < report.partial_sums[1]
@@ -218,29 +237,44 @@ def test_paper_partial_sums_growth():
 
 
 def test_convergent_control_flat_exponent():
-    report = partial_sum_growth(series_1_over(2, "inverse squares"), [128, 512, 2048])
+    checkpoints = [128, 512, 2048]
+    report = partial_sum_growth(checkpoints, naive_partial_sums(inverse_power(2), checkpoints))
     assert abs(report.fitted_exponent) < 0.05
     assert abs(report.partial_sum_floats[-1] - math.pi**2 / 6) < 1e-3
 
 
 def test_constant_series_linear_growth():
-    report = partial_sum_growth(
-        SeriesTerms("constant", lambda k: Coeff(1), k_start=1), [100, 1000]
-    )
+    checkpoints = [100, 1000]
+    report = partial_sum_growth(checkpoints, naive_partial_sums(constant, checkpoints))
     assert abs(report.fitted_exponent - 1.0) < 1e-9
 
 
 def test_partial_sum_checkpoint_validation():
     with pytest.raises(ValueError):
-        partial_sum_growth(PAPER_SERIES, [100, 100])
+        partial_sum_growth([100, 100], squeeze_partial_sums([100, 100]))
     with pytest.raises(ValueError):
-        partial_sum_growth(PAPER_SERIES, [])
-    with pytest.raises(ValueError):
-        partial_sum_growth(series_1_over(2, "inverse squares"), [0, 10])
+        partial_sum_growth([], [])
+    # S_0 of a series from k = 1 is the empty sum
+    with pytest.raises(ValueError, match="S_0 is not positive"):
+        partial_sum_growth([0, 10], naive_partial_sums(inverse_power(2), [0, 10]))
+
+
+def test_partial_sum_growth_needs_one_positive_sum_per_checkpoint():
+    checkpoints = [10, 100, 1000]
+    sums = squeeze_partial_sums(checkpoints)
+    with pytest.raises(ValueError, match="2 partial sums for 3 checkpoints"):
+        partial_sum_growth(checkpoints, sums[:2])
+    with pytest.raises(ValueError, match="4 partial sums for 3 checkpoints"):
+        partial_sum_growth(checkpoints, [*sums, sums[-1]])
+    for bad in (Coeff(0), -sums[1]):
+        with pytest.raises(ValueError, match="S_100 is not positive"):
+            partial_sum_growth(checkpoints, [sums[0], bad, sums[2]])
+    with pytest.raises(ValueError, match="non-real"):
+        partial_sum_growth(checkpoints, [sums[0], sums[1] * I_UNIT, sums[2]])
 
 
 def test_csv_columns():
-    report = raabe_test(PAPER_SERIES, 20)
+    report = raabe_test(paper_terms(20))
     lines = raabe_csv(report).strip().splitlines()
     assert lines[0] == "k,rho,S_k"
     assert len(lines) == 21
@@ -251,19 +285,19 @@ def test_csv_columns():
 
 
 def test_csv_matches_per_term_construction():
-    # oracle: every a_k rebuilt through series.term
-    report = raabe_test(PAPER_SERIES, 1000)
+    # oracle: every a_k rebuilt through the per-term closed form
+    report = raabe_test(paper_terms(1000))
     lines = ["k,rho,S_k"]
     acc = 0.0
     for k in range(1001):
-        acc += float(PAPER_SERIES.term(k))
+        acc += float(term_norm2(k))
         if k >= 1:
             lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
     assert raabe_csv(report) == "\n".join(lines) + "\n"
 
 
 def test_ratio_test_depth_is_bounded():
-    constant = SeriesTerms("constant", lambda k: Coeff(1), k_start=1)
-    assert raabe_test(constant, RAABE_KMAX_LIMIT).verdict == "divergent"
+    ones = from_one(constant)
+    assert raabe_test(ones(RAABE_KMAX_LIMIT)).verdict == "divergent"
     with pytest.raises(ValueError, match=str(RAABE_KMAX_LIMIT)):
-        raabe_test(constant, RAABE_KMAX_LIMIT + 1)
+        raabe_test(ones(RAABE_KMAX_LIMIT + 1))
