@@ -5,11 +5,30 @@ divergent-series certification, and the classical Hamiltonian layer.
 
 The names below are imported from their submodule on first use (PEP 562), so
 the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``) loads
-without the numpy-based ``fock`` and ``series`` layers."""
+without the numpy-based ``fock`` and ``series`` layers.  Those layers, and
+``classical`` and ``cli``, take numpy from ``_lazy_import``: it is loaded on
+its first numeric call, not at import, so ``import bateman.cli`` loads every
+layer and ``bateman counterexample``, ``bateman --help`` and a configuration
+error never run numpy's code."""
 
+import importlib.util
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+
+def _lazy_import(name: str):
+    """The module ``name``, executed on its first attribute access (the stdlib
+    ``LazyLoader`` recipe); the loaded module itself if it is already loaded."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {

@@ -19,34 +19,20 @@ the mixed Lagrangian gives p_x = m y' - (gamma/2) y and p_y = m x' + (gamma/2) x
 i.e. each momentum couples to the *other* coordinate's velocity.  Use
 ``PhaseState.from_velocities`` instead of building momenta by hand.
 
-numpy is loaded on the first use of ``np``, not at import, so the exact layer
-can take ``BatemanParams`` from here without loading it.
+numpy is loaded on the first use of ``np``, not at import, as in every layer
+(see the package docstring), so the exact layer can take ``BatemanParams``
+from here without running it.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
+from . import _lazy_import
 from .field import RatLike, _rat, rational_sqrt
-
-
-def _lazy_import(name: str):
-    """The module ``name``, executed on its first attribute access (the stdlib
-    ``LazyLoader`` recipe); the loaded module itself if it is already loaded."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
 
 np = _lazy_import("numpy")
 _SQRT2 = math.sqrt(2.0)

@@ -33,8 +33,7 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence, TextIO
 
-import numpy as np
-
+from . import _lazy_import
 from .classical import (
     BatemanParams,
     HamiltonianConsistency,
@@ -92,6 +91,8 @@ from .vacuum import (
     gaussian_ansatz_solve,
     multiplier_reduction,
 )
+
+np = _lazy_import("numpy")
 
 DEFAULT_NULL_CUTOFFS = (8, 12, 16, 20)
 DEFAULT_SQUEEZE_CUTOFFS = (16, 32, 64, 128)

@@ -48,9 +48,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-import numpy as np
-
+from . import _lazy_import
 from .radicals import SqrtRational
+
+np = _lazy_import("numpy")
 
 SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
 DEFAULT_THETA = 7 * math.pi / 8  # the squeeze exponent parameter of the reference setup

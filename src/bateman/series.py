@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-import numpy as np
-
+from . import _lazy_import
 from .field import Coeff, ONE
 from .radicals import factorial_exponent, prime_sieve
+
+np = _lazy_import("numpy")
 
 
 def term_norm2(k: int) -> Coeff:
@@ -201,7 +202,8 @@ def partial_sum_growth(checkpoints: Sequence[int], partial_sums: Sequence[Coeff]
     slope of log S_K against log K (floats only enter at the fitting step).
 
     Raises ValueError unless the checkpoints are nonempty and strictly
-    increasing and each has one strictly positive sum.
+    increasing, each has one strictly positive sum, and the first checkpoint
+    is positive (log K is fitted).
     """
     cps, sums = list(checkpoints), list(partial_sums)
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -211,6 +213,8 @@ def partial_sum_growth(checkpoints: Sequence[int], partial_sums: Sequence[Coeff]
     for k, s in zip(cps, sums):
         if s.sign() <= 0:
             raise ValueError(f"partial sum S_{k} is not positive")
+    if cps[0] <= 0:
+        raise ValueError(f"checkpoint {cps[0]} is not positive: the fit takes log K")
     floats = [float(s) for s in sums]
     slope = float(
         np.polyfit(np.log([float(k) for k in cps]), np.log(floats), 1)[0]

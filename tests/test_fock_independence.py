@@ -5,11 +5,13 @@ symbolic engine.  The Fock matrices and the exact operators are cross-checked
 against each other, which proves something only while neither side is derived
 from the other.  The Hermite map that joins them lives in ``tests/hermite.py``.
 
-The other direction runs fresh interpreters: importing the exact layer, and
-running the README's library example, leaves numpy's code unrun, while
-``import bateman.cli`` still loads every layer the benchmark tracer looks up
-in ``sys.modules``.  ``classical`` loads numpy lazily when it is imported
-first, and gives the same results that way.
+The other direction runs fresh interpreters.  Every layer loads numpy on its
+first numeric call, not at import, so importing the exact layer, running the
+README's library example, ``import bateman.cli``, ``bateman counterexample``,
+``bateman --help`` and a configuration error all leave numpy's code unrun,
+while ``import bateman.cli`` still loads every layer the benchmark tracer
+looks up in ``sys.modules``.  ``classical`` and ``bateman all`` give the same
+results, byte for byte, whether numpy is loaded lazily or beforehand.
 """
 
 import ast
@@ -18,6 +20,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bateman"
@@ -92,6 +96,32 @@ def test_readme_library_example_leaves_numpy_unrun():
     assert "False" in lines[:-1]  # the example ran: ``report.solvable`` printed
 
 
+# Prints whether numpy's code ran after ``import bateman.cli``, runs
+# ``bateman.cli.main`` (the ``bateman`` console script) on ``{argv}``, then
+# prints its exit code and whether numpy's code ran.
+CLI_RUN = f"""\
+import sys
+{{prelude}}
+from bateman.cli import main
+print({NUMPY_RAN})
+try:
+    code = main({{argv}})
+except SystemExit as exc:
+    code = exc.code
+print(code, {NUMPY_RAN})
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["counterexample"], 0),
+    (["--help"], 0),
+    (["all", "--kmax", "5"], 2),
+], ids=["counterexample", "help", "config-error"])
+def test_numpy_free_commands_leave_numpy_unrun(tmp_path, argv, code):
+    lines = run_fresh(CLI_RUN.format(prelude="", argv=[*argv, "--out", str(tmp_path)]))
+    assert lines[0] == "False" and lines[-1] == f"{code} False"
+
+
 def test_cli_import_loads_every_traced_layer():
     # perfbench/tracer.py finds each layer of its SPANNED table in sys.modules
     # after ``import bateman.cli``
@@ -130,9 +160,28 @@ print(hashlib.sha256(csv.getvalue().encode()).hexdigest())
 
 
 def test_deferred_numpy_gives_the_same_results():
-    # ``python -m bateman.cli`` always loads numpy before ``classical``; here
-    # one process imports ``classical`` alone, so its numpy is loaded lazily
+    # one process loads numpy at its first numeric call in ``classical``, the
+    # other imports it before ``classical``
     lazy, eager = (run_fresh(CLASSICAL_OUTPUTS.format(prelude=prelude))
                    for prelude in ("", "import numpy"))
     assert (lazy[0], eager[0]) == ("False", "True")
     assert len(lazy) == 5 and lazy[1:] == eager[1:]
+
+
+ALL_OUTPUTS = [
+    "null_experiment_bosonic.csv", "null_experiment_pseudo.csv", "raabe.csv",
+    "report_all.json", "squeeze_norms.csv", "trajectory.csv",
+]
+
+
+def test_deferred_numpy_gives_the_same_cli_outputs(tmp_path):
+    # ``bateman all`` with numpy loaded at its first numeric call, and with
+    # numpy imported before ``bateman.cli``
+    outputs = {}
+    for side, prelude in (("lazy", ""), ("eager", "import numpy")):
+        out = tmp_path / side
+        lines = run_fresh(CLI_RUN.format(prelude=prelude, argv=["all", "--out", str(out)]))
+        assert (lines[0], lines[-1]) == (str(side == "eager"), "0 True")
+        assert sorted(path.name for path in out.iterdir()) == ALL_OUTPUTS
+        outputs[side] = lines[1:-1], [(out / name).read_bytes() for name in ALL_OUTPUTS]
+    assert outputs["lazy"] == outputs["eager"]

@@ -259,6 +259,15 @@ def test_partial_sum_checkpoint_validation():
         partial_sum_growth([0, 10], naive_partial_sums(inverse_power(2), [0, 10]))
 
 
+def test_partial_sum_growth_rejects_a_checkpoint_that_is_not_positive():
+    # S_0 of the squeeze series is sqrt2 > 0, so only the checkpoint rule
+    # keeps log 0 out of the fit
+    with pytest.raises(ValueError, match="checkpoint 0 is not positive"):
+        partial_sum_growth([0, 10, 100], squeeze_partial_sums([0, 10, 100]))
+    with pytest.raises(ValueError, match="checkpoint -5 is not positive"):
+        partial_sum_growth([-5, 10], squeeze_partial_sums([1, 10]))
+
+
 def test_partial_sum_growth_needs_one_positive_sum_per_checkpoint():
     checkpoints = [10, 100, 1000]
     sums = squeeze_partial_sums(checkpoints)
