@@ -4,8 +4,8 @@ Q(sqrt2, i), vacuum existence analysis, truncated Fock-space experiments,
 divergent-series certification, and the classical Hamiltonian layer.
 
 The names below are imported from their submodule on first use (PEP 562), so
-the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``) loads
-without the numpy-based ``fock`` and ``series`` layers.  Those layers, and
+the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``,
+``series``) loads without the numpy-based ``fock`` layer.  That layer, and
 ``classical`` and ``cli``, take numpy from ``_lazy_import``: it is loaded on
 its first numeric call, not at import, so ``import bateman.cli`` loads every
 layer and ``bateman counterexample``, ``bateman --help`` and a configuration

@@ -153,7 +153,8 @@ def test_criterion_5_series():
     assert term_norm2(2) == Coeff(0, Fraction(3, 8))
     checkpoints = [10**3, 10**4, 10**5]
     growth = partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints))
-    assert 0.45 <= growth.fitted_exponent <= 0.55
+    # exactly sqrt2 (2K+1) / (2 sqrt K) <= S_K <= sqrt2 (2K+1) / sqrt(3K+1)
+    assert growth.bounds_hold
     assert growth.partial_sums[1] > Coeff(100)  # exact comparison
     assert time.monotonic() - start < 30.0
 

@@ -152,6 +152,22 @@ def test_kmax_zero_rejected(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_error_inside_a_check_is_not_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # the configuration was accepted, so a check that raises shows a defect in
+    # the program: exit 1, not the exit 2 of a configuration error
+    terms = bateman.cli.squeeze_terms
+    monkeypatch.setattr(
+        bateman.cli,
+        "squeeze_terms",
+        lambda first, last: [t * 0 if k == 7 else t for k, t in enumerate(terms(first, last), first)],
+    )
+    assert run_cli(["squeeze", "--kmax", "10", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "term k=7 is not positive" in err
+    assert "configuration error" not in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as err:
         run_cli(["spectral"])
