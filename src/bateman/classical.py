@@ -258,11 +258,12 @@ class EomResiduals:
     amplified: float
 
 
-def eom_residual(traj: Trajectory, params: BatemanParams) -> EomResiduals:
+def eom_residual(traj: Trajectory) -> EomResiduals:
     """Central-difference check of m x'' + gamma x' + k x and m y'' - gamma y' + k y."""
     if len(traj.times) < 5:
         raise ValueError("need at least 5 samples for the residual check")
     dt = float(traj.times[1] - traj.times[0])
+    params = traj.params
     m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
     samples = traj.phase_arrays()
     x, y = samples.x, samples.y
@@ -286,7 +287,7 @@ class HamiltonianConsistency:
     initial_energy: float
 
 
-def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> HamiltonianConsistency:
+def hamiltonian_consistency(traj: Trajectory) -> HamiltonianConsistency:
     """Gap between the two energy forms along the trajectory, and the drift.
 
     The rotated form is a difference of terms quadratic in the amplified
@@ -298,8 +299,8 @@ def hamiltonian_consistency(traj: Trajectory, params: BatemanParams) -> Hamilton
     samples = traj.phase_arrays()
     # overflow shows up as non-finite energies and is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = hamiltonian_mixed(samples, params)
-        rotated = hamiltonian_rotated(rotate(samples), params)
+        energies = hamiltonian_mixed(samples, traj.params)
+        rotated = hamiltonian_rotated(rotate(samples), traj.params)
     if not (np.isfinite(energies).all() and np.isfinite(rotated).all()):
         raise IntegrationError("an energy form left the representable range along the trajectory")
     gap = float(np.max(np.abs(energies - rotated)))

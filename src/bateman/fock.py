@@ -5,12 +5,13 @@ mode 1 tensor mode 2 ordering).  The two-mode ladder family is one table of
 integer weights over a1, a2, a1^T and a2^T, ``LADDER_WEIGHTS``.  The ladder
 operators are float64; only H, which carries i gamma/2m, is complex.  Identity
 checks always exclude the top two excitation levels by restricting to the
-interior indices, since finite ladder matrices necessarily violate the
-commutation relations at the edge.  For the coordinate projector P onto an
-index set S, P X Y P = (P X)(Y P): the restricted product is X[S] @ Y[:, S],
-so the checks never form a full two-mode product.  ``build_fock`` assembles
-the dense two-mode matrices from ``kron`` products, which the tests use as
-the oracle for both sector routes below.
+interior, total excitation below ``interior_bound(N) = N - 2``, since finite
+ladder matrices necessarily violate the commutation relations at the edge.
+For the coordinate projector P onto an index set S, P X Y P = (P X)(Y P): the
+restricted product is X[S] @ Y[:, S], so the checks never form a full
+two-mode product.  ``build_fock`` assembles the dense two-mode matrices from
+``kron`` products, which the tests use as the oracle for both sector routes
+below.
 
 Both forms of H keep d = n1 - n2, and each ladder factor moves d and the
 total excitation by one, so the Hamiltonian check and the null sweep work
@@ -178,16 +179,17 @@ def total_excitations(modes: int, cutoff: int) -> np.ndarray:
     return n1 + n2
 
 
-def interior_indices(modes: int, cutoff: int, bound: int) -> np.ndarray:
-    """Basis indices with total excitation < bound, in increasing order."""
-    return np.flatnonzero(total_excitations(modes, cutoff) < bound)
+def interior_bound(cutoff: int) -> int:
+    """The interior rule: total excitation below cutoff - 2.  Raises ValueError
+    below cutoff 3, where the interior is empty."""
+    if cutoff < 3:
+        raise ValueError("the interior needs a cutoff of at least 3")
+    return cutoff - 2
 
 
-def _check_interior(cutoff: int, bound: int) -> None:
-    if bound > cutoff - 2:
-        raise ValueError("interior bound must not exceed cutoff - 2")
-    if bound < 1:
-        raise ValueError("interior bound must be positive")
+def interior_indices(modes: int, cutoff: int) -> np.ndarray:
+    """Basis indices of the interior, in increasing order."""
+    return np.flatnonzero(total_excitations(modes, cutoff) < interior_bound(cutoff))
 
 
 def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,23 +220,22 @@ def _sector_parts(d: int, bound: int) -> np.ndarray:
     return parts
 
 
-def commutator_residual(x: FockOp, y: FockOp, expected: complex, bound: int) -> float:
+def commutator_residual(x: FockOp, y: FockOp, expected: complex) -> float:
     """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace,
     from the restricted products X[S] @ Y[:, S] over the interior indices S."""
     if x.modes != y.modes or x.cutoff != y.cutoff:
         raise ValueError("operators live on different truncated spaces")
-    _check_interior(x.cutoff, bound)
-    inside = interior_indices(x.modes, x.cutoff, bound)
+    inside = interior_indices(x.modes, x.cutoff)
     xm, ym = x.matrix, y.matrix
     comm = xm[inside] @ ym[:, inside] - ym[inside] @ xm[:, inside]
     return float(np.linalg.norm(comm - expected * np.eye(len(inside)), 2))
 
 
-def hamiltonian_equiv_residual(params, cutoff: int, bound: int) -> float:
+def hamiltonian_equiv_residual(params, cutoff: int) -> float:
     """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff, the largest
     over the sectors d = n1 - n2, which both forms preserve.  Each sector's
     complex D has the singular values of [[Re D, -Im D], [Im D, Re D]], twice."""
-    _check_interior(cutoff, bound)
+    bound = interior_bound(cutoff)
     top = 0.0
     for d in range(1 - bound, bound):
         # [S, T] blocks: the [T, S] parts transposed, with a_j and a_j^T swapped
@@ -306,7 +307,7 @@ def joint_null_experiment(
 
     records = []
     for cutoff in cutoffs:
-        bound = cutoff - 2
+        bound = interior_bound(cutoff)
         top = 0.0
         best_d, best, sigma = 0, None, np.inf
         for d in range(1 - bound, bound):

@@ -10,7 +10,11 @@ Two value types carry the symbolic layer:
 
 Unit convention: the oscillator length scale is absorbed into the variables
 (m*omega = 1, hbar = 1), so every ladder coefficient lives in Q(sqrt2).
-Physical parameters enter only through rational Hamiltonian prefactors.
+The pseudo-boson family is one table of integer weights over the ladders,
+``PSEUDO_WEIGHTS``.  Physical parameters enter only through the rational
+prefactors of H = omega F + (i gamma / 2m) G, whose parts F and G
+(``hamiltonian_parts``) are parameter-free, so comparing the parts of the two
+assemblies once compares them at every (m, gamma, omega).
 """
 
 from __future__ import annotations
@@ -724,80 +728,75 @@ def make_ladder(mode: int, kind: LadderKind, nvars: int) -> LinDiffOp:
     return combo.scale(INV_SQRT2)
 
 
-PSEUDO_NAMES = (
-    "A1",
-    "A2",
-    "B1",
-    "B2",
-    "abar1minus",
-    "abar2minus",
-    "abar1plus",
-    "abar2plus",
-)
+# The pseudo-boson family and both sign branches of the mixed lowering
+# operators, as integer weights over the ladders (a1, a2, a1+, a2+): each
+# operator is sum_i w_i ladder_i / sqrt2.  The minus branches coincide with
+# A1, A2 and the plus branches with B2, B1 (theorems, covered by tests, which
+# write every combination out on its own).
+PSEUDO_WEIGHTS = {
+    "A1": (1, 0, 0, -1),
+    "A2": (0, 1, -1, 0),
+    "B1": (0, 1, 1, 0),
+    "B2": (1, 0, 0, 1),
+    "abar1minus": (1, 0, 0, -1),
+    "abar2minus": (0, 1, -1, 0),
+    "abar1plus": (1, 0, 0, 1),
+    "abar2plus": (0, 1, 1, 0),
+}
+
+
+def _ladders() -> tuple[LinDiffOp, ...]:
+    """The two-mode ladders (a1, a2, a1+, a2+)."""
+    return tuple(make_ladder(mode, kind, 2) for kind in ("lower", "raise") for mode in (0, 1))
 
 
 def make_pseudo(which: str) -> LinDiffOp:
-    """Two-mode pseudo-bosonic ladder combinations, by name.
+    """One two-mode pseudo-bosonic ladder combination: its ``PSEUDO_WEIGHTS`` row.
 
     The abar* names expose both sign branches of the mixed definitions; no
-    default branch is chosen.  The minus branches coincide with A1, A2 and
-    the plus branches with B2, B1 (theorems, covered by tests -- each entry
-    below is built from its own defining combination).
+    default branch is chosen.
     """
-    a1 = make_ladder(0, "lower", 2)
-    a2 = make_ladder(1, "lower", 2)
-    a1d = make_ladder(0, "raise", 2)
-    a2d = make_ladder(1, "raise", 2)
-    table = {
-        "A1": a1 - a2d,
-        "A2": -a1d + a2,
-        "B1": a1d + a2,
-        "B2": a1 + a2d,
-        "abar1minus": a1 - a2d,
-        "abar2minus": -a1d + a2,
-        "abar1plus": a1 + a2d,
-        "abar2plus": a1d + a2,
-    }
-    if which not in table:
-        raise ValueError(f"unknown pseudo-boson name {which!r}; expected one of {PSEUDO_NAMES}")
-    return table[which].scale(INV_SQRT2)
+    weights = PSEUDO_WEIGHTS.get(which)
+    if weights is None:
+        raise ValueError(
+            f"unknown pseudo-boson name {which!r}; expected one of {tuple(PSEUDO_WEIGHTS)}"
+        )
+    terms = (ladder.scale(w) for w, ladder in zip(weights, _ladders()) if w)
+    return sum(terms, LinDiffOp.zero(2)).scale(INV_SQRT2)
 
 
 HamiltonianForm = Literal["bosonic", "pseudo"]
 
 
-def hamiltonian_build(params: "BatemanParams", form: HamiltonianForm) -> LinDiffOp:
-    """Two-mode Hamiltonian in canonical form.
+def hamiltonian_parts(form: HamiltonianForm) -> tuple[LinDiffOp, LinDiffOp]:
+    """The parameter-free parts (F, G) of H = omega F + (i gamma / 2m) G.
 
-    ``bosonic``: H0 = omega (a1+ a1 - a2+ a2), HI = (i gamma / 2m)(a1 a2 - a1+ a2+).
-    ``pseudo``:  H0 = omega (B1 A1 - B2 A2),  HI = (i gamma / 2m)(B1 A1 + B2 A2 + 1).
-
-    The two forms normal-order to the identical operator for every rational
-    (m, omega, gamma).  omega must be an exact rational; construct the
-    parameters via ``BatemanParams.from_omega`` for that.
+    ``bosonic``: F = a1+ a1 - a2+ a2, G = a1 a2 - a1+ a2+.
+    ``pseudo``:  F = B1 A1 - B2 A2,   G = B1 A1 + B2 A2 + 1.
     """
-    if form not in ("bosonic", "pseudo"):
-        raise ValueError(f"unknown Hamiltonian form {form!r}")
+    if form == "bosonic":
+        a1, a2, a1d, a2d = _ladders()
+        return a1d * a1 - a2d * a2, a1 * a2 - a1d * a2d
+    if form == "pseudo":
+        n1 = make_pseudo("B1") * make_pseudo("A1")
+        n2 = make_pseudo("B2") * make_pseudo("A2")
+        return n1 - n2, n1 + n2 + LinDiffOp.identity(2)
+    raise ValueError(f"unknown Hamiltonian form {form!r}")
+
+
+def hamiltonian_build(params: "BatemanParams", form: HamiltonianForm) -> LinDiffOp:
+    """Two-mode Hamiltonian in canonical form: omega F + (i gamma / 2m) G over
+    the ``hamiltonian_parts`` of ``form``.
+
+    Both forms share this one assembly, so equal parts give the identical
+    operator for every (m, gamma, omega).  omega must be an exact rational;
+    construct the parameters via ``BatemanParams.from_omega`` for that.
+    """
+    free, interaction = hamiltonian_parts(form)
     omega = params.rational_omega
     if omega is None:
         raise ValueError(
             "exact Hamiltonian build needs rational omega; "
             "construct parameters with BatemanParams.from_omega"
         )
-    ig = Coeff(0, 0, params.gamma / (2 * params.m), 0)
-
-    if form == "bosonic":
-        a1 = make_ladder(0, "lower", 2)
-        a2 = make_ladder(1, "lower", 2)
-        a1d = make_ladder(0, "raise", 2)
-        a2d = make_ladder(1, "raise", 2)
-        free = (a1d * a1 - a2d * a2).scale(omega)
-        inter = (a1 * a2 - a1d * a2d).scale(ig)
-    else:
-        big_a1, big_a2 = make_pseudo("A1"), make_pseudo("A2")
-        big_b1, big_b2 = make_pseudo("B1"), make_pseudo("B2")
-        n1 = big_b1 * big_a1
-        n2 = big_b2 * big_a2
-        free = (n1 - n2).scale(omega)
-        inter = (n1 + n2 + LinDiffOp.identity(2)).scale(ig)
-    return free + inter
+    return free.scale(omega) + interaction.scale(Coeff(0, 0, params.gamma / (2 * params.m), 0))

@@ -114,14 +114,14 @@ def test_criterion_3_commutator_table():
             if ln[0] != rn[0] and ln[1] == rn[1]:
                 expected = 1 if ln[0] == "A" else -1
             assert commutator(ops[ln], ops[rn]).as_scalar() == Coeff(expected), (ln, rn)
-    cutoff, bound = 12, 10
+    cutoff = 12
     for ln in PAIR_NAMES:
         for rn in PAIR_NAMES:
             expected = 0
             if ln[0] != rn[0] and ln[1] == rn[1]:
                 expected = 1 if ln[0] == "A" else -1
             res = commutator_residual(
-                build_fock(ln, cutoff), build_fock(rn, cutoff), expected, bound
+                build_fock(ln, cutoff), build_fock(rn, cutoff), expected
             )
             assert res < 1e-10, (ln, rn, res)
 
@@ -137,7 +137,7 @@ def test_criterion_4_hamiltonian_equivalence():
         )
         diff = hamiltonian_build(params, "bosonic") - hamiltonian_build(params, "pseudo")
         assert diff.is_zero()
-    res = hamiltonian_equiv_residual(BatemanParams.from_omega(1, Fraction(1, 5), 1), 16, 14)
+    res = hamiltonian_equiv_residual(BatemanParams.from_omega(1, Fraction(1, 5), 1), 16)
     assert res < 1e-10
 
 
@@ -205,16 +205,16 @@ def test_criterion_9_classical():
     )
     assert np.max(np.abs(traj.states[:, 0] - analytic)) < 1e-5
 
-    res = eom_residual(traj, params)
+    res = eom_residual(traj)
     assert max(res.damped, res.amplified) < 1e-4
 
-    cons = hamiltonian_consistency(traj, params)
+    cons = hamiltonian_consistency(traj)
     assert cons.max_form_gap < 1e-10
     assert cons.max_drift < 1e-7
     # order check where truncation sets the drift (at dt = 1e-3 it is at the
     # rounding floor): RK4's energy drift on a linear system is O(dt^5)
     coarse, fine = (
-        hamiltonian_consistency(integrate_eom(params, init, 10.0, dt), params)
+        hamiltonian_consistency(integrate_eom(params, init, 10.0, dt))
         for dt in DRIFT_ORDER_STEPS
     )
     assert abs(coarse.max_drift / fine.max_drift - 32.0) < 1.0

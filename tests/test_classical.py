@@ -212,7 +212,7 @@ def test_energy_drift_stays_at_rounding_floor(m, gamma, omega):
     p = BatemanParams.from_omega(m, gamma, omega)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    assert hamiltonian_consistency(traj, p).max_drift < 1e-13
+    assert hamiltonian_consistency(traj).max_drift < 1e-13
 
 
 def test_underdamped_solution_matches_test_closed_forms():
@@ -261,7 +261,7 @@ def test_energy_overflow_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="energy"):
-            hamiltonian_consistency(traj, p)
+            hamiltonian_consistency(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_eom_residuals_small_on_integrated_trajectory():
     p = default_params()
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    res = eom_residual(traj, p)
+    res = eom_residual(traj)
     assert res.damped < 1e-4
     assert res.amplified < 1e-4
 
@@ -281,7 +281,7 @@ def test_eom_residuals_gamma_zero():
     p = BatemanParams.from_omega(1, 0, 1)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=1.0, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    res = eom_residual(traj, p)
+    res = eom_residual(traj)
     assert res.damped < 1e-5 and res.amplified < 1e-5
 
 
@@ -293,7 +293,7 @@ def test_corrupted_trajectory_detected():
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
     bad = traj.states.copy()
     bad[:, 0] *= 1.01
-    res = eom_residual(Trajectory(traj.times, bad, p), p)
+    res = eom_residual(Trajectory(traj.times, bad, p))
     assert res.damped > 1e-2
 
 
@@ -301,7 +301,7 @@ def test_eom_residual_needs_samples():
     p = default_params()
     traj = integrate_eom(p, PhaseState(1, 0, 0, 0), t_end=3e-3, dt=1e-3)
     with pytest.raises(ValueError):
-        eom_residual(traj, p)
+        eom_residual(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +312,20 @@ def test_energy_forms_agree_along_trajectory():
     p = default_params()
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    cons = hamiltonian_consistency(traj, p)
+    cons = hamiltonian_consistency(traj)
     assert cons.max_form_gap < 1e-10
 
 
 def test_energy_drift_small_and_fourth_order():
     p = default_params()
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
-    drift = hamiltonian_consistency(integrate_eom(p, init, 10.0, 1e-3), p).max_drift
+    drift = hamiltonian_consistency(integrate_eom(p, init, 10.0, 1e-3)).max_drift
     assert drift < 1e-7
     # measure the order where truncation, not rounding, sets the drift: RK4
     # changes the energy of this linear system by O(dt^6) per step, so the
     # drift over a fixed time is O(dt^5) and halving the step divides it by 32
     coarse, fine = (
-        hamiltonian_consistency(integrate_eom(p, init, 10.0, dt), p).max_drift
+        hamiltonian_consistency(integrate_eom(p, init, 10.0, dt)).max_drift
         for dt in DRIFT_ORDER_STEPS
     )
     assert abs(coarse / fine - 32.0) < 1.0

@@ -188,22 +188,27 @@ def test_consistent_omega_and_spring_accepted(tmp_path):
     assert code == 0
 
 
+def _symbolic_hamiltonian_check(tmp_path, *options):
+    assert run_cli(["hamiltonian", "--out", str(tmp_path), *options]) == 0
+    doc = json.loads((tmp_path / "report_hamiltonian.json").read_text())
+    return next(c for c in doc["checks"] if c["check"] == "hamiltonian-forms-symbolic")
+
+
 def test_irrational_omega_with_spring_only(tmp_path):
-    # k = 2 gives omega = sqrt(2): the classical layer and the float-matrix
-    # checks still run; the exact symbolic check simply omits the configured
-    # parameters (only the seeded rational trials appear)
+    # k = 2 gives omega = sqrt(2), which no exact build takes: the classical
+    # layer and the float-matrix checks still run, and the symbolic check,
+    # which compares parameter-free parts, covers this omega too
     assert run_cli(["classical", "--out", str(tmp_path), "--k-spring", "2"]) == 0
-    assert run_cli(["hamiltonian", "--out", str(tmp_path), "--k-spring", "2"]) == 0
-    doc = json.loads((tmp_path / "report_hamiltonian.json").read_text())
-    checks = {c["check"]: c for c in doc["checks"]}
-    assert len(checks["hamiltonian-forms-symbolic"]["payload"]["trials"]) == 5
+    entry = _symbolic_hamiltonian_check(tmp_path, "--k-spring", "2")
+    assert entry["status"] == "pass"
+    assert entry["payload"] == {"free_equal": True, "interaction_equal": True}
 
 
-def test_rational_omega_adds_configured_trial(tmp_path):
-    assert run_cli(["hamiltonian", "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "report_hamiltonian.json").read_text())
-    checks = {c["check"]: c for c in doc["checks"]}
-    assert len(checks["hamiltonian-forms-symbolic"]["payload"]["trials"]) == 6
+def test_symbolic_hamiltonian_check_compares_both_parts(tmp_path):
+    entry = _symbolic_hamiltonian_check(tmp_path)
+    assert entry["status"] == "pass"
+    assert entry["payload"] == {"free_equal": True, "interaction_equal": True}
+    assert "for every m, gamma and omega" in entry["claim"]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +333,15 @@ def test_registry_ids_claims_and_ok_types(tmp_path):
         else:
             assert type(ok) is bool and ok, c.id
         assert isinstance(payload, dict), c.id
+
+
+def test_each_runner_returns_the_checks_of_its_area(tmp_path):
+    # every run_<area> name is bound by its area, not by registration order
+    args = build_parser().parse_args(["all", "--out", str(tmp_path), *FAST])
+    art = Artifacts(config_from_args(args))
+    for area in RUNNERS:
+        runner = getattr(bateman.cli, f"run_{area}")
+        assert [v.check for v in runner(art)] == [c.id for c in CHECKS if c.area == area], area
 
 
 @pytest.mark.parametrize("mass", ["0", "-1"])

@@ -27,6 +27,7 @@ from bateman.fock import (
     commutator_residual,
     even_squeeze_state,
     hamiltonian_equiv_residual,
+    interior_bound,
     interior_indices,
     joint_null_experiment,
     null_experiment_csv,
@@ -109,7 +110,7 @@ def test_position_momentum_commutator():
     n = 14
     x = _single_mode("x", n)
     p = _single_mode("p", n)
-    res = commutator_residual(x, p, 1j, n - 2)
+    res = commutator_residual(x, p, 1j)
     assert res < 1e-12
 
 
@@ -127,20 +128,23 @@ def test_build_fock_errors():
 # ---------------------------------------------------------------------------
 
 def test_ladder_commutator_interior_exact():
-    res = commutator_residual(build_fock("a", 20), build_fock("adag", 20), 1, 18)
+    res = commutator_residual(build_fock("a", 20), build_fock("adag", 20), 1)
     assert res < 1e-12
 
 
 def test_pseudo_commutators_at_cutoff():
-    assert commutator_residual(build_fock("A1", 12), build_fock("B1", 12), 1, 10) < 1e-10
-    assert commutator_residual(build_fock("A1", 12), build_fock("B2", 12), 0, 10) < 1e-10
+    assert commutator_residual(build_fock("A1", 12), build_fock("B1", 12), 1) < 1e-10
+    assert commutator_residual(build_fock("A1", 12), build_fock("B2", 12), 0) < 1e-10
 
 
 def test_interior_bound_validated():
     with pytest.raises(ValueError):
-        commutator_residual(build_fock("a", 8), build_fock("adag", 8), 1, 7)
+        commutator_residual(build_fock("a", 8), build_fock("adag", 10), 1)
     with pytest.raises(ValueError):
-        commutator_residual(build_fock("a", 8), build_fock("adag", 10), 1, 6)
+        commutator_residual(build_fock("a", 2), build_fock("adag", 2), 1)
+    with pytest.raises(ValueError):
+        hamiltonian_equiv_residual(default_params(), 2)
+    assert interior_bound(3) == 1 and interior_bound(16) == 14
 
 
 def test_all_scalar_commutator_pairs_small_on_interior():
@@ -156,14 +160,14 @@ def test_all_scalar_commutator_pairs_small_on_interior():
         "B1": make_pseudo("B1"),
         "B2": make_pseudo("B2"),
     }
-    cutoff, bound = 10, 8
+    cutoff = 10
     for ln in names:
         for rn in names:
             scalar = commutator(symbolic[ln], symbolic[rn]).as_scalar()
             if scalar is None:
                 continue
             res = commutator_residual(
-                build_fock(ln, cutoff), build_fock(rn, cutoff), complex(scalar), bound
+                build_fock(ln, cutoff), build_fock(rn, cutoff), complex(scalar)
             )
             assert res < 1e-10, (ln, rn, res)
 
@@ -180,12 +184,12 @@ def test_interior_residual_matches_dense_projector():
         delta = x.matrix @ y.matrix - y.matrix @ x.matrix - expected * np.eye(x.dim)
         proj = np.diag((total_excitations(x.modes, cutoff) < bound).astype(float))
         dense = float(np.linalg.norm(proj @ delta @ proj, 2))
-        assert commutator_residual(x, y, expected, bound) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+        assert commutator_residual(x, y, expected) == pytest.approx(dense, rel=1e-12, abs=1e-300)
     params = default_params()
     h = [build_fock("H", 10, params=params, form=f).matrix for f in ("bosonic", "pseudo")]
     proj = np.diag((total_excitations(2, 10) < 8).astype(float))
     dense = float(np.linalg.norm(proj @ (h[0] - h[1]) @ proj, 2))
-    assert hamiltonian_equiv_residual(params, 10, 8) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+    assert hamiltonian_equiv_residual(params, 10) == pytest.approx(dense, rel=1e-12, abs=1e-300)
 
 
 def _dense_projector_residual(x, y, expected, bound):
@@ -206,7 +210,7 @@ def test_interior_residual_matches_dense_projector_where_it_is_order_one():
     ):
         build = _single_mode if names == ("x", "p") else build_fock
         x, y = (build(n, cutoff) for n in names)
-        res = commutator_residual(x, y, expected, bound)
+        res = commutator_residual(x, y, expected)
         assert res == pytest.approx(_dense_projector_residual(x, y, expected, bound), rel=1e-12)
         assert res == pytest.approx(value, rel=1e-12), (names, expected)
 
@@ -229,12 +233,12 @@ def test_interior_checks_never_form_a_full_two_mode_product():
     # coefficients, so it stays below one float64 two-mode matrix (8 N^4
     # bytes); the commutator checks, with their operators built beforehand,
     # stay below one complex two-mode matrix.
-    peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16, 14))
+    peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16))
     assert peak < 8 * 16**4, peak
     names = ("A1", "A2", "B1", "B2")
     fock = {n: build_fock(n, 12) for n in names}
     peak = _traced_peak(lambda: [
-        commutator_residual(fock[left], fock[right], 0, 10)
+        commutator_residual(fock[left], fock[right], 0)
         for left, right in product(names, repeat=2)
     ])
     assert peak < 16 * 12**4, peak
@@ -249,7 +253,7 @@ def test_ladder_specs_are_real_and_h_complex():
 
 
 def test_interior_projector_counts():
-    inside = interior_indices(2, 6, 4)
+    inside = interior_indices(2, 6)
     assert len(inside) == 10  # pairs with n1 + n2 < 4
 
 
@@ -258,17 +262,17 @@ def test_interior_projector_counts():
 # ---------------------------------------------------------------------------
 
 def test_hamiltonian_equiv_gamma_zero_machine_exact():
-    res = hamiltonian_equiv_residual(BatemanParams.from_omega(1, 0, 1), 10, 8)
+    res = hamiltonian_equiv_residual(BatemanParams.from_omega(1, 0, 1), 10)
     assert res < 1e-13
 
 
 def test_hamiltonian_equiv_default_parameters():
-    assert hamiltonian_equiv_residual(default_params(), 12, 10) < 1e-10
+    assert hamiltonian_equiv_residual(default_params(), 12) < 1e-10
 
 
 def test_hamiltonian_equiv_other_parameters():
     params = BatemanParams.from_omega(2, 1, Fraction(3, 2))
-    assert hamiltonian_equiv_residual(params, 16, 14) < 1e-10
+    assert hamiltonian_equiv_residual(params, 16) < 1e-10
 
 
 @pytest.mark.parametrize("cutoff, bound", [(16, 14), (12, 10), (20, 18)])
@@ -300,7 +304,7 @@ def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
         diffs.append(rebuilt)
     # the real embedding has the complex difference's singular values
     want = np.linalg.norm(diffs[0] - diffs[1], 2)
-    assert hamiltonian_equiv_residual(params, cutoff, bound) == pytest.approx(want, rel=1e-9)
+    assert hamiltonian_equiv_residual(params, cutoff) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("cutoff, bound", [(12, 10), (16, 14), (20, 18)])

@@ -151,8 +151,8 @@ print({NUMPY_RAN})
 p = BatemanParams.from_omega(1, Fraction(1, 5), 1)
 traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0, 1e-3)
 print(hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest())
-print(repr(hamiltonian_consistency(traj, p)))
-print(repr(eom_residual(traj, p)))
+print(repr(hamiltonian_consistency(traj)))
+print(repr(eom_residual(traj)))
 csv = io.StringIO()
 trajectory_csv(traj, csv)
 print(hashlib.sha256(csv.getvalue().encode()).hexdigest())

@@ -16,6 +16,7 @@ from bateman.operators import (
     _unit_index,
     commutator,
     hamiltonian_build,
+    hamiltonian_parts,
     make_ladder,
     make_pseudo,
     op_adjoint,
@@ -334,6 +335,24 @@ def test_A1_canonical_form_against_expansion():
     assert make_pseudo("A1") == expansion == lit
 
 
+def test_every_pseudo_name_is_its_defining_combination():
+    # written out from the ladders, apart from the weight table make_pseudo reads
+    a1, a2 = make_ladder(0, "lower", 2), make_ladder(1, "lower", 2)
+    a1d, a2d = make_ladder(0, "raise", 2), make_ladder(1, "raise", 2)
+    defining = {
+        "A1": a1 - a2d,
+        "A2": a2 - a1d,
+        "B1": a1d + a2,
+        "B2": a2d + a1,
+        "abar1minus": a1 - a2d,
+        "abar2minus": a2 - a1d,
+        "abar1plus": a1 + a2d,
+        "abar2plus": a2 + a1d,
+    }
+    for name, combo in defining.items():
+        assert make_pseudo(name) == combo.scale(INV_SQRT2), name
+
+
 def test_sign_branches_coincide_with_pairs():
     assert make_pseudo("abar1minus") == make_pseudo("A1")
     assert make_pseudo("abar2minus") == make_pseudo("A2")
@@ -392,6 +411,14 @@ def test_hamiltonian_rejects_unknown_form():
     p = BatemanParams.from_omega(1, 0, 1)
     with pytest.raises(ValueError):
         hamiltonian_build(p, "normal")
+    with pytest.raises(ValueError):
+        hamiltonian_parts("normal")
+
+
+def test_hamiltonian_parts_of_the_two_forms_are_equal():
+    (free_b, inter_b), (free_p, inter_p) = hamiltonian_parts("bosonic"), hamiltonian_parts("pseudo")
+    assert free_b == free_p
+    assert inter_b == inter_p
 
 
 def test_hamiltonian_forms_agree_for_random_rationals():
@@ -402,6 +429,10 @@ def test_hamiltonian_forms_agree_for_random_rationals():
         omega = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         p = BatemanParams.from_omega(m, gamma, omega)
         assert hamiltonian_build(p, "bosonic") == hamiltonian_build(p, "pseudo")
+        for form in ("bosonic", "pseudo"):
+            free, interaction = hamiltonian_parts(form)
+            expected = free.scale(omega) + interaction.scale(I_UNIT * (gamma / (2 * m)))
+            assert hamiltonian_build(p, form) == expected, form
 
 
 # ---------------------------------------------------------------------------
