@@ -1,23 +1,23 @@
-"""Classical two-oscillator layer: equations of motion, rotation, conservation.
+"""Classical two-oscillator layer: energy forms, equations of motion, conservation.
 
 The damped oscillator m x'' + gamma x' + k x = 0 is paired with an amplified
 partner m y'' - gamma y' + k y = 0 so that the joint system is Hamiltonian.
-This module integrates Hamilton's equations for the mixed-coordinate form
+Its energy is one quadratic form, H = 1/2 s^T Q s, stated once per coordinate
+system as an exact symmetric matrix of Fractions: ``mixed_form`` over
+(x, y, p_x, p_y) and ``rotated_form`` over (x1, x2, p1, p2).  The rotation
+x1, x2 = (x +- y)/sqrt2, with the same rotation of the momenta, is B/sqrt2
+for the integer matrix ``ROTATION_B``, so the forms agree at every
+phase-space point exactly when Q_mixed = 1/2 B Q_rot B (``forms_agree``), an
+identity of rationals even for irrational omega.
 
-    H = p_x p_y / m + (gamma/2m)(y p_y - x p_x) + (k - gamma^2/4m) x y,
-
-checks the residuals of both second-order equations along trajectories, and
-verifies pointwise agreement with the rotated form
-
-    H = p1^2/2m + m w^2 x1^2/2 - p2^2/2m - m w^2 x2^2/2 - (gamma/2m)(p1 x2 + p2 x1)
-
-under the orthogonal change of variables x = (x1+x2)/sqrt2, y = (x1-x2)/sqrt2
-(the same rotation applied to the momenta).
-
-The momentum bookkeeping is the error-prone part: the Legendre transform of
-the mixed Lagrangian gives p_x = m y' - (gamma/2) y and p_y = m x' + (gamma/2) x,
-i.e. each momentum couples to the *other* coordinate's velocity.  Use
-``PhaseState.from_velocities`` instead of building momenta by hand.
+Hamilton's equations are s' = M s with M = Omega Q (``motion_matrix``), so
+M^T Q + Q M = 0 by construction.  The RK4 step, the velocities and the
+energies all read these matrices.  The independent float statements are the
+second-order equations of ``eom_residual``, the closed form of
+``underdamped_solution`` and the Legendre transform of
+``PhaseState.from_velocities``: p_x = m y' - (gamma/2) y and
+p_y = m x' + (gamma/2) x, so each momentum couples to the *other*
+coordinate's velocity.  Build momenta with it, not by hand.
 
 numpy is loaded on the first use of ``np``, not at import, as in every layer
 (see the package docstring), so the exact layer can take ``BatemanParams``
@@ -29,17 +29,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import _lazy_import
 from .field import RatLike, _rat, rational_sqrt
 
 np = _lazy_import("numpy")
-_SQRT2 = math.sqrt(2.0)
+
+# An exact 4 x 4 matrix over phase space, row by row.
+Form = tuple[tuple[Fraction, ...], ...]
+# (x1, x2, p1, p2) = B (x, y, p_x, p_y) / sqrt2; B is symmetric and B B = 2 I.
+ROTATION_B = ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1))
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a trajectory leaves the representable range (NaN/inf)."""
+    """Raised when a trajectory or a quantity computed from it leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,47 @@ class BatemanParams:
         return cls(m, gamma, k)
 
 
+def mixed_form(params: BatemanParams) -> Form:
+    """Q over (x, y, p_x, p_y): H = p_x p_y / m + h (y p_y - x p_x) + c x y,
+    with h = gamma/2m and c = k - gamma^2/4m."""
+    c = params.k_spring - params.gamma**2 / (4 * params.m)
+    h, inv_m = params.gamma / (2 * params.m), 1 / params.m
+    return (0, c, -h, 0), (c, 0, 0, h), (-h, 0, 0, inv_m), (0, h, inv_m, 0)
+
+
+def rotated_form(params: BatemanParams) -> Form:
+    """Q over (x1, x2, p1, p2):
+    H = p1^2/2m + m w^2 x1^2/2 - p2^2/2m - m w^2 x2^2/2 - h (p1 x2 + p2 x1)."""
+    mw2 = params.m * params.omega2
+    h, inv_m = params.gamma / (2 * params.m), 1 / params.m
+    return (mw2, 0, 0, -h), (0, -mw2, -h, 0), (0, -h, inv_m, 0), (-h, 0, 0, -inv_m)
+
+
+def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Form:
+    return tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def forms_agree(params: BatemanParams) -> bool:
+    """Whether Q_mixed = 1/2 B Q_rot B holds exactly."""
+    back = _matmul(_matmul(ROTATION_B, rotated_form(params)), ROTATION_B)
+    return mixed_form(params) == tuple(tuple(v / 2 for v in row) for row in back)
+
+
+def motion_matrix(params: BatemanParams) -> Form:
+    """M = Omega Q: the rows (Q[2], Q[3], -Q[0], -Q[1]) of the mixed form."""
+    q = mixed_form(params)
+    return q[2], q[3], tuple(-v for v in q[0]), tuple(-v for v in q[1])
+
+
+def _apply(rows: Form, s: Sequence) -> Iterator:
+    """Each row dotted with s, one row at a time and over the row's nonzero
+    entries only; s holds four floats or four arrays of samples."""
+    return (sum(float(q) * v for q, v in zip(row, s) if q) for row in rows)
+
+
 @dataclass(frozen=True)
 class PhaseState:
-    """Phase-space point; fields are (x, y, p_x, p_y) or rotated (x1, x2, p1, p2).
-
-    The fields may also be equal-length arrays, one entry per sample (see
-    ``Trajectory.phase_arrays``); ``rotate`` and the Hamiltonians then act
-    elementwise.
-    """
+    """Phase-space point (x, y, p_x, p_y); iterates over the four fields."""
 
     x: float
     y: float
@@ -111,52 +148,20 @@ class PhaseState:
         m, g = float(params.m), float(params.gamma)
         return cls(x, y, m * ydot - 0.5 * g * y, m * xdot + 0.5 * g * x)
 
+    def __iter__(self) -> Iterator[float]:
+        return iter((self.x, self.y, self.px, self.py))
+
     def velocities(self, params: BatemanParams) -> tuple[float, float]:
-        m, g = float(params.m), float(params.gamma)
-        xdot = (self.py - 0.5 * g * self.x) / m
-        ydot = (self.px + 0.5 * g * self.y) / m
-        return xdot, ydot
+        """(x', y'): the first two rows of M s."""
+        return tuple(_apply(motion_matrix(params)[:2], self))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.px, self.py], dtype=float)
+        return np.array(tuple(self), dtype=float)
 
 
-def rotate(state: PhaseState) -> PhaseState:
-    """Orthogonal coordinate rotation; involutive (the matrix is its own inverse)."""
-    return PhaseState(
-        (state.x + state.y) / _SQRT2,
-        (state.x - state.y) / _SQRT2,
-        (state.px + state.py) / _SQRT2,
-        (state.px - state.py) / _SQRT2,
-    )
-
-
-def hamiltonian_mixed(state: PhaseState, params: BatemanParams) -> float:
-    m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
-    return (
-        state.px * state.py / m
-        + (g / (2 * m)) * (state.y * state.py - state.x * state.px)
-        + (k - g * g / (4 * m)) * state.x * state.y
-    )
-
-
-def hamiltonian_rotated(rotated_state: PhaseState, params: BatemanParams) -> float:
-    """Rotated-frame value; the state fields are read as (x1, x2, p1, p2)."""
-    m, g = float(params.m), float(params.gamma)
-    w2 = float(params.omega2)
-    x1, x2, p1, p2 = (
-        rotated_state.x,
-        rotated_state.y,
-        rotated_state.px,
-        rotated_state.py,
-    )
-    return (
-        p1 * p1 / (2 * m)
-        + 0.5 * m * w2 * x1 * x1
-        - p2 * p2 / (2 * m)
-        - 0.5 * m * w2 * x2 * x2
-        - (g / (2 * m)) * (p1 * x2 + p2 * x1)
-    )
+def hamiltonian_mixed(state: PhaseState | Sequence, params: BatemanParams) -> float | np.ndarray:
+    """1/2 s^T Q s of the mixed form; ``state`` may also be four sample arrays."""
+    return 0.5 * sum(u * v for u, v in zip(state, _apply(mixed_form(params), state)))
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,8 @@ class Trajectory:
     states: np.ndarray  # shape (n, 4): columns x, y, p_x, p_y
     params: BatemanParams
 
-    def phase_arrays(self) -> PhaseState:
-        """All samples as one PhaseState whose fields are arrays over time."""
-        return PhaseState(*self.states.T)
-
     def energies(self) -> np.ndarray:
-        return hamiltonian_mixed(self.phase_arrays(), self.params)
+        return hamiltonian_mixed(self.states.T, self.params)
 
 
 def _rk4_increment(params: BatemanParams, dt: float) -> np.ndarray:
@@ -182,17 +183,7 @@ def _rk4_increment(params: BatemanParams, dt: float) -> np.ndarray:
     is 1 + O(dt), and rounding it would drift the energy coherently over
     many steps.
     """
-    m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
-    c = k - g * g / (4 * m)
-    g2m = g / (2 * m)
-    hm = dt * np.array(
-        [
-            [-g2m, 0.0, 0.0, 1 / m],
-            [0.0, g2m, 1 / m, 0.0],
-            [0.0, -c, g2m, 0.0],
-            [-c, 0.0, 0.0, -g2m],
-        ]
-    )
+    hm = dt * np.array(motion_matrix(params), dtype=float)
     hm2 = hm @ hm
     hm3 = hm2 @ hm
     return (hm2 @ hm2 / 24.0 + hm3 / 6.0) + hm2 / 2.0 + hm
@@ -259,53 +250,52 @@ class EomResiduals:
 
 
 def eom_residual(traj: Trajectory) -> EomResiduals:
-    """Central-difference check of m x'' + gamma x' + k x and m y'' - gamma y' + k y."""
+    """Central-difference check of m x'' + gamma x' + k x and m y'' - gamma y' + k y.
+    A non-finite residual raises IntegrationError: the amplified second
+    difference over dt^2 leaves the float range before the trajectory does."""
     if len(traj.times) < 5:
         raise ValueError("need at least 5 samples for the residual check")
     dt = float(traj.times[1] - traj.times[0])
     params = traj.params
     m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
-    samples = traj.phase_arrays()
-    x, y = samples.x, samples.y
-    # velocities from the momenta (exact relations, no differencing error)
-    xdot, ydot = samples.velocities(params)
+    x, y = traj.states[:, 0], traj.states[:, 1]
 
     def second(u: np.ndarray) -> np.ndarray:
         return (u[2:] - 2 * u[1:-1] + u[:-2]) / (dt * dt)
 
-    rx = m * second(x) + g * xdot[1:-1] + k * x[1:-1]
-    ry = m * second(y) - g * ydot[1:-1] + k * y[1:-1]
-    return EomResiduals(float(np.max(np.abs(rx))), float(np.max(np.abs(ry))))
+    # overflow shows up as non-finite residuals and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # velocities from the momenta (exact relations, no differencing error)
+        xdot, ydot = PhaseState(*traj.states.T).velocities(params)
+        rx = m * second(x) + g * xdot[1:-1] + k * x[1:-1]
+        ry = m * second(y) - g * ydot[1:-1] + k * y[1:-1]
+        damped, amplified = float(np.max(np.abs(rx))), float(np.max(np.abs(ry)))
+    if not (math.isfinite(damped) and math.isfinite(amplified)):
+        raise IntegrationError("an equation-of-motion residual left the representable range")
+    return EomResiduals(damped, amplified)
 
 
 @dataclass(frozen=True)
 class HamiltonianConsistency:
-    """Pointwise gap between the two Hamiltonian forms, and conservation drift."""
+    """Conservation drift of the energy along a trajectory."""
 
-    max_form_gap: float
     max_drift: float
     initial_energy: float
 
 
 def hamiltonian_consistency(traj: Trajectory) -> HamiltonianConsistency:
-    """Gap between the two energy forms along the trajectory, and the drift.
-
-    The rotated form is a difference of terms quadratic in the amplified
-    coordinate, which grows like exp(+gamma t / 2m); when either form leaves
-    the float range this raises IntegrationError.
-    """
+    """The energy's largest drift from its initial value along the trajectory.
+    A non-finite energy raises IntegrationError: the entries of Q s grow with
+    the amplified coordinate and can leave the float range just before it."""
     if len(traj.times) < 2:
         raise ValueError("need at least 2 samples")
-    samples = traj.phase_arrays()
     # overflow shows up as non-finite energies and is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = hamiltonian_mixed(samples, traj.params)
-        rotated = hamiltonian_rotated(rotate(samples), traj.params)
-    if not (np.isfinite(energies).all() and np.isfinite(rotated).all()):
-        raise IntegrationError("an energy form left the representable range along the trajectory")
-    gap = float(np.max(np.abs(energies - rotated)))
+        energies = traj.energies()
+    if not np.isfinite(energies).all():
+        raise IntegrationError("the energy left the representable range along the trajectory")
     drift = float(np.max(np.abs(energies - energies[0])))
-    return HamiltonianConsistency(gap, drift, float(energies[0]))
+    return HamiltonianConsistency(drift, float(energies[0]))
 
 
 # Rows formatted per block of trajectory_csv: the Python floats and row

@@ -6,22 +6,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bateman import classical
 from bateman.classical import (
     CSV_BLOCK_ROWS,
+    ROTATION_B,
     BatemanParams,
+    IntegrationError,
     PhaseState,
     Trajectory,
     eom_residual,
+    forms_agree,
     hamiltonian_consistency,
     hamiltonian_mixed,
-    hamiltonian_rotated,
     integrate_eom,
-    rotate,
+    mixed_form,
+    motion_matrix,
+    rotated_form,
     trajectory_csv,
     underdamped_solution,
 )
 from bateman.cli import DRIFT_ORDER_STEPS
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def default_params():
@@ -73,6 +81,32 @@ def rk4_oracle(params, init, t_end, dt):
         s = s + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states[i] = s
     return states
+
+
+def rotate(state):
+    """The orthogonal rotation x1, x2 = (x +- y)/sqrt2, with the same rotation
+    of the momenta, written out by hand; it is its own inverse."""
+    return PhaseState(
+        (state.x + state.y) / _SQRT2,
+        (state.x - state.y) / _SQRT2,
+        (state.px + state.py) / _SQRT2,
+        (state.px - state.py) / _SQRT2,
+    )
+
+
+def hamiltonian_rotated(rotated_state, params):
+    """The rotated-form energy expanded by hand; the state fields are read as
+    (x1, x2, p1, p2)."""
+    m, g = float(params.m), float(params.gamma)
+    w2 = float(params.omega2)
+    x1, x2, p1, p2 = rotated_state.x, rotated_state.y, rotated_state.px, rotated_state.py
+    return (
+        p1 * p1 / (2 * m)
+        + 0.5 * m * w2 * x1 * x1
+        - p2 * p2 / (2 * m)
+        - 0.5 * m * w2 * x2 * x2
+        - (g / (2 * m)) * (p1 * x2 + p2 * x1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +173,65 @@ def test_rotation_is_involutive():
 
 
 def test_hamiltonian_forms_agree_pointwise():
+    # the hand-expanded rotated form, an independent float oracle for 1/2 s^T Q s
     p = default_params()
     for vals in ((1.0, 0.5, -0.2, 0.3), (0.0, 2.0, 1.0, -1.0), (-0.4, 0.1, 0.0, 0.9)):
         s = PhaseState(*vals)
         assert abs(hamiltonian_mixed(s, p) - hamiltonian_rotated(rotate(s), p)) < 1e-12
+
+
+def test_mixed_energy_is_the_hand_expanded_mixed_form():
+    p = BatemanParams.from_omega(Fraction(3, 2), Fraction(2, 5), 2)
+    m, g, k = float(p.m), float(p.gamma), float(p.k_spring)
+    for vals in np.random.default_rng(1).normal(size=(5, 4)):
+        x, y, px, py = vals
+        expected = px * py / m + (g / (2 * m)) * (y * py - x * px) + (k - g * g / (4 * m)) * x * y
+        assert math.isclose(hamiltonian_mixed(PhaseState(*vals), p), expected, rel_tol=1e-12)
+
+
+_rationals = st.fractions(min_value=Fraction(1, 10), max_value=6, max_denominator=12)
+
+
+@given(_rationals, _rationals | st.just(Fraction(0)), _rationals, _rationals)
+@settings(max_examples=60, deadline=None)
+def test_forms_agree_for_random_rationals(m, gamma, omega, omega2):
+    # the k_spring route gives an irrational omega for most draws
+    via_spring = BatemanParams(m, gamma, gamma**2 / (4 * m) + omega2)
+    for p in (BatemanParams.from_omega(m, gamma, omega), via_spring):
+        assert forms_agree(p)
+        for q in (mixed_form(p), rotated_form(p)):
+            assert all(q[i][j] == q[j][i] for i in range(4) for j in range(4))
+
+
+def test_rotation_matrix_squares_to_twice_the_identity():
+    assert classical._matmul(ROTATION_B, ROTATION_B) == tuple(
+        tuple(2 * (i == j) for j in range(4)) for i in range(4)
+    )
+    assert all(ROTATION_B[i][j] == ROTATION_B[j][i] for i in range(4) for j in range(4))
+
+
+@pytest.mark.parametrize("row, col", [(0, 3), (1, 2), (1, 1)])
+def test_forms_agree_catches_one_wrong_entry(row, col, monkeypatch):
+    p = default_params()
+    good = rotated_form(p)
+
+    def flipped(params):
+        rows = [list(r) for r in good]
+        rows[row][col] = -rows[row][col]
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(classical, "rotated_form", flipped)
+    assert not forms_agree(p)
+
+
+def test_motion_matrix_preserves_the_mixed_form():
+    # M = Omega Q with Q symmetric, so M^T Q + Q M = Q Omega^T Q + Q Omega Q = 0
+    p = BatemanParams(Fraction(3, 2), Fraction(7, 3), 5)
+    q, mm = mixed_form(p), motion_matrix(p)
+    mt = tuple(zip(*mm))
+    lhs = classical._matmul(mt, q)
+    rhs = classical._matmul(q, mm)
+    assert all(lhs[i][j] + rhs[i][j] == 0 for i in range(4) for j in range(4))
 
 
 def test_gamma_zero_energy_is_oscillator_difference():
@@ -234,8 +323,6 @@ def test_integration_validation():
 
 
 def test_integration_detects_overflow():
-    from bateman.classical import IntegrationError
-
     # a grossly unstable step makes RK4 blow past the float range; the
     # amplified mode may grow, but non-finite values must raise
     p = BatemanParams.from_omega(1, Fraction(1, 2), 10)
@@ -250,18 +337,25 @@ def test_integration_detects_overflow():
 
 
 def test_energy_overflow_raises_without_warnings():
-    from bateman.classical import IntegrationError
-
-    # at gamma/2m = 50 the trajectory stays finite to t = 10, but the terms of
-    # the rotated energy form (quadratic in the amplified coordinate) do not:
-    # their difference would be NaN
-    p = BatemanParams.from_omega(1, 100, 1)
-    traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0)
-    assert np.isfinite(traj.states).all()
+    # finite states whose energy terms are not: their sum would be NaN
+    p = default_params()
+    traj = Trajectory(np.array([0.0, 1e-3]), np.full((2, 4), 1e200), p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="energy"):
             hamiltonian_consistency(traj)
+
+
+def test_residual_overflow_raises_without_warnings():
+    # at gamma/2m = 70 the trajectory stays finite to t = 10, but the second
+    # difference of the amplified coordinate, divided by dt^2, does not
+    p = BatemanParams.from_omega(1, 140, 1)
+    traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0)
+    assert np.isfinite(traj.states).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="residual"):
+            eom_residual(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +404,11 @@ def test_eom_residual_needs_samples():
 
 def test_energy_forms_agree_along_trajectory():
     p = default_params()
+    assert forms_agree(p)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    cons = hamiltonian_consistency(traj)
-    assert cons.max_form_gap < 1e-10
+    rotated = hamiltonian_rotated(rotate(PhaseState(*traj.states.T)), p)
+    assert np.max(np.abs(traj.energies() - rotated)) < 1e-12
 
 
 def test_energy_drift_small_and_fourth_order():

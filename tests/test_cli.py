@@ -1,8 +1,11 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bateman
 import bateman.cli
@@ -426,10 +430,11 @@ def test_vacuum_cutoffs_past_the_null_limit_exit_2(tmp_path, capsys):
     assert cfg.cutoffs == (8, NULL_CUTOFF_LIMIT)
 
 
-@pytest.mark.parametrize("gamma", ["100", "300"])
+@pytest.mark.parametrize("gamma", ["141", "300"])
 @pytest.mark.parametrize("subcommand", ["classical", "hamiltonian", "all"])
 def test_overflowing_damping_exits_2(subcommand, gamma, tmp_path, capsys):
-    # gamma 300 overflows the trajectory, gamma 100 only the rotated energy form
+    # gamma 300 overflows the trajectory; at gamma 141 it stays finite, but
+    # the energy terms and the residual's second difference do not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli([subcommand, "--out", str(tmp_path), "--gamma", gamma, *FAST]) == 2
@@ -444,6 +449,62 @@ def test_large_damping_below_overflow_writes_a_report(tmp_path):
         warnings.simplefilter("error")
         assert run_cli(["hamiltonian", "--out", str(tmp_path), "--gamma", "60"]) in (0, 1)
     json.loads((tmp_path / "report_hamiltonian.json").read_text(), parse_constant=_reject_constant)
+
+
+def report_status(out, subcommand):
+    doc = json.loads((out / f"report_{subcommand}.json").read_text())
+    return {c["check"]: c["status"] for c in doc["checks"]}
+
+
+@pytest.mark.parametrize("gamma, omega", [
+    ("3/2", "1"), ("2", "1"), ("10", "1"), ("60", "1"), ("5/4", "4"),
+])
+def test_energy_forms_pass_at_large_damping_and_frequency(gamma, omega, tmp_path):
+    # an absolute gap between sampled float forms failed here from gamma 3/2
+    argv = ["classical", "--gamma", gamma, "--omega", omega, "--format", "json"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) in (0, 1)
+    assert report_status(tmp_path, "classical")["classical-energy-forms"] == "pass"
+
+
+def test_all_passes_at_gamma_three_halves(tmp_path):
+    assert run_cli(["all", "--gamma", "3/2", "--format", "json", "--out", str(tmp_path)]) == 0
+
+
+_underdamped_box = {
+    "m": st.fractions(min_value=Fraction(1, 10), max_value=5, max_denominator=12),
+    "gamma": st.fractions(min_value=0, max_value=6, max_denominator=12),
+    "omega": st.fractions(min_value=Fraction(1, 10), max_value=4, max_denominator=12),
+}
+
+
+@given(subcommand=st.sampled_from(["classical", "hamiltonian"]), **_underdamped_box)
+@settings(max_examples=40, deadline=None)
+def test_accepted_underdamped_configurations_give_sound_reports(subcommand, m, gamma, omega):
+    # every draw is accepted (omega > 0), so each run exits 0 or 1 with a
+    # strict, schema-valid report, or exits 2 with no file; never a warning
+    argv = [subcommand, "--m", str(m), "--gamma", str(gamma), "--omega", str(omega),
+            "--format", "json"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli([*argv, "--out", tmp])
+        assert not caught, [str(w.message) for w in caught]
+        assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not any(out.iterdir())
+            return
+        assert code in (0, 1), err.getvalue()
+        doc = json.loads(
+            (out / f"report_{subcommand}.json").read_text(), parse_constant=_reject_constant
+        )
+    jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    checks = {c["check"]: c for c in doc["checks"]}
+    if subcommand == "classical":
+        assert checks["classical-energy-forms"]["status"] == "pass", argv
+    else:
+        assert checks["hamiltonian-forms-classical"]["payload"]["forms_agree"] is True, argv
 
 
 def test_benchmark_tracer_hooks_still_match(tmp_path):

@@ -10,7 +10,7 @@ into a ``fail`` certifies nothing (mutation analysis: DeMillo, Lipton &
 Sayward, IEEE Computer 11(4), 1978).
 
 Cost: one subprocess per entry, about 0.3 s each on 2 vCPUs, so the table adds
-about 1 s to the Tier-1 suite.  An entry runs its area's subcommand, not
+about 2 s to the Tier-1 suite.  An entry runs its area's subcommand, not
 ``all``, to keep it that way.
 """
 
@@ -51,6 +51,22 @@ MUTANTS = (
         "squeeze-terms-step", "series.py",
         "// (k + 1)", "// (k + 2)",
         ("squeeze", "--kmax", "50", "--cutoffs", "16,32"), ("squeeze-series-ratio-test",),
+    ),
+    Mutant(
+        "rotated-form-h-sign", "classical.py",
+        "(mw2, 0, 0, -h),", "(mw2, 0, 0, h),",
+        ("classical",), ("classical-energy-forms",),
+    ),
+    Mutant(
+        # classical-eom-residuals already fails at gamma 10 (its absolute tolerance)
+        "rotated-form-h-sign-gamma-10", "classical.py",
+        "(mw2, 0, 0, -h),", "(mw2, 0, 0, h),",
+        ("classical", "--gamma", "10"), ("classical-energy-forms",),
+    ),
+    Mutant(
+        "mixed-form-c", "classical.py",
+        "params.gamma**2 / (4 * params.m)", "params.gamma**2 / (2 * params.m)",
+        ("classical",), ("classical-eom-residuals", "classical-energy-forms"),
     ),
 )
 

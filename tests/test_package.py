@@ -12,7 +12,7 @@ REEXPORTS = {
     "classical": (
         "BatemanParams", "EomResiduals", "HamiltonianConsistency", "IntegrationError",
         "PhaseState", "Trajectory", "eom_residual", "hamiltonian_consistency",
-        "hamiltonian_mixed", "hamiltonian_rotated", "integrate_eom", "rotate", "trajectory_csv",
+        "hamiltonian_mixed", "integrate_eom", "trajectory_csv",
     ),
     "field": ("Coeff", "I_UNIT", "INV_SQRT2", "ONE", "SQRT2", "ZERO", "rational_sqrt"),
     "fock": (
