@@ -8,8 +8,9 @@ the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``,
 ``series``) loads without the numpy-based ``fock`` layer.  That layer, and
 ``classical`` and ``cli``, take numpy from ``_lazy_import``: it is loaded on
 its first numeric call, not at import, so ``import bateman.cli`` loads every
-layer and ``bateman counterexample``, ``bateman --help`` and a configuration
-error never run numpy's code."""
+layer and ``bateman counterexample``, ``bateman vacuum`` (whose null sweep
+runs in plain floats), ``bateman --help`` and a configuration error never run
+numpy's code."""
 
 import importlib.util
 import sys

@@ -15,24 +15,27 @@ below.
 
 Both forms of H keep d = n1 - n2, and each ladder factor moves d and the
 total excitation by one, so the Hamiltonian check and the null sweep work
-one sector at a time on one layout, ``_sector_parts``: the parts a1, a2,
-a1^T, a2^T from ladder coefficients, with columns the interior states S of
-sector d and rows the states T of sectors d +- 1 one ladder step from S.
-The Hamiltonian check forms X[S, T] @ Y[T, S]; each sector's complex
-difference D gets its 2-norm from the real [[Re D, -Im D], [Im D, Re D]],
-which has the same singular values twice, so it calls only small real BLAS
-and LAPACK routines.
+one sector at a time.  The Hamiltonian check uses one layout,
+``_sector_parts``: the parts a1, a2, a1^T, a2^T from ladder coefficients,
+with columns the interior states S of sector d and rows the states T of
+sectors d +- 1 one ladder step from S.  It forms X[S, T] @ Y[T, S]; each
+sector's complex difference D gets its 2-norm from the real
+[[Re D, -Im D], [Im D, Re D]], which has the same singular values twice, so
+it calls only small real BLAS and LAPACK routines.
 
 Experiments:
 
 * ``joint_null_experiment`` measures how close the pseudo-boson lowering
   pair comes to a joint null vector as the cutoff grows (it cannot have one
   as a function, only as a distribution, so the least singular value decays
-  and the minimizer drifts toward the cutoff).  It never forms a two-mode
-  matrix: A1 = (a1 - a2^dag)/sqrt2 lowers d by one and A2 = (a2 - a1^dag)/sqrt2
-  raises it by one, as do a1 and a2, so the stacked pair on the interior is
-  block diagonal, and each sector's block, a weighted sum of its parts, gets
-  its own small SVD;
+  and the minimizer drifts toward the cutoff).  It runs in plain Python
+  floats and integers, without numpy: A1 = (a1 - a2^dag)/sqrt2 lowers d by
+  one and A2 = (a2 - a1^dag)/sqrt2 raises it by one, as do a1 and a2, so the
+  stacked pair on the interior is block diagonal, and each sector's Gram
+  matrix B_d^T B_d is an integer Jacobi matrix, the Laguerre L^(|d|) one for
+  the pseudo pair: diagonal 2k + |d| + 1, squared couplings (k + 1)(k + 1 + |d|).
+  sigma_min^2 is its least eigenvalue, by Sturm bisection, and the minimizer
+  comes from inverse iteration;
 * ``squeeze_factored_action`` produces the exact Fock amplitudes of the
   factored squeeze action on the ground state as radical pairs;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
@@ -45,6 +48,7 @@ Experiments:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -54,16 +58,16 @@ from .radicals import SqrtRational
 
 np = _lazy_import("numpy")
 
-SIGMA_FLOOR_RATIO = 1e-13  # singular values below this (relative) are numerical zeros
 DEFAULT_THETA = 7 * math.pi / 8  # the squeeze exponent parameter of the reference setup
 # The largest cutoff and |theta| * cutoff at which the squeeze norms are
 # certified: the mpmath references pinned in the tests reach cutoff 1024 at
 # the default theta, and no larger product of the two is checked.
 SQUEEZE_CUTOFF_LIMIT = 1024
 SQUEEZE_SCALE_LIMIT = DEFAULT_THETA * SQUEEZE_CUTOFF_LIMIT
-# The largest cutoff of the null sweep, for a budget of about a minute per
-# cutoff: both families at one cutoff took 1.0 s at N = 300, 5.5 s at 500,
-# 27 s at 800 and 64 s at 1024 on 2 vCPUs; 2048 ran past 60 s unfinished.
+# The largest cutoff of the null sweep: both families at one cutoff take
+# 0.04-0.08 s at N = 400 and 0.3-0.45 s at N = 1024 on 2 vCPUs (one Sturm
+# test per sector, so the cost grows like N^2), and at 1024 sigma_min is
+# within 1e-13 of a 40-digit reference.
 NULL_CUTOFF_LIMIT = 1024
 
 
@@ -256,7 +260,7 @@ class NullRecord:
     cutoff: int
     sigma_min: float
     tail_mass: float
-    minimizer: np.ndarray  # normalized, over the interior basis
+    minimizer: tuple[float, ...]  # normalized, over the interior basis
 
 
 @dataclass(frozen=True)
@@ -268,8 +272,8 @@ class NullExperimentReport:
     truncation error.
     ``tail_mass`` is the minimizer mass at total excitation at or above half
     the interior bound; for the pseudo-boson pair it tracks the migration of
-    the minimizer toward the cutoff.  Singular values below the numerical
-    zero floor are clamped to exactly 0.
+    the minimizer toward the cutoff.  sigma_min is exactly 0 when the pair
+    has a joint null vector on the interior.
     """
 
     family: str
@@ -287,46 +291,143 @@ class NullExperimentReport:
 _LOWERING_PAIRS = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}
 
 
+def _gram_weights(family: str) -> tuple[int, int, int, int]:
+    """The pair's sector Gram matrix T_d = B_d^T B_d as integers (u1, u2, u0, c).
+
+    On column k of B_d, the state |n1, n2> = |k + p, k + q> of sector d, an
+    operator sum_i w_i part_i / sqrt(den) puts w0 sqrt(n1) (a1) and
+    w3 sqrt(n2 + 1) (a2^T) on the sector d - 1 rows k and k + 1 of
+    ``_sector_parts``, and w1 sqrt(n2) (a2) and w2 sqrt(n1 + 1) (a1^T) on the
+    sector d + 1 rows m + 1 + k and m + 2 + k.  So T_d is tridiagonal, with
+    diagonal u1 n1 + u2 n2 + u0 and coupling c sqrt((n1 + 1)(n2 + 1)) between
+    columns k and k + 1, summed over the pair and divided by den.
+    """
+    rows = [LADDER_WEIGHTS[op_spec] for op_spec in _LOWERING_PAIRS[family]]
+    (den,) = {den for _, den in rows}
+    sums = [sum(terms) for terms in zip(*(
+        (w0 * w0 + w2 * w2, w1 * w1 + w3 * w3, w2 * w2 + w3 * w3, w0 * w3 + w1 * w2)
+        for (w0, w1, w2, w3), _ in rows
+    ))]
+    assert not any(s % den for s in sums)  # both pairs have integer Gram matrices
+    return tuple(s // den for s in sums)
+
+
+def _sector_gram(d: int, bound: int, weights: tuple[int, int, int, int]) -> tuple[list[int], list[int]]:
+    """T_d on the interior of sector d as its integer diagonal and squared couplings."""
+    u1, u2, u0, c = weights
+    p, q = max(d, 0), max(-d, 0)
+    m = (bound - abs(d) + 1) // 2
+    diag = [u1 * (k + p) + u2 * (k + q) + u0 for k in range(m)]
+    couplings2 = [c * c * (k + 1 + p) * (k + 1 + q) for k in range(m - 1)]
+    return diag, couplings2
+
+
+def _positive_definite(diag: Sequence[int], couplings2: Sequence[int], x: float) -> bool:
+    """Whether T - x is positive definite: every pivot of its LDL^T is
+    positive.  By Sylvester's law of inertia the number of negative pivots
+    (the Sturm count) is the number of eigenvalues below x, so the test stops
+    at the first pivot that is not positive."""
+    pivot = 1.0
+    for a, b2 in zip(diag, (0, *couplings2)):
+        pivot = a - x - b2 / pivot
+        if pivot <= 0.0:
+            return False
+    return True
+
+
+def _least_eigenvalue(diag: Sequence[int], couplings2: Sequence[int], hi: float) -> float:
+    """The largest float x at which T - x is positive definite, by bisection
+    on [0, hi]; T is positive definite and T - hi is not."""
+    lo = 0.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _positive_definite(diag, couplings2, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _singular(diag: Sequence[int], couplings2: Sequence[int]) -> bool:
+    """Whether det T = 0, from the exact integer recurrence
+    D_k = a_k D_(k-1) - b_(k-1)^2 D_(k-2)."""
+    prev, det = 1, diag[0]
+    for a, b2 in zip(diag[1:], couplings2):
+        prev, det = det, a * det - b2 * prev
+    return det == 0
+
+
+def _ground_vector(diag: Sequence[int], couplings: Sequence[float], shift: float) -> list[float]:
+    """The eigenvector of T's least eigenvalue, normalized, from two steps of
+    inverse iteration with the tridiagonal LDL^T of T - shift, for shift at or
+    just below that eigenvalue.  A zero pivot becomes eps ||T|| (as in LAPACK's
+    stein).  The start vector is e_0: with non-zero couplings every
+    eigenvector has a non-zero first entry (one that vanishes forces the rest
+    to by the three-term recurrence), and with none T is diagonal and
+    increasing, so e_0 is the eigenvector itself."""
+    tiny = sys.float_info.epsilon * max(diag)
+    pivots, mults = [], []
+    pivot = 1.0
+    for a, e in zip(diag, (0.0, *couplings)):
+        mults.append(e / pivot)
+        pivot = (a - shift - e * e / pivot) or tiny
+        pivots.append(pivot)
+    vec = [1.0] + [0.0] * (len(diag) - 1)
+    for _ in range(2):
+        for k in range(1, len(vec)):  # L y = v
+            vec[k] -= mults[k] * vec[k - 1]
+        vec[-1] /= pivots[-1]  # D L^T x = y
+        for k in range(len(vec) - 2, -1, -1):
+            vec[k] = vec[k] / pivots[k] - mults[k + 1] * vec[k + 1]
+        norm = math.sqrt(math.fsum(x * x for x in vec))
+        vec = [x / norm for x in vec]
+    return vec
+
+
 def joint_null_experiment(
     cutoffs: Sequence[int], family: Literal["pseudo", "bosonic"] = "pseudo"
 ) -> NullExperimentReport:
-    """SVD sweep of the stacked pair ([A1; A2] or [a1; a2]) over cutoffs.
+    """Least singular value of the stacked pair ([A1; A2] or [a1; a2]) over cutoffs.
 
-    Works sector by sector: sigma_min is the least singular value over the
-    sector blocks, clamped against the largest one, and the minimizer is the
-    singular vector of the first sector (in increasing d) that attains it.
+    Works sector by sector, in plain floats: the stacked pair on the interior
+    is block diagonal over d = n1 - n2, and sigma_min^2 is the least
+    eigenvalue of a sector's Gram matrix T_d = B_d^T B_d, an integer Jacobi
+    matrix (``_gram_weights``; Laguerre L^(|d|)'s for the pseudo pair,
+    diag(n1 + n2) for the bosonic one).  The sectors are visited by |d|;
+    each gets one Sturm test at the least eigenvalue found so far, and only
+    one with an eigenvalue at or below it is bisected.  sigma_min is exactly
+    0 when that sector's integer determinant vanishes.  The minimizer is the
+    ground vector of the first sector visited that attains sigma_min; -|d|
+    comes before |d|, so of the mirror sectors d and -d, whose T_d are equal
+    for both pairs, the one first in increasing d wins.
     """
     cutoffs = check_cutoffs(cutoffs)
     check_null_range(cutoffs[-1])
     if family not in _LOWERING_PAIRS:
         raise ValueError(f"unknown family {family!r}")
-    # the first operator fills only the sector d - 1 rows of _sector_parts and
-    # the second only the sector d + 1 rows, so the stacked block is one sum of
-    # the parts; ``_ladder`` of the unit vectors gives each row's weights over them
-    weights = sum(_ladder(op_spec, np.eye(4)) for op_spec in _LOWERING_PAIRS[family])
+    weights = _gram_weights(family)
 
     records = []
     for cutoff in cutoffs:
         bound = interior_bound(cutoff)
-        top = 0.0
-        best_d, best, sigma = 0, None, np.inf
-        for d in range(1 - bound, bound):
-            parts = _sector_parts(d, bound)
-            block = (weights @ parts.reshape(4, -1)).reshape(parts.shape[1:])
-            svals = np.linalg.svd(block, compute_uv=False)
-            top = max(top, float(svals[0]))
-            if svals[-1] < sigma:
-                best_d, best, sigma = d, block, float(svals[-1])
-        if sigma < SIGMA_FLOOR_RATIO * top:
-            sigma = 0.0
-        n1, n2 = _sector_states(best_d, bound)
-        vec = np.linalg.svd(best, full_matrices=False)[2][-1]
-        total = n1 + n2
+        best_d, best = 0, math.inf
+        for d in sorted(range(1 - bound, bound), key=abs):
+            diag, couplings2 = _sector_gram(d, bound, weights)
+            if _positive_definite(diag, couplings2, best):
+                continue
+            least = 0.0 if _singular(diag, couplings2) else _least_eigenvalue(
+                diag, couplings2, min(best, *diag))
+            if least < best:
+                best_d, best = d, least
+        diag, couplings2 = _sector_gram(best_d, bound, weights)
+        couplings = [math.copysign(math.sqrt(b2), weights[3]) for b2 in couplings2]
+        vec = _ground_vector(diag, couplings, best)
         # interior index of |n1, n2>: all states of lower total, then by n1
-        minimizer = np.zeros(bound * (bound + 1) // 2)
-        minimizer[total * (total + 1) // 2 + n1] = vec
-        tail_mass = float(np.sum(vec[total >= bound / 2] ** 2))
-        records.append(NullRecord(cutoff, sigma, tail_mass, minimizer))
+        minimizer = [0.0] * (bound * (bound + 1) // 2)
+        totals = range(abs(best_d), bound, 2)
+        for total, x in zip(totals, vec):
+            minimizer[total * (total + 1) // 2 + (total + best_d) // 2] = x
+        tail_mass = math.fsum(x * x for total, x in zip(totals, vec) if total >= bound / 2)
+        records.append(NullRecord(cutoff, math.sqrt(best), tail_mass, tuple(minimizer)))
     return NullExperimentReport(family=family, records=tuple(records))
 
 

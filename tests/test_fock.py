@@ -15,12 +15,14 @@ from bateman.classical import BatemanParams
 from bateman.field import Coeff
 from bateman.fock import (
     NULL_CUTOFF_LIMIT,
-    SIGMA_FLOOR_RATIO,
     SQUEEZE_CUTOFF_LIMIT,
     SQUEEZE_SCALE_LIMIT,
     FockOp,
     _even_squeeze_couplings,
+    _gram_weights,
     _hamiltonian_fock,
+    _ladder,
+    _sector_gram,
     _sector_parts,
     _sector_states,
     build_fock,
@@ -387,9 +389,13 @@ def test_null_experiment_minimizers_normalized():
         assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
 
 
+PAIRS = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}
+SIGMA_FLOOR_RATIO = 1e-13  # the oracles' singular values below this (relative) are zeros
+
+
 def _dense_null_oracle(cutoff, family):
     """The stacked SVD of the full two-mode pair on the interior basis."""
-    names = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}[family]
+    names = PAIRS[family]
     bound = cutoff - 2
     tot = total_excitations(2, cutoff)
     inside = np.where(tot < bound)[0]
@@ -404,18 +410,92 @@ def _dense_null_oracle(cutoff, family):
     return sigma, tail_mass, minimizer
 
 
+def _sector_blocks(bound, family):
+    """The stacked pair's block B_d on each sector d, from ``_sector_parts``: the
+    first operator fills only the sector d - 1 rows and the second only the
+    sector d + 1 rows, so B_d is one weighted sum of the parts."""
+    weights = sum(_ladder(name, np.eye(4)) for name in PAIRS[family])
+    for d in range(1 - bound, bound):
+        parts = _sector_parts(d, bound)
+        yield d, (weights @ parts.reshape(4, -1)).reshape(parts.shape[1:])
+
+
+def _sector_svd_oracle(cutoff, family):
+    """One dense SVD per sector block: sigma_min is the least singular value over
+    the blocks, clamped against the largest one, and the minimizer the singular
+    vector of the first sector (in increasing d) that attains it."""
+    bound = interior_bound(cutoff)
+    top, best_d, best, sigma = 0.0, 0, None, np.inf
+    for d, block in _sector_blocks(bound, family):
+        svals = np.linalg.svd(block, compute_uv=False)
+        top = max(top, float(svals[0]))
+        if svals[-1] < sigma:
+            best_d, best, sigma = d, block, float(svals[-1])
+    if sigma < SIGMA_FLOOR_RATIO * top:
+        sigma = 0.0
+    n1, n2 = _sector_states(best_d, bound)
+    vec = np.linalg.svd(best, full_matrices=False)[2][-1]
+    total = n1 + n2
+    minimizer = np.zeros(bound * (bound + 1) // 2)
+    minimizer[total * (total + 1) // 2 + n1] = vec
+    tail_mass = float(np.sum(vec[total >= bound / 2] ** 2))
+    return sigma, tail_mass, minimizer
+
+
+def _assert_matches_oracle(record, oracle):
+    sigma, tail_mass, minimizer = oracle
+    assert record.sigma_min == pytest.approx(sigma, rel=1e-12, abs=0.0)
+    assert abs(record.tail_mass - tail_mass) < 1e-12
+    assert len(record.minimizer) == len(minimizer)
+    assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
+    # the least singular value is simple, so the minimizers agree up to phase
+    assert abs(abs(np.vdot(minimizer, record.minimizer)) - 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("family", ["pseudo", "bosonic"])
 def test_null_experiment_matches_dense_oracle(family):
     cutoffs = [8, 12, 16, 24]
     sweep = joint_null_experiment(cutoffs, family)
     for cutoff, record in zip(cutoffs, sweep.records):
-        sigma, tail_mass, minimizer = _dense_null_oracle(cutoff, family)
-        assert record.sigma_min == pytest.approx(sigma, rel=1e-12, abs=0.0)
-        assert abs(record.tail_mass - tail_mass) < 1e-12
-        assert len(record.minimizer) == len(minimizer)
-        assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
-        # the least singular value is simple, so the minimizers agree up to phase
-        assert abs(abs(np.vdot(minimizer, record.minimizer)) - 1.0) < 1e-12
+        _assert_matches_oracle(record, _dense_null_oracle(cutoff, family))
+
+
+@pytest.mark.parametrize("family", ["pseudo", "bosonic"])
+@pytest.mark.parametrize("cutoffs", [tuple(range(8, 65, 4)), (8, 16, 24, 32, 40)],
+                         ids=["8-to-64", "fock-reach"])
+def test_null_experiment_matches_sector_svd_oracle(family, cutoffs):
+    sweep = joint_null_experiment(cutoffs, family)
+    for cutoff, record in zip(cutoffs, sweep.records):
+        _assert_matches_oracle(record, _sector_svd_oracle(cutoff, family))
+
+
+@pytest.mark.parametrize("family", ["pseudo", "bosonic"])
+@pytest.mark.parametrize("bound", [14, 31])
+def test_sector_gram_is_the_gram_matrix_of_the_sector_blocks(family, bound):
+    # oracle: B_d^T B_d of the sector blocks built from ``_sector_parts``; its
+    # entries are integers and square roots of integers up to rounding
+    weights = _gram_weights(family)
+    for d, block in _sector_blocks(bound, family):
+        gram = block.T @ block
+        diag, couplings2 = _sector_gram(d, bound, weights)
+        assert np.all(np.triu(gram, 2) == 0.0) and np.all(np.tril(gram, -2) == 0.0)
+        off = np.diag(gram, 1)
+        for got, want in ((np.diag(gram), diag), (off * off, couplings2)):
+            assert np.rint(got).astype(int).tolist() == want
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert np.all(np.sign(off) == np.sign(weights[3]))
+
+
+def test_gram_weights_give_the_laguerre_and_number_matrices():
+    # Szegő, Orthogonal Polynomials, 6.21: L^(a) has the Jacobi diagonal
+    # 2k + a + 1 and squared couplings (k + 1)(k + 1 + a)
+    for d in range(-5, 6):
+        diag, couplings2 = _sector_gram(d, 17, _gram_weights("pseudo"))
+        assert diag == [2 * k + abs(d) + 1 for k in range(len(diag))]
+        assert couplings2 == [(k + 1) * (k + 1 + abs(d)) for k in range(len(diag) - 1)]
+        diag, couplings2 = _sector_gram(d, 17, _gram_weights("bosonic"))
+        assert diag == [2 * k + abs(d) for k in range(len(diag))]
+        assert couplings2 == [0] * (len(diag) - 1)
 
 
 def test_null_sweep_reaches_continuum_constant():
@@ -438,11 +518,11 @@ def test_null_experiment_validation():
 
 
 def test_null_experiment_rejects_cutoffs_past_its_limit(monkeypatch):
-    # the ceiling holds in the library too, before any sector SVD runs
+    # the ceiling holds in the library too, before any sector is built
     def sentinel(*args):
-        raise AssertionError("a sector block was built before the ceiling was checked")
+        raise AssertionError("a sector was built before the ceiling was checked")
 
-    monkeypatch.setattr(bateman.fock, "_sector_parts", sentinel)
+    monkeypatch.setattr(bateman.fock, "_sector_gram", sentinel)
     with pytest.raises(ValueError, match=str(NULL_CUTOFF_LIMIT)):
         joint_null_experiment([8, NULL_CUTOFF_LIMIT + 1])
 

@@ -8,7 +8,8 @@ from the other.  The Hermite map that joins them lives in ``tests/hermite.py``.
 The other direction runs fresh interpreters.  Every layer loads numpy on its
 first numeric call, not at import, so importing the exact layer, running the
 README's library example, ``import bateman.cli``, ``bateman counterexample``,
-``bateman --help`` and a configuration error all leave numpy's code unrun,
+``bateman vacuum`` (whose null sweep runs in plain floats), ``bateman --help``
+and a configuration error all leave numpy's code unrun,
 while ``import bateman.cli`` still loads every layer the benchmark tracer
 looks up in ``sys.modules``.  ``classical`` and ``bateman all`` give the same
 results, byte for byte, whether numpy is loaded lazily or beforehand.
@@ -116,7 +117,8 @@ print(code, {NUMPY_RAN})
     (["counterexample"], 0),
     (["--help"], 0),
     (["all", "--kmax", "5"], 2),
-], ids=["counterexample", "help", "config-error"])
+    (["vacuum", "--cutoffs", "8,16,24,32,40"], 0),
+], ids=["counterexample", "help", "config-error", "vacuum"])
 def test_numpy_free_commands_leave_numpy_unrun(tmp_path, argv, code):
     lines = run_fresh(CLI_RUN.format(prelude="", argv=[*argv, "--out", str(tmp_path)]))
     assert lines[0] == "False" and lines[-1] == f"{code} False"
