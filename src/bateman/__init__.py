@@ -2,6 +2,9 @@
 the damped harmonic oscillator: pseudo-bosonic operator algebra over
 Q(sqrt2, i), vacuum existence analysis, truncated Fock-space experiments,
 divergent-series certification, and the classical Hamiltonian layer.
+The squeeze example's Fock amplitudes (``fock``) and its divergent series
+(``series``) are derived apart and meet only in the CLI's
+``squeeze-factored-amplitudes`` check.
 
 The names below are imported from their submodule on first use (PEP 562), so
 the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``,
@@ -50,7 +53,6 @@ _EXPORTS = {
             "LinDiffOp", "PolyGauss", "commutator", "hamiltonian_build", "make_ladder",
             "make_pseudo", "op_adjoint", "op_apply", "op_compose",
         ),
-        "radicals": ("SqrtRational", "factorial_sqrt", "squarefree_decompose"),
         "series": (
             "GrowthReport", "RaabeReport", "partial_sum_growth", "raabe_test",
             "squeeze_partial_sums", "squeeze_terms", "term_norm2",
@@ -84,7 +86,6 @@ __all__ = [
     "LinDiffOp",
     "PhaseState",
     "PolyGauss",
-    "SqrtRational",
     "Trajectory",
     "build_fock",
     "commutator",

@@ -36,8 +36,9 @@ Experiments:
   the pseudo pair: diagonal 2k + |d| + 1, squared couplings (k + 1)(k + 1 + |d|).
   sigma_min^2 is its least eigenvalue, by Sturm bisection, and the minimizer
   comes from inverse iteration;
-* ``squeeze_factored_action`` produces the exact Fock amplitudes of the
-  factored squeeze action on the ground state as radical pairs;
+* ``squeeze_factored_action`` produces the exact Fock amplitudes c_k of the
+  factored squeeze action on the ground state as signed squares
+  sign(c_k) c_k^2, which are rational, so no radical is ever formed;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
   cutoffs, whose norms grow without bound because the untruncated image is
   not square integrable.  Both it and the antihermitian control are a Gauss
@@ -54,7 +55,6 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from . import _lazy_import
-from .radicals import SqrtRational
 
 np = _lazy_import("numpy")
 
@@ -260,16 +260,19 @@ class NullRecord:
     cutoff: int
     sigma_min: float
     tail_mass: float
-    minimizer: tuple[float, ...]  # normalized, over the interior basis
+    sector: int  # d = n1 - n2 of the sector that holds the minimizer
+    # the normalized minimizer on that sector's interior states, in the order of
+    # ``_sector_states(sector, interior_bound(cutoff))``; zero on every other sector
+    sector_vector: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class NullExperimentReport:
     """Least singular value of the stacked lowering pair, per cutoff.
 
-    The domain is the interior subspace (total excitation < N - 2), ordered
-    by total excitation and then by n1; lowering operators map it without
-    truncation error.
+    The domain is the interior subspace (total excitation < N - 2), which
+    lowering operators map without truncation error.  Each record keeps the
+    minimizer as its sector d and the vector on that sector alone.
     ``tail_mass`` is the minimizer mass at total excitation at or above half
     the interior bound; for the pseudo-boson pair it tracks the migration of
     the minimizer toward the cutoff.  sigma_min is exactly 0 when the pair
@@ -396,7 +399,8 @@ def joint_null_experiment(
     each gets one Sturm test at the least eigenvalue found so far, and only
     one with an eigenvalue at or below it is bisected.  sigma_min is exactly
     0 when that sector's integer determinant vanishes.  The minimizer is the
-    ground vector of the first sector visited that attains sigma_min; -|d|
+    ground vector of the first sector visited that attains sigma_min, kept
+    as that sector d and its vector, at most N/2 floats; -|d|
     comes before |d|, so of the mirror sectors d and -d, whose T_d are equal
     for both pairs, the one first in increasing d wins.
     """
@@ -421,13 +425,9 @@ def joint_null_experiment(
         diag, couplings2 = _sector_gram(best_d, bound, weights)
         couplings = [math.copysign(math.sqrt(b2), weights[3]) for b2 in couplings2]
         vec = _ground_vector(diag, couplings, best)
-        # interior index of |n1, n2>: all states of lower total, then by n1
-        minimizer = [0.0] * (bound * (bound + 1) // 2)
         totals = range(abs(best_d), bound, 2)
-        for total, x in zip(totals, vec):
-            minimizer[total * (total + 1) // 2 + (total + best_d) // 2] = x
         tail_mass = math.fsum(x * x for total, x in zip(totals, vec) if total >= bound / 2)
-        records.append(NullRecord(cutoff, math.sqrt(best), tail_mass, tuple(minimizer)))
+        records.append(NullRecord(cutoff, math.sqrt(best), tail_mass, best_d, tuple(vec)))
     return NullExperimentReport(family=family, records=tuple(records))
 
 
@@ -442,28 +442,25 @@ def null_experiment_csv(report: NullExperimentReport) -> str:
 # squeeze-type experiments
 # ---------------------------------------------------------------------------
 
-def squeeze_factored_action(kmax: int) -> list[SqrtRational]:
-    """Exact Fock amplitudes of the factored squeeze action on the ground state.
+def squeeze_factored_action(kmax: int) -> list[Fraction]:
+    """Exact Fock amplitudes c_k of the factored squeeze action on the ground
+    state, as the signed squares q_k = sign(c_k) c_k^2, k = 0..kmax.
 
-    Computed by iterating the squared raising operator: the amplitude on
-    basis state 2k gains a factor -1/2 * sqrt(2k+1) * sqrt(2k+2) / (k+1) per
-    step.  Odd basis states carry exactly zero.  The global factor 2^(1/4)
-    is carried symbolically by callers; index k of the result is the
-    amplitude of basis state 2k.
+    Computed by iterating the squared raising operator: c_(k+1) = -c_k
+    <2k+2| adag^2 |2k> / (2(k+1)), and the matrix element squared is
+    (2k+1)(2k+2), so q_0 = 1 and q_(k+1) = -q_k (2k+1)(2k+2) / (4(k+1)^2).
+    The amplitude is c_k = sign(q_k) sqrt|q_k|.  Odd basis states carry
+    exactly zero.  The global factor 2^(1/4) is carried by callers; index k
+    of the result stands for basis state 2k.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    coeffs = [SqrtRational(Fraction(1))]
-    current = SqrtRational(Fraction(1))
+    signed_squares = [Fraction(1)]
     for k in range(kmax):
-        step = (
-            SqrtRational.sqrt_int(2 * k + 1)
-            * SqrtRational.sqrt_int(2 * k + 2)
-            * Fraction(-1, 2 * (k + 1))
+        signed_squares.append(
+            -signed_squares[-1] * (2 * k + 1) * (2 * k + 2) / (4 * (k + 1) ** 2)
         )
-        current = current * step
-        coeffs.append(current)
-    return coeffs
+    return signed_squares
 
 
 @dataclass(frozen=True)
@@ -613,7 +610,8 @@ def squeeze_truncated_norms(
     if generator == "hermitian":
         check_squeeze_range(theta, cutoffs[-1])
 
-    reference = np.array([float(c) for c in squeeze_factored_action(3)]) * 2.0 ** 0.25
+    amplitudes = [math.copysign(math.sqrt(abs(q)), q) for q in squeeze_factored_action(3)]
+    reference = np.array(amplitudes) * 2.0 ** 0.25
     log_ref, minus_ref_sign = np.log(np.abs(reference)), -np.sign(reference)
 
     records = []

@@ -1,37 +1,16 @@
-"""Exact radical values r*sqrt(n) with rational r and squarefree integer n.
+"""Prime-exponent arithmetic for exact closed forms with factorials.
 
-This is the bookkeeping type for Fock amplitudes such as sqrt((2k)!)/k!:
-products of square roots of integers reduce exactly, so closed forms can be
-compared without any floating point.
+``prime_sieve`` and ``factorial_exponent`` (Legendre's formula) give the
+prime powers of n!, from which ``series`` builds the central binomials C(2K, K)
+of its closed-form partial sums.  ``factorial_sqrt`` writes n! = s^2 rad with
+rad squarefree, so sqrt(n!) = s sqrt(rad) exactly; it has no caller in the
+package, and it stays because ``perfbench/tracer.py`` times it by name.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt
-
-from .field import RatLike, _rat
-
-
-def squarefree_decompose(m: int) -> tuple[int, int]:
-    """Write m = s^2 * n with n squarefree; returns (s, n).  Requires m >= 1."""
-    if m < 1:
-        raise ValueError("squarefree_decompose expects a positive integer")
-    s, n = 1, 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
-                n *= d
-        d += 1 if d == 2 else 2
-    n *= m
-    return s, n
+from math import isqrt
 
 
 def prime_sieve(n: int) -> bytearray:
@@ -57,8 +36,9 @@ def factorial_exponent(n: int, p: int) -> int:
     return e
 
 
-def factorial_sqrt(n: int) -> "SqrtRational":
-    """sqrt(n!) as an exact radical, via prime exponents of n!."""
+def factorial_sqrt(n: int) -> tuple[int, int]:
+    """sqrt(n!) = s sqrt(rad) as the integer pair (s, rad): n! = s^2 rad with
+    rad squarefree, from the prime exponents of n!."""
     if n < 0:
         raise ValueError("factorial_sqrt expects n >= 0")
     s, rad = 1, 1
@@ -67,85 +47,4 @@ def factorial_sqrt(n: int) -> "SqrtRational":
         s *= p ** (e // 2)
         if e % 2:
             rad *= p
-    return SqrtRational(Fraction(s), rad)
-
-
-class SqrtRational:
-    """Value r*sqrt(n), normalized so n is squarefree and positive."""
-
-    __slots__ = ("r", "n")
-
-    def __init__(self, r: RatLike, n: int = 1):
-        r = _rat(r)
-        if n < 1:
-            raise ValueError("radicand must be a positive integer")
-        s, n = squarefree_decompose(n)
-        r = r * s
-        if r == 0:
-            n = 1
-        self.r = r
-        self.n = n
-
-    @classmethod
-    def sqrt_int(cls, m: int) -> SqrtRational:
-        return cls(Fraction(1), m)
-
-    def is_zero(self) -> bool:
-        return self.r == 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = SqrtRational(_rat(other))
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        return self.r == other.r and self.n == other.n
-
-    def __hash__(self) -> int:
-        # r * sqrt(1) compares equal to the rational r, so it hashes like it
-        if self.n == 1:
-            return hash(self.r)
-        return hash((self.r, self.n))
-
-    def __neg__(self) -> SqrtRational:
-        return SqrtRational(-self.r, self.n)
-
-    def __mul__(self, other: "SqrtRational | RatLike") -> SqrtRational:
-        if isinstance(other, (int, Fraction)):
-            return SqrtRational(self.r * _rat(other), self.n)
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        # both radicands squarefree: sqrt(n1 n2) = g sqrt((n1/g)(n2/g)), g = gcd.
-        g = gcd(self.n, other.n)
-        return SqrtRational(self.r * other.r * g, (self.n // g) * (other.n // g))
-
-    def __rmul__(self, other: RatLike) -> SqrtRational:
-        return self * other
-
-    def __add__(self, other: "SqrtRational") -> SqrtRational:
-        if not isinstance(other, SqrtRational):
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.n != other.n:
-            raise ValueError("cannot add radicals with different radicands exactly")
-        return SqrtRational(self.r + other.r, self.n)
-
-    def square(self) -> Fraction:
-        return self.r * self.r * self.n
-
-    def __float__(self) -> float:
-        from math import sqrt
-
-        return float(self.r) * sqrt(self.n)
-
-    def __repr__(self) -> str:
-        return f"SqrtRational({self.r!r}, {self.n!r})"
-
-    def __str__(self) -> str:
-        if self.n == 1:
-            return str(self.r)
-        if self.r == 1:
-            return f"sqrt({self.n})"
-        return f"{self.r}*sqrt({self.n})"
+    return s, rad

@@ -11,6 +11,12 @@ divergence; ``partial_sum_growth`` checks the central-binomial bounds
 1/(2 sqrt K) <= C(2K,K)/4^K <= 1/sqrt(3K+1), proved by induction for every
 K, on the partial sums, which therefore grow like K^(1/2).  No float enters
 either verdict.
+
+``fock.squeeze_factored_action`` derives the same amplitudes apart, as the
+signed squares q_k of the squared raising operator's iteration; this module
+does not read them.  The CLI's ``squeeze-factored-amplitudes`` check requires
+a_k = sqrt2 |q_k| term by term, so the series these verdicts certify is the
+one the Fock amplitudes come from.
 """
 
 from __future__ import annotations

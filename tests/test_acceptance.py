@@ -41,7 +41,6 @@ from bateman.operators import (
     op_adjoint,
     op_apply,
 )
-from bateman.radicals import factorial_sqrt
 from bateman.series import (
     partial_sum_growth,
     raabe_test,
@@ -162,10 +161,11 @@ def test_criterion_5_series():
 
 @criterion("6 factored squeeze amplitudes match the closed form exactly")
 def test_criterion_6_factored_action():
-    amps = squeeze_factored_action(50)
-    for k, amp in enumerate(amps):
-        closed = factorial_sqrt(2 * k) * Fraction((-1) ** k, 2**k * math.factorial(k))
-        assert amp == closed
+    # the signed squares of c_k = (-1)^k sqrt((2k)!)/(2^k k!), exactly
+    signed_squares = squeeze_factored_action(50)
+    assert len(signed_squares) == 51
+    for k, q in enumerate(signed_squares):
+        assert q == Fraction((-1) ** k * math.factorial(2 * k), 4**k * math.factorial(k) ** 2)
 
 
 @criterion("7 truncated squeeze norms grow; unitary control stays at one")

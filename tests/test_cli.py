@@ -89,6 +89,18 @@ def test_squeeze_report_fast_config(tmp_path):
     assert len(raabe) == 51
 
 
+def test_factored_amplitudes_payload_at_the_defaults(tmp_path):
+    # the signed squares (-1)^k C(2k, k)/4^k, each held to sqrt2 |q_k| = a_k
+    art = Artifacts(config_from_args(build_parser().parse_args(["squeeze", "--out", str(tmp_path)])))
+    (check,) = [c for c in CHECKS if c.id == "squeeze-factored-amplitudes"]
+    ok, payload = check.fn(art)
+    assert ok is True
+    assert payload == {
+        "kmax": 50,
+        "first_signed_squares": ["1", "-1/2", "3/8", "-5/16", "35/128", "-63/256"],
+    }
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -39,7 +39,6 @@ from bateman.fock import (
     total_excitations,
 )
 from bateman.operators import commutator, make_ladder, make_pseudo, op_apply
-from bateman.radicals import SqrtRational, factorial_sqrt
 from hermite import hermite_coefficients, hermite_decompose, hermite_state
 
 THETA = 7 * math.pi / 8
@@ -375,18 +374,29 @@ def test_null_experiment_trends():
     assert all(x <= y for x, y in zip(masses, masses[1:]))
 
 
+def _embedded_minimizer(record):
+    """The record's sector vector placed in the interior basis, ordered by total
+    excitation and then by n1: |n1, n2> has index total (total + 1) / 2 + n1."""
+    bound = interior_bound(record.cutoff)
+    n1, n2 = _sector_states(record.sector, bound)
+    total = n1 + n2
+    minimizer = np.zeros(bound * (bound + 1) // 2)
+    minimizer[total * (total + 1) // 2 + n1] = record.sector_vector
+    return minimizer
+
+
 def test_null_experiment_bosonic_control():
     sweep = joint_null_experiment([8, 12], "bosonic")
     assert sweep.sigma_mins() == [0.0, 0.0]
     # minimizer is the Fock vacuum
     for record in sweep.records:
-        assert abs(abs(record.minimizer[0]) - 1.0) < 1e-10
+        assert abs(abs(_embedded_minimizer(record)[0]) - 1.0) < 1e-10
 
 
 def test_null_experiment_minimizers_normalized():
     sweep = joint_null_experiment([8, 12], "pseudo")
     for record in sweep.records:
-        assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(_embedded_minimizer(record)) - 1.0) < 1e-12
 
 
 PAIRS = {"pseudo": ("A1", "A2"), "bosonic": ("a1", "a2")}
@@ -446,10 +456,11 @@ def _assert_matches_oracle(record, oracle):
     sigma, tail_mass, minimizer = oracle
     assert record.sigma_min == pytest.approx(sigma, rel=1e-12, abs=0.0)
     assert abs(record.tail_mass - tail_mass) < 1e-12
-    assert len(record.minimizer) == len(minimizer)
-    assert abs(np.linalg.norm(record.minimizer) - 1.0) < 1e-12
+    embedded = _embedded_minimizer(record)
+    assert len(embedded) == len(minimizer)
+    assert abs(np.linalg.norm(embedded) - 1.0) < 1e-12
     # the least singular value is simple, so the minimizers agree up to phase
-    assert abs(abs(np.vdot(minimizer, record.minimizer)) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(minimizer, embedded)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["pseudo", "bosonic"])
@@ -539,17 +550,19 @@ def test_null_experiment_csv_shape():
 # ---------------------------------------------------------------------------
 
 def test_factored_action_first_amplitudes():
-    amps = squeeze_factored_action(2)
-    assert amps[0] == SqrtRational(1)
-    assert amps[1] == SqrtRational(Fraction(-1, 2), 2)
-    assert amps[2] == SqrtRational(Fraction(1, 4), 6)
+    # signed squares of the amplitudes 1, -sqrt2/2 and sqrt6/4
+    signed_squares = squeeze_factored_action(2)
+    assert all(isinstance(q, Fraction) for q in signed_squares)
+    assert signed_squares == [1, Fraction(-1, 2), Fraction(3, 8)]
 
 
 def test_factored_action_matches_closed_form():
-    amps = squeeze_factored_action(50)
-    for k, amp in enumerate(amps):
-        closed = factorial_sqrt(2 * k) * Fraction((-1) ** k, 2**k * math.factorial(k))
-        assert amp == closed
+    # c_k = (-1)^k sqrt((2k)!)/(2^k k!), so sign(c_k) c_k^2 = (-1)^k C(2k, k)/4^k;
+    # a sign and an exact square determine the real amplitude
+    signed_squares = squeeze_factored_action(50)
+    assert len(signed_squares) == 51
+    for k, q in enumerate(signed_squares):
+        assert q == Fraction((-1) ** k * math.comb(2 * k, k), 4**k)
 
 
 def test_factored_action_requires_positive_kmax():

@@ -60,7 +60,7 @@ def test_import_check_sees_every_spelling():
         "from fractions import Fraction\n"
         "from .field import Coeff\n"
         "from . import operators\n"
-        "from .radicals import SqrtRational\n"
+        "from .radicals import prime_sieve\n"
         "import bateman.vacuum\n"
         "from bateman.series import raabe_test\n"
     )

@@ -10,7 +10,7 @@ into a ``fail`` certifies nothing (mutation analysis: DeMillo, Lipton &
 Sayward, IEEE Computer 11(4), 1978).
 
 Cost: one subprocess per entry, about 0.3 s each on 2 vCPUs, so the table adds
-about 2 s to the Tier-1 suite.  An entry runs its area's subcommand, not
+about 2.5 s to the Tier-1 suite.  An entry runs its area's subcommand, not
 ``all``, to keep it that way.
 """
 
@@ -50,7 +50,19 @@ MUTANTS = (
     Mutant(
         "squeeze-terms-step", "series.py",
         "// (k + 1)", "// (k + 2)",
-        ("squeeze", "--kmax", "50", "--cutoffs", "16,32"), ("squeeze-series-ratio-test",),
+        ("squeeze", "--kmax", "50", "--cutoffs", "16,32"),
+        ("squeeze-series-ratio-test", "squeeze-factored-amplitudes"),
+    ),
+    Mutant(
+        # every term doubled: the step identity of the ratio test still holds
+        "squeeze-series-start", "series.py",
+        "central = math.comb(2 * first, first)", "central = 2 * math.comb(2 * first, first)",
+        ("squeeze", "--kmax", "50", "--cutoffs", "16,32"), ("squeeze-factored-amplitudes",),
+    ),
+    Mutant(
+        "squeeze-factored-step", "fock.py",
+        "(2 * k + 1) * (2 * k + 2)", "(2 * k + 1) * (2 * k + 3)",
+        ("squeeze", "--kmax", "50", "--cutoffs", "16,32"), ("squeeze-factored-amplitudes",),
     ),
     Mutant(
         "rotated-form-h-sign", "classical.py",
