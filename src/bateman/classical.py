@@ -195,23 +195,42 @@ def integrate_eom(
     """Classic fixed-step RK4 for Hamilton's equations of the mixed form.
 
     The equations are linear, so each step applies one fixed matrix (see
-    ``_rk4_increment``).  The amplified coordinate grows like
-    exp(+gamma t / 2m); overflow of that envelope raises IntegrationError,
-    as do NaNs.
+    ``_rk4_increment``).  M couples only (x, p_y) and (y, p_x), and so does
+    every power of it: D = P - I is two 2 x 2 blocks, and its other eight
+    entries are exactly zero.  So each step adds D s to s from the eight
+    block entries alone, in plain floats, and writes the new state into the
+    preallocated state array; no numpy call runs per step.  The amplified
+    coordinate grows like exp(+gamma t / 2m); overflow of that envelope
+    raises IntegrationError, as do NaNs.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    step_t = _rk4_increment(params, dt).T
+    d = _rk4_increment(params, dt)
+    assert not any(
+        d[i, j] for i in range(4) for j in range(4) if (i in (0, 3)) != (j in (0, 3))
+    ), d
+    # each coefficient is named by its row's coordinate, then its column's
+    (xx, _, _, xpy), (_, yy, ypx, _), (_, pxy, pxpx, _), (pyx, _, _, pypy) = d.tolist()
     nsteps = int(round(t_end / dt))
     states = np.empty((nsteps + 1, 4))
     times = np.arange(nsteps + 1) * dt
-    s = init.as_array()
-    states[0] = s
-    # overflow shows up as non-finite state entries and is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nsteps + 1):
-            s = s + s @ step_t
-            states[i] = s
+    states[0] = init.as_array()
+    x, y, px, py = states[0].tolist()
+    # writes through these views land in ``states``; overflow shows up as
+    # non-finite entries and is reported below
+    xs, ys, pxs, pys = (memoryview(states[:, j]) for j in range(4))
+    for i in range(1, nsteps + 1):
+        x, y, px, py = (
+            x + (xx * x + xpy * py),
+            y + (yy * y + ypx * px),
+            px + (pxy * y + pxpx * px),
+            py + (pyx * x + pypy * py),
+        )
+        # one store per statement, which is faster than one tuple store
+        xs[i] = x
+        ys[i] = y
+        pxs[i] = px
+        pys[i] = py
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         first = int(np.argmin(finite))

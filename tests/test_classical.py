@@ -294,6 +294,21 @@ def test_propagator_matches_four_stage_oracle(m, gamma, omega):
     assert np.max(np.abs(traj.states - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("dt", [1e-3, 2e-2])
+@pytest.mark.parametrize("m, gamma, omega", [*SETUPS, (1, 2, 1), (1, 60, 1)])
+def test_block_step_equals_the_full_matrix_step(m, gamma, omega, dt):
+    # the reference adds D s to s over all 16 entries of D, in plain floats,
+    # in column order; the zero entries add nothing, so the states are equal
+    p = BatemanParams.from_omega(m, gamma, omega)
+    init = PhaseState.from_velocities(p, x=1.0, xdot=0.3, y=0.5, ydot=-0.2)
+    traj = integrate_eom(p, init, t_end=2.0, dt=dt)
+    d = classical._rk4_increment(p, dt).tolist()
+    s = [float(v) for v in init]
+    for row in traj.states.tolist():
+        assert row == s
+        s = [u + sum(dij * v for dij, v in zip(di, s)) for u, di in zip(s, d)]
+
+
 @pytest.mark.parametrize("m, gamma, omega", SETUPS)
 def test_energy_drift_stays_at_rounding_floor(m, gamma, omega):
     # stepping with s @ P^T instead of adding the increment accumulates the

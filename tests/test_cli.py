@@ -17,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import bateman
 import bateman.cli
-from bateman.cli import CHECKS, CSVS, RUNNERS, Artifacts, build_parser, config_from_args, main
+from bateman.classical import BatemanParams, _rk4_increment
+from bateman.cli import (
+    CHECKS, CSVS, DRIFT_ORDER_STEPS, RUNNERS, Artifacts, build_parser, config_from_args, main,
+)
 from bateman.fock import NULL_CUTOFF_LIMIT, SQUEEZE_CUTOFF_LIMIT
 from bateman.reporting import jsonable
 from bateman.series import RAABE_KMAX_LIMIT
@@ -277,22 +280,22 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the Fock residuals call only small real BLAS and LAPACK routines, which
-    # OpenBLAS runs on one thread whatever it is allowed
+    # the checks call only small real BLAS and LAPACK routines, which OpenBLAS
+    # runs on one thread whatever it is allowed; ``main`` pins an unset count
+    # to 1, so an explicit 2 is compared with 1, on every BLAS caller of ``all``
     src = str(Path(bateman.__file__).resolve().parents[1])
-    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas}
-    reports = []
-    for threads in (None, "1"):
-        out = tmp_path / str(threads)
+    env = {k: v for k, v in os.environ.items() if k not in bateman.cli.BLAS_THREAD_VARS}
+    outputs = []
+    for threads in ("2", "1"):
+        out = tmp_path / threads
         subprocess.run(
-            [sys.executable, "-m", "bateman.cli", "hamiltonian", "--format", "json", "--out", str(out)],
-            env={**env, "PYTHONPATH": src, **({"OPENBLAS_NUM_THREADS": threads} if threads else {})},
+            [sys.executable, "-m", "bateman.cli", "all", *FAST, "--out", str(out)],
+            env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
             check=True,
             capture_output=True,
         )
-        reports.append((out / "report_hamiltonian.json").read_bytes())
-    assert reports[0] == reports[1]
+        outputs.append([(out / name).read_bytes() for name in ["report_all.json", *sorted(CSV_NAMES)]])
+    assert outputs[0] == outputs[1]
 
 
 FAST = ["--kmax", "50", "--cutoffs", "16,32"]
@@ -487,6 +490,16 @@ _underdamped_box = {
     "gamma": st.fractions(min_value=0, max_value=6, max_denominator=12),
     "omega": st.fractions(min_value=Fraction(1, 10), max_value=4, max_denominator=12),
 }
+
+
+@given(dt=st.sampled_from(DRIFT_ORDER_STEPS + (1e-3,)), **_underdamped_box)
+@settings(max_examples=60, deadline=None)
+def test_rk4_increment_is_two_blocks(dt, m, gamma, omega):
+    # integrate_eom steps over the (x, p_y) and (y, p_x) blocks of P - I alone
+    increment = _rk4_increment(BatemanParams.from_omega(m, gamma, omega), dt)
+    off_block = [increment[i, j] for i in range(4) for j in range(4)
+                 if (i in (0, 3)) != (j in (0, 3))]
+    assert len(off_block) == 8 and all(v == 0.0 for v in off_block)
 
 
 @given(subcommand=st.sampled_from(["classical", "hamiltonian"]), **_underdamped_box)

@@ -16,6 +16,7 @@ results, byte for byte, whether numpy is loaded lazily or beforehand.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -67,11 +68,12 @@ def test_import_check_sees_every_spelling():
     assert imported_modules(source) == {"field", "operators", "radicals", "vacuum", "series"}
 
 
-def run_fresh(code: str) -> list[str]:
-    """The stdout lines of ``code`` run in a fresh interpreter with ``src`` on the path."""
+def run_fresh(code: str, env: dict[str, str] | None = None) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter with ``src`` on
+    the path, in ``env`` (default: this process's environment)."""
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        env={**(os.environ if env is None else env), "PYTHONPATH": str(SRC.parent)},
         capture_output=True,
         text=True,
         check=True,
@@ -187,3 +189,46 @@ def test_deferred_numpy_gives_the_same_cli_outputs(tmp_path):
         assert sorted(path.name for path in out.iterdir()) == ALL_OUTPUTS
         outputs[side] = lines[1:-1], [(out / name).read_bytes() for name in ALL_OUTPUTS]
     assert outputs["lazy"] == outputs["eager"]
+
+
+# Runs ``bateman.cli.main`` on ``{argv}`` after ``{prelude}``, then prints as
+# JSON its exit code, whether ``os.environ`` is unchanged, the three BLAS
+# thread variables and the process's OS thread count (None without /proc).
+BLAS_RUN = """\
+import json
+import os
+{prelude}
+from bateman.cli import BLAS_THREAD_VARS, main
+before = dict(os.environ)
+code = main({argv})
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps([code, dict(os.environ) == before,
+                  [os.environ.get(name) for name in BLAS_THREAD_VARS], threads]))
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FAST_ALL = ["all", "--kmax", "50", "--cutoffs", "16,32"]
+
+
+def run_blas(out, prelude: str = "", **blas: str) -> list:
+    """BLAS_RUN's result for a short ``bateman all`` in a fresh interpreter
+    whose only BLAS thread settings are ``blas``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    code = BLAS_RUN.format(prelude=prelude, argv=[*FAST_ALL, "--out", str(out)])
+    return json.loads(run_fresh(code, env={**env, **blas})[-1])
+
+
+def test_cli_runs_blas_on_one_thread_by_default(tmp_path):
+    code, unchanged, values, threads = run_blas(tmp_path)
+    assert (code, unchanged, values) == (0, False, ["1", "1", "1"])
+    if threads is None:
+        pytest.skip("no /proc/self/task on this platform")
+    assert threads == 1
+
+
+def test_cli_keeps_a_blas_thread_count_the_caller_set(tmp_path):
+    assert run_blas(tmp_path, OPENBLAS_NUM_THREADS="2")[:3] == [0, True, ["2", None, None]]
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_has_run(tmp_path):
+    assert run_blas(tmp_path, prelude="import numpy")[:3] == [0, True, [None, None, None]]

@@ -10,7 +10,7 @@ into a ``fail`` certifies nothing (mutation analysis: DeMillo, Lipton &
 Sayward, IEEE Computer 11(4), 1978).
 
 Cost: one subprocess per entry, about 0.3 s each on 2 vCPUs, so the table adds
-about 2.5 s to the Tier-1 suite.  An entry runs its area's subcommand, not
+about 3 s to the Tier-1 suite.  An entry runs its area's subcommand, not
 ``all``, to keep it that way.
 """
 
@@ -79,6 +79,13 @@ MUTANTS = (
         "mixed-form-c", "classical.py",
         "params.gamma**2 / (4 * params.m)", "params.gamma**2 / (2 * params.m)",
         ("classical",), ("classical-eom-residuals", "classical-energy-forms"),
+    ),
+    Mutant(
+        # one block term of the plain-float RK4 step dropped; a mutant of an
+        # entry outside the two blocks would change nothing, as it is zero
+        "rk4-step-x-term", "classical.py",
+        "x + (xx * x + xpy * py),", "x + xpy * py,",
+        ("classical",), ("classical-eom-residuals", "classical-energy-drift"),
     ),
 )
 
