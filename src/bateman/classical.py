@@ -19,22 +19,22 @@ second-order equations of ``eom_residual``, the closed form of
 p_y = m x' + (gamma/2) x, so each momentum couples to the *other*
 coordinate's velocity.  Build momenta with it, not by hand.
 
-numpy is loaded on the first use of ``np``, not at import, as in every layer
-(see the package docstring), so the exact layer can take ``BatemanParams``
-from here without running it.
+The layer runs in plain Python floats and never loads numpy: a trajectory is
+``array('d')`` columns, every pass over it goes sample by sample, and
+overflow, which gives inf or nan silently, is caught with ``math.isfinite``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, TextIO
+from functools import cached_property
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence, TextIO
 
-from . import _lazy_import
 from .field import RatLike, _rat, rational_sqrt
-
-np = _lazy_import("numpy")
 
 # An exact 4 x 4 matrix over phase space, row by row.
 Form = tuple[tuple[Fraction, ...], ...]
@@ -126,10 +126,24 @@ def motion_matrix(params: BatemanParams) -> Form:
     return q[2], q[3], tuple(-v for v in q[0]), tuple(-v for v in q[1])
 
 
-def _apply(rows: Form, s: Sequence) -> Iterator:
-    """Each row dotted with s, one row at a time and over the row's nonzero
-    entries only; s holds four floats or four arrays of samples."""
-    return (sum(float(q) * v for q, v in zip(row, s) if q) for row in rows)
+def _mixed_entries(params: BatemanParams) -> tuple[float, float, float, float]:
+    """(c, -h, h, 1/m): the mixed form's nonzero Q[0][1], Q[0][2], Q[1][3], Q[2][3]."""
+    q = mixed_form(params)
+    return float(q[0][1]), float(q[0][2]), float(q[1][3]), float(q[2][3])
+
+
+def _energies(params: BatemanParams, states: Iterable[Sequence[float]]) -> Iterator[float]:
+    """1/2 s^T Q s at each state, each sum in column order over Q's nonzero entries."""
+    c, nh, h, inv_m = _mixed_entries(params)
+    return (0.5 * (x * (c * y + nh * px) + y * (c * x + h * py)
+                   + px * (nh * x + inv_m * py) + py * (h * y + inv_m * px))
+            for x, y, px, py in states)
+
+
+def _velocities(params: BatemanParams, states: Iterable[Sequence[float]]) -> Iterator[tuple[float, float]]:
+    """(x', y') at each state: rows 0 and 1 of M s, which are rows 2 and 3 of Q s."""
+    _, nh, h, inv_m = _mixed_entries(params)
+    return ((nh * x + inv_m * py, h * y + inv_m * px) for x, y, px, py in states)
 
 
 @dataclass(frozen=True)
@@ -153,72 +167,64 @@ class PhaseState:
 
     def velocities(self, params: BatemanParams) -> tuple[float, float]:
         """(x', y'): the first two rows of M s."""
-        return tuple(_apply(motion_matrix(params)[:2], self))
+        return next(_velocities(params, (self,)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array(tuple(self), dtype=float)
+    def as_array(self) -> array:
+        return array("d", self)
 
 
-def hamiltonian_mixed(state: PhaseState | Sequence, params: BatemanParams) -> float | np.ndarray:
-    """1/2 s^T Q s of the mixed form; ``state`` may also be four sample arrays."""
-    return 0.5 * sum(u * v for u, v in zip(state, _apply(mixed_form(params), state)))
+def hamiltonian_mixed(state: PhaseState | Sequence[float], params: BatemanParams) -> float:
+    """1/2 s^T Q s of the mixed form at one state (x, y, p_x, p_y)."""
+    return next(_energies(params, (state,)))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (n, 4): columns x, y, p_x, p_y
+    times: array
+    states: tuple[array, array, array, array]  # the columns x, y, p_x, p_y
     params: BatemanParams
 
-    def energies(self) -> np.ndarray:
-        return hamiltonian_mixed(self.states.T, self.params)
+    @cached_property
+    def energies(self) -> array:
+        """The energy at each sample, computed once per trajectory."""
+        return array("d", _energies(self.params, zip(*self.states)))
 
 
-def _rk4_increment(params: BatemanParams, dt: float) -> np.ndarray:
-    """D = P - I for the RK4 step matrix P = sum_{j<=4} (dt M)^j / j!.
-
-    Hamilton's equations of the mixed form are linear, s' = M s, so one
-    classic RK4 step is exactly s -> P s.  The terms are summed smallest
-    first, and callers add D s to s rather than forming P s: P's diagonal
-    is 1 + O(dt), and rounding it would drift the energy coherently over
-    many steps.
-    """
-    hm = dt * np.array(motion_matrix(params), dtype=float)
-    hm2 = hm @ hm
-    hm3 = hm2 @ hm
-    return (hm2 @ hm2 / 24.0 + hm3 / 6.0) + hm2 / 2.0 + hm
+def _rk4_increment(params: BatemanParams, dt: float) -> tuple[Sequence[Sequence[float]], ...]:
+    """The (x, p_y) and (y, p_x) blocks of D = P - I, where one RK4 step of the
+    linear s' = M s is exactly s -> P s, P = sum_{j<=4} (dt M)^j / j!; M couples
+    only these pairs, as does every power of it, so D is zero elsewhere.  Each
+    entry of a block product is two rounded products summed, on any machine.
+    The terms are summed smallest first, and callers add D s to s rather than
+    forming P s: P's diagonal is 1 + O(dt), and rounding it would drift the
+    energy coherently over many steps."""
+    mm = motion_matrix(params)
+    blocks = []
+    for block in ((0, 3), (1, 2)):
+        hm = [[dt * float(mm[i][j]) for j in block] for i in block]
+        hm2 = _matmul(hm, hm)
+        terms = zip(_matmul(hm2, hm2), _matmul(hm2, hm), hm2, hm)
+        blocks.append(tuple(tuple((a / 24.0 + b / 6.0) + c / 2.0 + d for a, b, c, d in zip(*rows))
+                            for rows in terms))
+    return blocks[0], blocks[1]
 
 
 def integrate_eom(
     params: BatemanParams, init: PhaseState, t_end: float, dt: float = 1e-3
 ) -> Trajectory:
-    """Classic fixed-step RK4 for Hamilton's equations of the mixed form.
-
-    The equations are linear, so each step applies one fixed matrix (see
-    ``_rk4_increment``).  M couples only (x, p_y) and (y, p_x), and so does
-    every power of it: D = P - I is two 2 x 2 blocks, and its other eight
-    entries are exactly zero.  So each step adds D s to s from the eight
-    block entries alone, in plain floats, and writes the new state into the
-    preallocated state array; no numpy call runs per step.  The amplified
-    coordinate grows like exp(+gamma t / 2m); overflow of that envelope
-    raises IntegrationError, as do NaNs.
-    """
+    """Classic fixed-step RK4 for Hamilton's equations of the mixed form: each
+    step adds D s to s (see ``_rk4_increment``) into preallocated columns.  The
+    amplified coordinate grows like exp(+gamma t / 2m); overflow of that
+    envelope raises IntegrationError, as do NaNs."""
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    d = _rk4_increment(params, dt)
-    assert not any(
-        d[i, j] for i in range(4) for j in range(4) if (i in (0, 3)) != (j in (0, 3))
-    ), d
     # each coefficient is named by its row's coordinate, then its column's
-    (xx, _, _, xpy), (_, yy, ypx, _), (_, pxy, pxpx, _), (pyx, _, _, pypy) = d.tolist()
+    ((xx, xpy), (pyx, pypy)), ((yy, ypx), (pxy, pxpx)) = _rk4_increment(params, dt)
     nsteps = int(round(t_end / dt))
-    states = np.empty((nsteps + 1, 4))
-    times = np.arange(nsteps + 1) * dt
-    states[0] = init.as_array()
-    x, y, px, py = states[0].tolist()
-    # writes through these views land in ``states``; overflow shows up as
-    # non-finite entries and is reported below
-    xs, ys, pxs, pys = (memoryview(states[:, j]) for j in range(4))
+    times = array("d", (i * dt for i in range(nsteps + 1)))
+    x, y, px, py = map(float, init)
+    # each column starts filled with its initial value
+    xs, ys, pxs, pys = (array("d", (v,)) * (nsteps + 1) for v in (x, y, px, py))
     for i in range(1, nsteps + 1):
         x, y, px, py = (
             x + (xx * x + xpy * py),
@@ -231,33 +237,38 @@ def integrate_eom(
         ys[i] = y
         pxs[i] = px
         pys[i] = py
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise IntegrationError(
-            f"trajectory left the representable range at t={times[first]:g}"
-        )
-    return Trajectory(times, states, params)
+    # each coordinate steps as u + (...), and inf or nan plus anything is not
+    # finite: so the last state is finite exactly when every state is
+    if not all(map(math.isfinite, (x, y, px, py))):
+        first = next(i for i, s in enumerate(zip(xs, ys, pxs, pys))
+                     if not all(map(math.isfinite, s)))
+        raise IntegrationError(f"trajectory left the representable range at t={times[first]:g}")
+    return Trajectory(times, (xs, ys, pxs, pys), params)
 
 
 def underdamped_solution(
-    params: BatemanParams, init: PhaseState, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form x(t) and y(t) from ``init``.
+    params: BatemanParams, init: PhaseState, times: Sequence[float]
+) -> tuple[array, array]:
+    """Closed-form x(t) and y(t) from ``init`` at each of ``times``.
 
     Each coordinate solves u'' - 2 r u' + (omega^2 + r^2) u = 0, with
     r = -gamma/2m for the damped x and r = +gamma/2m for the amplified y, so
     u(t) = e^(r t) (u0 cos(omega t) + (u0' - r u0) / omega sin(omega t)).
+    An e^(r t) past the float range raises IntegrationError.
     """
     rate = float(params.gamma) / (2 * float(params.m))
     w = params.omega
     xdot, ydot = init.velocities(params)
-    cos, sin = np.cos(w * times), np.sin(w * times)
 
-    def mode(u0: float, v0: float, r: float) -> np.ndarray:
-        return np.exp(r * times) * (u0 * cos + (v0 - r * u0) / w * sin)
+    def mode(u0: float, v0: float, r: float) -> array:
+        b = (v0 - r * u0) / w
+        return array("d", (math.exp(r * t) * (u0 * math.cos(w * t) + b * math.sin(w * t))
+                           for t in times))
 
-    return mode(init.x, xdot, -rate), mode(init.y, ydot, rate)
+    try:
+        return mode(init.x, xdot, -rate), mode(init.y, ydot, rate)
+    except OverflowError:
+        raise IntegrationError("the closed-form solution left the representable range") from None
 
 
 @dataclass(frozen=True)
@@ -274,24 +285,21 @@ def eom_residual(traj: Trajectory) -> EomResiduals:
     difference over dt^2 leaves the float range before the trajectory does."""
     if len(traj.times) < 5:
         raise ValueError("need at least 5 samples for the residual check")
-    dt = float(traj.times[1] - traj.times[0])
+    dt = traj.times[1] - traj.times[0]
+    dt2 = dt * dt
     params = traj.params
     m, g, k = float(params.m), float(params.gamma), float(params.k_spring)
-    x, y = traj.states[:, 0], traj.states[:, 1]
-
-    def second(u: np.ndarray) -> np.ndarray:
-        return (u[2:] - 2 * u[1:-1] + u[:-2]) / (dt * dt)
-
-    # overflow shows up as non-finite residuals and is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # velocities from the momenta (exact relations, no differencing error)
-        xdot, ydot = PhaseState(*traj.states.T).velocities(params)
-        rx = m * second(x) + g * xdot[1:-1] + k * x[1:-1]
-        ry = m * second(y) - g * ydot[1:-1] + k * y[1:-1]
-        damped, amplified = float(np.max(np.abs(rx))), float(np.max(np.abs(ry)))
-    if not (math.isfinite(damped) and math.isfinite(amplified)):
+    x, y = traj.states[:2]
+    # x and y at i-1, i, i+1, and the velocities at i from the momenta (exact)
+    interior = zip(x, islice(x, 1, None), islice(x, 2, None), y, islice(y, 1, None),
+                   islice(y, 2, None), islice(_velocities(params, zip(*traj.states)), 1, None))
+    rx, ry = array("d"), array("d")
+    for x0, x1, x2, y0, y1, y2, (xdot, ydot) in interior:
+        rx.append(m * ((x2 - 2 * x1 + x0) / dt2) + g * xdot + k * x1)
+        ry.append(m * ((y2 - 2 * y1 + y0) / dt2) - g * ydot + k * y1)
+    if not all(map(math.isfinite, chain(rx, ry))):
         raise IntegrationError("an equation-of-motion residual left the representable range")
-    return EomResiduals(damped, amplified)
+    return EomResiduals(max(map(abs, rx)), max(map(abs, ry)))
 
 
 @dataclass(frozen=True)
@@ -308,28 +316,23 @@ def hamiltonian_consistency(traj: Trajectory) -> HamiltonianConsistency:
     the amplified coordinate and can leave the float range just before it."""
     if len(traj.times) < 2:
         raise ValueError("need at least 2 samples")
-    # overflow shows up as non-finite energies and is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = traj.energies()
-    if not np.isfinite(energies).all():
+    energies = traj.energies
+    if not all(map(math.isfinite, energies)):
         raise IntegrationError("the energy left the representable range along the trajectory")
-    drift = float(np.max(np.abs(energies - energies[0])))
-    return HamiltonianConsistency(drift, float(energies[0]))
+    e0 = energies[0]
+    return HamiltonianConsistency(max(abs(e - e0) for e in energies), e0)
 
 
-# Rows formatted per block of trajectory_csv: the Python floats and row
-# strings of one block are alive at a time, and no string of the whole file.
+# Rows formatted per block of trajectory_csv: the row strings of one block
+# are alive at a time, and no string of the whole file.
 CSV_BLOCK_ROWS = 500
 
 
 def trajectory_csv(traj: Trajectory, out: TextIO) -> None:
     """Write the CSV with columns t, x, y, p_x, p_y, H to ``out``, CSV_BLOCK_ROWS rows at a time."""
-    energies = traj.energies()
+    columns = (traj.times, *traj.states, traj.energies)
     out.write("t,x,y,p_x,p_y,H\n")
-    for start in range(0, len(energies), CSV_BLOCK_ROWS):
-        rows = slice(start, start + CSV_BLOCK_ROWS)
-        table = np.column_stack([traj.times[rows], traj.states[rows], energies[rows]])
-        # Python floats: a numpy scalar's repr reads np.float64(...)
-        out.write("".join([
-            f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}\n" for t, x, y, px, py, h in table.tolist()
-        ]))
+    for start in range(0, len(traj.times), CSV_BLOCK_ROWS):
+        block = zip(*(column[start:start + CSV_BLOCK_ROWS] for column in columns))
+        out.write("".join([f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}\n"
+                           for t, x, y, px, py, h in block]))

@@ -200,11 +200,11 @@ def test_criterion_9_classical():
     traj = integrate_eom(params, init, t_end=10.0, dt=1e-3)
 
     g, m, w = 0.2, 1.0, 1.0
-    t = traj.times
+    t = np.asarray(traj.times)
     analytic = np.exp(-g * t / (2 * m)) * (
         np.cos(w * t) + (g / (2 * m * w)) * np.sin(w * t)
     )
-    assert np.max(np.abs(traj.states[:, 0] - analytic)) < 1e-5
+    assert np.max(np.abs(np.asarray(traj.states[0]) - analytic)) < 1e-5
 
     res = eom_residual(traj)
     assert max(res.damped, res.amplified) < 1e-4

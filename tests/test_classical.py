@@ -2,6 +2,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +72,7 @@ def rk4_oracle(params, init, t_end, dt):
 
     nsteps = int(round(t_end / dt))
     states = np.empty((nsteps + 1, 4))
-    s = init.as_array()
+    s = np.asarray(init.as_array())
     states[0] = s
     for i in range(1, nsteps + 1):
         k1 = rhs(s)
@@ -251,7 +252,7 @@ def test_simple_harmonic_limit():
     p = BatemanParams.from_omega(1, 0, 1)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.0, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    err = np.max(np.abs(traj.states[:, 0] - np.cos(traj.times)))
+    err = np.max(np.abs(np.asarray(traj.states[0]) - np.cos(traj.times)))
     assert err < 1e-6
 
 
@@ -259,19 +260,20 @@ def test_damped_solution_matches_analytic_envelope():
     p = default_params()
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    xa = damped_analytic(p, 1.0, 0.0, traj.times)
-    assert np.max(np.abs(traj.states[:, 0] - xa)) < 1e-5
+    xa = damped_analytic(p, 1.0, 0.0, np.asarray(traj.times))
+    assert np.max(np.abs(np.asarray(traj.states[0]) - xa)) < 1e-5
 
 
 def test_amplified_partner_grows():
     p = default_params()
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    ya = amplified_analytic(p, 0.5, 0.0, traj.times)
-    assert np.max(np.abs(traj.states[:, 1] - ya)) < 1e-5
+    ya = amplified_analytic(p, 0.5, 0.0, np.asarray(traj.times))
+    y = np.asarray(traj.states[1])
+    assert np.max(np.abs(y - ya)) < 1e-5
     # envelope comparison: growth by e^{gamma t / 2m} over the run
-    head = np.max(np.abs(traj.states[:100, 1]))
-    tail = np.max(np.abs(traj.states[-100:, 1]))
+    head = np.max(np.abs(y[:100]))
+    tail = np.max(np.abs(y[-100:]))
     assert tail / head > math.exp(0.1 * 10.0) * 0.5
 
 
@@ -290,8 +292,9 @@ def test_propagator_matches_four_stage_oracle(m, gamma, omega):
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
     oracle = rk4_oracle(p, init, 10.0, 1e-3)
-    assert traj.states.shape == (10001, 4)
-    assert np.max(np.abs(traj.states - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    states = np.column_stack(traj.states)
+    assert states.shape == (10001, 4)
+    assert np.max(np.abs(states - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2e-2])
@@ -302,10 +305,15 @@ def test_block_step_equals_the_full_matrix_step(m, gamma, omega, dt):
     p = BatemanParams.from_omega(m, gamma, omega)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.3, y=0.5, ydot=-0.2)
     traj = integrate_eom(p, init, t_end=2.0, dt=dt)
-    d = classical._rk4_increment(p, dt).tolist()
+    # D from its (x, p_y) and (y, p_x) blocks, zero elsewhere
+    d = [[0.0] * 4 for _ in range(4)]
+    for block, entries in zip(((0, 3), (1, 2)), classical._rk4_increment(p, dt)):
+        for i, row in zip(block, entries):
+            for j, v in zip(block, row):
+                d[i][j] = v
     s = [float(v) for v in init]
-    for row in traj.states.tolist():
-        assert row == s
+    for row in zip(*traj.states):
+        assert list(row) == s
         s = [u + sum(dij * v for dij, v in zip(di, s)) for u, di in zip(s, d)]
 
 
@@ -326,6 +334,13 @@ def test_underdamped_solution_matches_test_closed_forms():
     x, y = underdamped_solution(p, init, t)
     assert np.allclose(x, damped_analytic(p, 1.0, -0.3, t), rtol=1e-13, atol=1e-13)
     assert np.allclose(y, amplified_analytic(p, 0.5, 0.2, t), rtol=1e-13, atol=1e-13)
+
+
+def test_closed_form_overflow_raises_integration_error():
+    # e^(gamma t / 2m) = e^1000 at t = 10 is past the float range
+    p = BatemanParams.from_omega(1, 200, 1)
+    with pytest.raises(IntegrationError, match="closed-form"):
+        underdamped_solution(p, PhaseState(1.0, 1.0, 0.0, 0.0), [0.0, 10.0])
 
 
 def test_integration_validation():
@@ -354,7 +369,7 @@ def test_integration_detects_overflow():
 def test_energy_overflow_raises_without_warnings():
     # finite states whose energy terms are not: their sum would be NaN
     p = default_params()
-    traj = Trajectory(np.array([0.0, 1e-3]), np.full((2, 4), 1e200), p)
+    traj = Trajectory(array("d", [0.0, 1e-3]), tuple(array("d", [1e200] * 2) for _ in range(4)), p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="energy"):
@@ -366,7 +381,7 @@ def test_residual_overflow_raises_without_warnings():
     # difference of the amplified coordinate, divided by dt^2, does not
     p = BatemanParams.from_omega(1, 140, 1)
     traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0)
-    assert np.isfinite(traj.states).all()
+    assert np.isfinite(np.column_stack(traj.states)).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="residual"):
@@ -400,9 +415,9 @@ def test_corrupted_trajectory_detected():
     p = default_params()
     init = PhaseState.from_velocities(p, x=10.0, xdot=0.0, y=5.0, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    bad = traj.states.copy()
+    bad = np.column_stack(traj.states)
     bad[:, 0] *= 1.01
-    res = eom_residual(Trajectory(traj.times, bad, p))
+    res = eom_residual(Trajectory(traj.times, tuple(array("d", col) for col in bad.T), p))
     assert res.damped > 1e-2
 
 
@@ -422,8 +437,8 @@ def test_energy_forms_agree_along_trajectory():
     assert forms_agree(p)
     init = PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0)
     traj = integrate_eom(p, init, t_end=10.0, dt=1e-3)
-    rotated = hamiltonian_rotated(rotate(PhaseState(*traj.states.T)), p)
-    assert np.max(np.abs(traj.energies() - rotated)) < 1e-12
+    rotated = hamiltonian_rotated(rotate(PhaseState(*map(np.asarray, traj.states))), p)
+    assert np.max(np.abs(np.asarray(traj.energies) - rotated)) < 1e-12
 
 
 def test_energy_drift_small_and_fourth_order():
@@ -462,11 +477,12 @@ def test_trajectory_csv_cells_are_floats():
     p = default_params()
     traj = integrate_eom(p, PhaseState(1.0, 0.0, 0.0, 0.1), t_end=0.05, dt=1e-3)
     rows = [line.split(",") for line in csv_text(traj).splitlines()[1:]]
-    energies = traj.energies()
+    energies = traj.energies
+    states = np.column_stack(traj.states)
     assert len(rows) == len(traj.times)
     for i, row in enumerate(rows):
         values = [float(cell) for cell in row]
-        expected = [traj.times[i], *traj.states[i], energies[i]]
+        expected = [traj.times[i], *states[i], energies[i]]
         assert values == expected
         assert all(math.copysign(1.0, v) == math.copysign(1.0, e) for v, e in zip(values, expected))
 
@@ -474,8 +490,9 @@ def test_trajectory_csv_cells_are_floats():
 def _single_pass_csv(traj):
     """The trajectory CSV built in one pass, one f-string per row."""
     lines = ["t,x,y,p_x,p_y,H"]
-    energies = traj.energies()
-    for t, (x, y, px, py), h in zip(traj.times.tolist(), traj.states.tolist(), energies.tolist()):
+    energies = traj.energies
+    states = np.column_stack(traj.states)
+    for t, (x, y, px, py), h in zip(traj.times.tolist(), states.tolist(), energies.tolist()):
         lines.append(f"{t!r},{x!r},{y!r},{px!r},{py!r},{h!r}")
     return "\n".join(lines) + "\n"
 
@@ -488,7 +505,7 @@ def test_block_built_csv_equals_single_pass():
     assert len(traj.times) == 10_001
     assert csv_text(traj) == _single_pass_csv(traj)
     for rows in (1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1):
-        part = Trajectory(traj.times[:rows], traj.states[:rows], p)
+        part = Trajectory(traj.times[:rows], tuple(col[:rows] for col in traj.states), p)
         assert csv_text(part) == _single_pass_csv(part)
         assert csv_text(part).count("\n") == rows + 1
 
@@ -525,8 +542,8 @@ def test_pointwise_error_is_fourth_order():
         traj = integrate_eom(p, init, 10.0, dt)
         x_exact, y_exact = underdamped_solution(p, init, traj.times)
         errors.append((
-            np.max(np.abs(traj.states[:, 0] - x_exact)),
-            np.max(np.abs(traj.states[:, 1] - y_exact)),
+            np.max(np.abs(np.asarray(traj.states[0]) - x_exact)),
+            np.max(np.abs(np.asarray(traj.states[1]) - y_exact)),
         ))
     (coarse_x, coarse_y), (fine_x, fine_y) = errors
     assert abs(coarse_x / fine_x - 16.0) < 0.5

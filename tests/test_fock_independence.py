@@ -5,14 +5,15 @@ symbolic engine.  The Fock matrices and the exact operators are cross-checked
 against each other, which proves something only while neither side is derived
 from the other.  The Hermite map that joins them lives in ``tests/hermite.py``.
 
-The other direction runs fresh interpreters.  Every layer loads numpy on its
-first numeric call, not at import, so importing the exact layer, running the
+The other direction runs fresh interpreters.  The ``fock`` layer loads numpy on
+its first numeric call, not at import, so importing the exact layer, running the
 README's library example, ``import bateman.cli``, ``bateman counterexample``,
-``bateman vacuum`` (whose null sweep runs in plain floats), ``bateman --help``
-and a configuration error all leave numpy's code unrun,
-while ``import bateman.cli`` still loads every layer the benchmark tracer
-looks up in ``sys.modules``.  ``classical`` and ``bateman all`` give the same
-results, byte for byte, whether numpy is loaded lazily or beforehand.
+``bateman vacuum`` (whose null sweep runs in plain floats), ``bateman
+classical``, ``bateman --help`` and a configuration error all leave numpy's
+code unrun, while ``import bateman.cli`` still loads every layer the benchmark
+tracer looks up in ``sys.modules``.  The classical layer's outputs match
+pinned digests with numpy unrun, and ``bateman all`` gives the same results,
+byte for byte, whether numpy is loaded lazily or beforehand.
 """
 
 import ast
@@ -120,7 +121,8 @@ print(code, {NUMPY_RAN})
     (["--help"], 0),
     (["all", "--kmax", "5"], 2),
     (["vacuum", "--cutoffs", "8,16,24,32,40"], 0),
-], ids=["counterexample", "help", "config-error", "vacuum"])
+    (["classical"], 0),
+], ids=["counterexample", "help", "config-error", "vacuum", "classical"])
 def test_numpy_free_commands_leave_numpy_unrun(tmp_path, argv, code):
     lines = run_fresh(CLI_RUN.format(prelude="", argv=[*argv, "--out", str(tmp_path)]))
     assert lines[0] == "False" and lines[-1] == f"{code} False"
@@ -139,37 +141,42 @@ def test_cli_import_loads_every_traced_layer():
     assert int(count) >= 8 and missing == "[]"
 
 
-# The default run's classical outputs, printed exactly: digests of the arrays
-# and the CSV, reprs of the float results.  ``{prelude}`` runs first.
+# The default run's classical outputs, printed exactly: digests of the samples
+# (the times, then the states row by row) and of the CSV, reprs of the float
+# results, and whether numpy's code ran.
 CLASSICAL_OUTPUTS = f"""\
 import sys
-{{prelude}}
 from bateman.classical import (
     BatemanParams, PhaseState, eom_residual, hamiltonian_consistency, integrate_eom,
     trajectory_csv,
 )
 import hashlib
 import io
+from array import array
 from fractions import Fraction
-print({NUMPY_RAN})
+from itertools import chain
 p = BatemanParams.from_omega(1, Fraction(1, 5), 1)
 traj = integrate_eom(p, PhaseState.from_velocities(p, x=1.0, xdot=0.0, y=0.5, ydot=0.0), 10.0, 1e-3)
-print(hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest())
+rows = array("d", chain.from_iterable(zip(*traj.states)))
+print(hashlib.sha256(traj.times.tobytes() + rows.tobytes()).hexdigest())
 print(repr(hamiltonian_consistency(traj)))
 print(repr(eom_residual(traj)))
 csv = io.StringIO()
 trajectory_csv(traj, csv)
 print(hashlib.sha256(csv.getvalue().encode()).hexdigest())
+print({NUMPY_RAN})
 """
 
 
-def test_deferred_numpy_gives_the_same_results():
-    # one process loads numpy at its first numeric call in ``classical``, the
-    # other imports it before ``classical``
-    lazy, eager = (run_fresh(CLASSICAL_OUTPUTS.format(prelude=prelude))
-                   for prelude in ("", "import numpy"))
-    assert (lazy[0], eager[0]) == ("False", "True")
-    assert len(lazy) == 5 and lazy[1:] == eager[1:]
+def test_classical_outputs_run_no_numpy():
+    # the digests and values the layer gave when it computed with numpy
+    assert run_fresh(CLASSICAL_OUTPUTS) == [
+        "379403214535761bbec2c6d081e426b528d2867a0d29ce7a59906092b68de02b",
+        "HamiltonianConsistency(max_drift=3.4416913763379853e-15, initial_energy=0.505)",
+        "EomResiduals(damped=8.165281228933452e-08, amplified=1.1369952446216303e-07)",
+        "7da54d0d076beb0f7840e5d65d08350520ce0201f027d13a720185bcbbfa69c3",
+        "False",
+    ]
 
 
 ALL_OUTPUTS = [

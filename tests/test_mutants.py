@@ -9,9 +9,9 @@ every named check at ``fail``.  A ``pass`` that a broken program cannot turn
 into a ``fail`` certifies nothing (mutation analysis: DeMillo, Lipton &
 Sayward, IEEE Computer 11(4), 1978).
 
-Cost: one subprocess per entry, about 0.3 s each on 2 vCPUs, so the table adds
-about 3 s to the Tier-1 suite.  An entry runs its area's subcommand, not
-``all``, to keep it that way.
+Cost: one subprocess per entry, 0.13-0.2 s each on 2 vCPUs (a ``classical``
+entry runs no numpy code), so the 11 entries add about 2 s to the Tier-1
+suite.  An entry runs its area's subcommand, not ``all``, to keep it that way.
 """
 
 import json
@@ -86,6 +86,19 @@ MUTANTS = (
         "rk4-step-x-term", "classical.py",
         "x + (xx * x + xpy * py),", "x + xpy * py,",
         ("classical",), ("classical-eom-residuals", "classical-energy-drift"),
+    ),
+    Mutant(
+        # the damping term of the damped equation with the amplified one's sign
+        "damped-residual-gamma-sign", "classical.py",
+        "+ g * xdot + k * x1)", "- g * xdot + k * x1)",
+        ("classical",), ("classical-eom-residuals",),
+    ),
+    Mutant(
+        # the p_y row of s . Q s dropped from the plain-float energy
+        "energy-py-term", "classical.py",
+        "+ px * (nh * x + inv_m * py) + py * (h * y + inv_m * px))",
+        "+ px * (nh * x + inv_m * py))",
+        ("classical",), ("classical-energy-drift",),
     ),
 )
 
