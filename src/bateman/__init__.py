@@ -8,12 +8,11 @@ The squeeze example's Fock amplitudes (``fock``) and its divergent series
 
 The names below are imported from their submodule on first use (PEP 562), so
 the exact layer (``field``, ``radicals``, ``operators``, ``vacuum``,
-``series``) loads without the numpy-based ``fock`` layer.  That layer takes
-numpy from ``_lazy_import``: it is loaded on its first numeric call, not at
-import.  ``classical`` runs in plain floats, so ``import bateman.cli`` loads
-every layer and ``bateman counterexample``, ``bateman vacuum`` (whose null
-sweep runs in plain floats), ``bateman classical``, ``bateman --help`` and a
-configuration error never run numpy's code."""
+``series``) loads without the ``fock`` layer.  Only ``fock.build_fock``, the
+dense builder the tests use as an oracle, uses numpy, which ``fock`` takes
+from ``_lazy_import``: it is loaded on first use, not at import.  Every
+other computation runs in plain floats and exact arithmetic, so ``import
+bateman.cli`` loads every layer and no subcommand runs numpy's code."""
 
 import importlib.util
 import sys

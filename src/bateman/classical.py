@@ -259,16 +259,18 @@ def underdamped_solution(
     rate = float(params.gamma) / (2 * float(params.m))
     w = params.omega
     xdot, ydot = init.velocities(params)
-
-    def mode(u0: float, v0: float, r: float) -> array:
-        b = (v0 - r * u0) / w
-        return array("d", (math.exp(r * t) * (u0 * math.cos(w * t) + b * math.sin(w * t))
-                           for t in times))
-
+    (x0, bx, rx), (y0, by, ry) = (
+        (u0, (v0 - r * u0) / w, r) for u0, v0, r in ((init.x, xdot, -rate), (init.y, ydot, rate))
+    )
+    xs, ys = array("d"), array("d")
     try:
-        return mode(init.x, xdot, -rate), mode(init.y, ydot, rate)
+        for t in times:  # the modes share one cos and one sin per sample
+            c, s = math.cos(w * t), math.sin(w * t)
+            xs.append(math.exp(rx * t) * (x0 * c + bx * s))
+            ys.append(math.exp(ry * t) * (y0 * c + by * s))
     except OverflowError:
         raise IntegrationError("the closed-form solution left the representable range") from None
+    return xs, ys
 
 
 @dataclass(frozen=True)

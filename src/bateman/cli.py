@@ -17,19 +17,15 @@ for a report-only entry.
 
 Exit status: 0 when no pass/fail check fails, 1 on any failure or on an
 error raised inside a check, 2 on configuration errors.  Reports are
-byte-deterministic for a fixed configuration.
-
-``main`` runs BLAS on one thread unless the caller set a thread count
-(``BLAS_THREAD_VARS``) or numpy has already run: the checks make only small
-BLAS and LAPACK calls, which OpenBLAS runs on one thread anyway, and an idle
-worker thread that busy-waits only competes with the main thread for a core.
+byte-deterministic for a fixed configuration.  No subcommand runs numpy's
+code: every check computes in plain Python floats, integers and exact
+arithmetic.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,7 +52,6 @@ from .fock import (
     DEFAULT_THETA,
     NullExperimentReport,
     SqueezeReport,
-    build_fock,
     check_cutoffs,
     check_null_range,
     check_squeeze_range,
@@ -107,8 +102,6 @@ DRIFT_ORDER_STEPS = (2e-2, 1e-2)
 _PAIR_NAMES = ("A1", "A2", "B1", "B2")
 DRIFT_TOL = 1e-7  # absolute, on the energy drift along the trajectory
 EOM_TOL = 1e-4  # absolute, on the equation-of-motion residuals
-# Thread counts that OpenBLAS, OpenMP and MKL read once, when numpy loads them.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 Runner = Callable[["Artifacts"], list[VerdictReport]]
 
@@ -398,10 +391,9 @@ def bosonic_commutator_table(art: Artifacts):
        "truncated Fock space below tolerance")
 def pseudo_commutator_fock_residuals(art: Artifacts):
     cutoff = 12
-    fock = {name: build_fock(name, cutoff) for name in _PAIR_NAMES}
     residuals = {
         f"[{left},{right}]": commutator_residual(
-            fock[left], fock[right], _expected_commutator(left, right)
+            left, right, cutoff, _expected_commutator(left, right)
         )
         for left, right in product(_PAIR_NAMES, repeat=2)
     }
@@ -772,22 +764,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def pin_blas_threads() -> None:
-    """Set every BLAS thread count to 1, unless one is set or numpy has run.
-
-    ``_lazy_import`` puts a placeholder under ``numpy`` in ``sys.modules``
-    at import; numpy's submodules appear only once its code has run, and its
-    BLAS has read the thread count by then, so a later setting would not act.
-    """
-    if any(name in os.environ for name in BLAS_THREAD_VARS):
-        return
-    if any(name.startswith("numpy.") for name in sys.modules):
-        return
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)

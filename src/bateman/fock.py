@@ -2,57 +2,60 @@
 
 Operators act on one or two truncated oscillator modes (cutoff N per mode,
 mode 1 tensor mode 2 ordering).  The two-mode ladder family is one table of
-integer weights over a1, a2, a1^T and a2^T, ``LADDER_WEIGHTS``.  The ladder
-operators are float64; only H, which carries i gamma/2m, is complex.  Identity
+integer weights over a1, a2, a1^T and a2^T, ``LADDER_WEIGHTS``.  Identity
 checks always exclude the top two excitation levels by restricting to the
 interior, total excitation below ``interior_bound(N) = N - 2``, since finite
 ladder matrices necessarily violate the commutation relations at the edge.
-For the coordinate projector P onto an index set S, P X Y P = (P X)(Y P): the
-restricted product is X[S] @ Y[:, S], so the checks never form a full
-two-mode product.  ``build_fock`` assembles the dense two-mode matrices from
-``kron`` products, which the tests use as the oracle for both sector routes
-below.
 
-Both forms of H keep d = n1 - n2, and each ladder factor moves d and the
-total excitation by one, so the Hamiltonian check and the null sweep work
-one sector at a time.  The Hamiltonian check uses one layout,
-``_sector_parts``: the parts a1, a2, a1^T, a2^T from ladder coefficients,
-with columns the interior states S of sector d and rows the states T of
-sectors d +- 1 one ladder step from S.  It forms X[S, T] @ Y[T, S]; each
-sector's complex difference D gets its 2-norm from the real
-[[Re D, -Im D], [Im D, Re D]], which has the same singular values twice, so
-it calls only small real BLAS and LAPACK routines.
+Only ``build_fock`` uses numpy: it assembles the dense two-mode matrices from
+``kron`` products (float64; only H, which carries i gamma/2m, is complex),
+and the tests use them as the oracle of every route below.  The checks and
+experiments run in plain Python floats and integers.  Each ladder operator
+moves d = n1 - n2 by one and the total excitation by one, so the residuals
+and the null sweep work one sector of d at a time, from the ladder
+coefficients (``_ladder_column``):
 
-Experiments:
-
+* ``commutator_residual`` takes two operators by name.  [X, Y] sends sector
+  d to one sector d + s, so the norm of P([X, Y] - c)P is the largest over
+  the sector blocks; ``hamiltonian_equiv_residual`` does the same for
+  P(H_bosonic - H_pseudo)P, which keeps d.  Each product of entries is
+  rounded and then summed, and a block's 2-norm is sqrt(lambda_max(B^H B)),
+  found by bisection on a Cholesky test of positive definiteness
+  (``_spectral_norm``);
 * ``joint_null_experiment`` measures how close the pseudo-boson lowering
   pair comes to a joint null vector as the cutoff grows (it cannot have one
   as a function, only as a distribution, so the least singular value decays
-  and the minimizer drifts toward the cutoff).  It runs in plain Python
-  floats and integers, without numpy: A1 = (a1 - a2^dag)/sqrt2 lowers d by
-  one and A2 = (a2 - a1^dag)/sqrt2 raises it by one, as do a1 and a2, so the
-  stacked pair on the interior is block diagonal, and each sector's Gram
-  matrix B_d^T B_d is an integer Jacobi matrix, the Laguerre L^(|d|) one for
-  the pseudo pair: diagonal 2k + |d| + 1, squared couplings (k + 1)(k + 1 + |d|).
-  sigma_min^2 is its least eigenvalue, by Sturm bisection, and the minimizer
-  comes from inverse iteration;
+  and the minimizer drifts toward the cutoff).  A1 = (a1 - a2^dag)/sqrt2
+  lowers d by one and A2 = (a2 - a1^dag)/sqrt2 raises it by one, as do a1
+  and a2, so the stacked pair on the interior is block diagonal, and each
+  sector's Gram matrix B_d^T B_d is an integer Jacobi matrix, the Laguerre
+  L^(|d|) one for the pseudo pair: diagonal 2k + |d| + 1, squared couplings
+  (k + 1)(k + 1 + |d|).  sigma_min^2 is its least eigenvalue, by Sturm
+  bisection, and the minimizer comes from inverse iteration;
 * ``squeeze_factored_action`` produces the exact Fock amplitudes c_k of the
   factored squeeze action on the ground state as signed squares
   sign(c_k) c_k^2, which are rational, so no radical is ever formed;
 * ``squeeze_truncated_norms`` evaluates exp(theta(c^2 + c+^2)) |0> at finite
   cutoffs, whose norms grow without bound because the untruncated image is
   not square integrable.  Both it and the antihermitian control are a Gauss
-  quadrature of the even block J, a Jacobi matrix, in log space; a norm or
-  gap beyond the float range is reported as None.
+  quadrature of the even block J, a Jacobi matrix, in log space (Golub &
+  Welsch, Math. Comp. 23, 1969): the nodes by tridiagonal QL and the rest
+  from the three-term recurrence, computed once per cutoff since none of it
+  depends on theta.  A norm or gap beyond the float range is reported as
+  None.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import add, gt, mul, sub
+from typing import Iterable, Literal, Sequence
 
 from . import _lazy_import
 
@@ -155,15 +158,12 @@ def build_fock(
 
 
 def _hamiltonian_fock(params, form: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """P H P on S from the parts restricted to [S, T]: each product X Y
-    is X[S, T] @ Y[T, S], exact when T holds every state one ladder step from
-    S.  Y[T, S] is Y^T[S, T] transposed, whose parts swap a_j and a_j^T."""
+    """The dense H of either form from the dense parts a1, a2, a1^T, a2^T."""
     omega = params.omega
     g2m = float(params.gamma) / (2.0 * float(params.m))
-    flipped = blocks[2:] + blocks[:2]
 
     def prod(x: str, y: str) -> np.ndarray:
-        return _ladder(x, blocks) @ _ladder(y, flipped).T
+        return _ladder(x, blocks) @ _ladder(y, blocks)
 
     if form == "bosonic":
         number = prod("adag1", "a1") - prod("adag2", "a2")
@@ -174,13 +174,8 @@ def _hamiltonian_fock(params, form: str, blocks: tuple[np.ndarray, ...]) -> np.n
     raise ValueError(f"unknown Hamiltonian form {form!r}")
 
 
-def total_excitations(modes: int, cutoff: int) -> np.ndarray:
-    """Total excitation number per basis index, mode-1-major ordering."""
-    if modes == 1:
-        return np.arange(cutoff)
-    n1 = np.repeat(np.arange(cutoff), cutoff)
-    n2 = np.tile(np.arange(cutoff), cutoff)
-    return n1 + n2
+# A two-mode basis state |n1, n2>.
+State = tuple[int, int]
 
 
 def interior_bound(cutoff: int) -> int:
@@ -191,64 +186,185 @@ def interior_bound(cutoff: int) -> int:
     return cutoff - 2
 
 
-def interior_indices(modes: int, cutoff: int) -> np.ndarray:
-    """Basis indices of the interior, in increasing order."""
-    return np.flatnonzero(total_excitations(modes, cutoff) < interior_bound(cutoff))
+def interior_indices(modes: int, cutoff: int) -> list[int]:
+    """Basis indices of the interior, in increasing order (mode-1-major, so
+    |n1, n2> is index n1 * cutoff + n2)."""
+    bound = interior_bound(cutoff)
+    if modes == 1:
+        return list(range(bound))
+    return [n1 * cutoff + n2 for n1 in range(bound) for n2 in range(bound - n1)]
 
 
-def _sector_states(d: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+def _sector_states(d: int, bound: int) -> list[State]:
     """Interior states |n1, n2> with n1 - n2 = d and n1 + n2 < bound, by min(n1, n2)."""
-    n = np.arange((bound - abs(d) + 1) // 2)
-    return n + max(d, 0), n + max(-d, 0)
+    p, q = max(d, 0), max(-d, 0)
+    return [(k + p, k + q) for k in range((bound - abs(d) + 1) // 2)]
 
 
-def _sector_parts(d: int, bound: int) -> np.ndarray:
-    """The parts a1, a2, a1^T, a2^T on [T, S], stacked as a (4, 2m + 2, m) array.
+# How each part a1, a2, a1^T, a2^T of ``LADDER_WEIGHTS`` moves d = n1 - n2.
+_PART_D_STEPS = (-1, 1, 1, -1)
 
-    Column k is the k-th of the m states S of ``_sector_states(d, bound)``,
-    |k + p, k + q> with p = max(d, 0) and q = max(-d, 0).  Row r stands for
-    |r + p - 1, r + q> in sector d - 1 and row m + 1 + r for |r + p, r + q - 1>
-    in sector d + 1, so T holds every state one ladder step from S: a1 and a2^T
-    send column k to rows k and k + 1, a2 and a1^T to rows m + 1 + k and
-    m + 2 + k.  The coefficients are <n1 - 1, n2| a1 |n1, n2> = sqrt(n1) and its
-    kin; a row that stands for no state (a negative n1 or n2) stays zero.
+
+def _d_step(op_spec: str) -> int:
+    """How the ``LADDER_WEIGHTS`` operator moves d = n1 - n2: a1 and a2^T lower
+    it by one, a2 and a1^T raise it, and no row mixes the two."""
+    weights, _ = LADDER_WEIGHTS[op_spec]
+    (step,) = {s for w, s in zip(weights, _PART_D_STEPS) if w}
+    return step
+
+
+@lru_cache(maxsize=4096)
+def _ladder_column(op_spec: str, state: State) -> tuple[tuple[State, float], ...]:
+    """Column |n1, n2> of the ``LADDER_WEIGHTS`` operator as its non-zero
+    entries (row state, value).  Each part moves one mode by one level with
+    the square root of the higher level (<n - 1| a |n> = sqrt(n)), so the
+    value w sqrt(level) / sqrt(den) is the entry ``build_fock`` forms, bit
+    for bit; a part that would lower a mode below 0 gives no entry.  The
+    residuals read each column many times, so the columns are kept."""
+    weights, den = LADDER_WEIGHTS[op_spec]
+    n1, n2 = state
+    levels = (n1, n2, n1 + 1, n2 + 1)
+    rows = ((n1 - 1, n2), (n1, n2 - 1), (n1 + 1, n2), (n1, n2 + 1))
+    root = math.sqrt(den)
+    return tuple((row, w * math.sqrt(level) / root)
+                 for w, level, row in zip(weights, levels, rows) if w and level)
+
+
+def _product_column(x: str, y: str, state: State) -> dict[State, float]:
+    """Column |n1, n2> of the product X Y of two ``LADDER_WEIGHTS`` operators
+    as {row state: value}; the products of entries are rounded, then summed.
+    From an interior state the product passes only through states of total
+    excitation at most N - 2, so on the interior it is the product of the
+    truncated matrices at any cutoff N."""
+    column: dict[State, float] = {}
+    for middle, y_value in _ladder_column(y, state):
+        for row, x_value in _ladder_column(x, middle):
+            column[row] = column.get(row, 0.0) + x_value * y_value
+    return column
+
+
+def _shifted_positive_definite(gram: Sequence[Sequence[complex]], x: float) -> bool:
+    """Whether x - G is positive definite, for G Hermitian (rows of floats or
+    complexes): every pivot of its Cholesky factorization is positive, and
+    the test stops at the first that is not."""
+    factor: list[list[complex]] = []
+    for i, g_row in enumerate(gram):
+        row: list[complex] = []
+        for j, f_row in enumerate(factor):
+            dot = sum(a * b.conjugate() for a, b in zip(row, f_row))
+            row.append((-g_row[j] - dot) / f_row[j])
+        pivot = x - g_row[i].real - sum((v * v.conjugate()).real for v in row)
+        if pivot <= 0.0:
+            return False
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return True
+
+
+def _spectral_norm(block: Sequence[Sequence[complex]]) -> float:
+    """||B||_2 of a small dense block (rows of floats or complexes): the square
+    root of the largest eigenvalue of G = B^H B, the least float x at which
+    x - G is positive definite, by bisection.  x - G is not positive
+    definite at G's largest diagonal entry and is at twice its trace."""
+    columns = list(zip(*block))
+    gram = [[sum(a.conjugate() * b for a, b in zip(ci, cj)) for cj in columns] for ci in columns]
+    diag = [row[i].real for i, row in enumerate(gram)]
+    lo, hi = max(diag), 2.0 * sum(diag)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _shifted_positive_definite(gram, mid):
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(hi)
+
+
+def _largest_norm(blocks: Iterable[Sequence[Sequence[complex]]]) -> float:
+    """The largest spectral norm over the blocks.  A block whose Frobenius
+    norm is at most the largest so far cannot exceed it, so it is skipped."""
+    top = 0.0
+    for block in blocks:
+        if math.hypot(*map(abs, chain.from_iterable(block))) > top:
+            top = max(top, _spectral_norm(block))
+    return top
+
+
+def _commutator_block(
+    left: str, right: str, d: int, bound: int, expected: float
+) -> list[list[float]]:
+    """P([X, Y] - expected) P from the interior states of sector d to those of
+    sector d + s, where X and Y together move d by s; no rows when sector
+    d + s has no interior states."""
+    shift = _d_step(left) + _d_step(right)
+    rows = {state: r for r, state in enumerate(_sector_states(d + shift, bound))}
+    columns = _sector_states(d, bound)
+    block = [[0.0] * len(columns) for _ in rows]
+    for c, state in enumerate(columns):
+        xy, yx = _product_column(left, right, state), _product_column(right, left, state)
+        for row in (xy.keys() | yx.keys()) & rows.keys():
+            block[rows[row]][c] = xy.get(row, 0.0) - yx.get(row, 0.0)
+        if not shift:
+            block[c][c] -= expected
+    return block
+
+
+def commutator_residual(left: str, right: str, cutoff: int, expected: float = 0.0) -> float:
+    """Spectral norm of P([X, Y] - expected * 1) P on the interior at this
+    cutoff, for X and Y named by ``LADDER_WEIGHTS``, in plain floats.
+
+    Each of X and Y moves d = n1 - n2 by one, so [X, Y] sends sector d to
+    sector d + s alone (``_commutator_block``).  C^T C is then block
+    diagonal, and the norm is the largest block's.  A commutator that moves
+    d has no scalar part, so ``expected`` must then be 0.
     """
-    n1, n2 = _sector_states(d, bound)
-    m = len(n1)
-    k = np.arange(m)
-    parts = np.zeros((4, 2 * m + 2, m))
-    parts[0, k, k] = np.sqrt(n1)
-    parts[1, m + 1 + k, k] = np.sqrt(n2)
-    parts[2, m + 2 + k, k] = np.sqrt(n1 + 1)
-    parts[3, k + 1, k] = np.sqrt(n2 + 1)
-    return parts
+    for name in (left, right):
+        if name not in LADDER_WEIGHTS:
+            raise ValueError(f"unknown ladder operator {name!r}")
+    bound = interior_bound(cutoff)
+    if expected and _d_step(left) + _d_step(right):
+        raise ValueError("a commutator that moves n1 - n2 has no scalar part")
+    return _largest_norm(
+        _commutator_block(left, right, d, bound, expected) for d in range(1 - bound, bound)
+    )
 
 
-def commutator_residual(x: FockOp, y: FockOp, expected: complex) -> float:
-    """Spectral norm of P([X, Y] - expected * 1) P on the interior subspace,
-    from the restricted products X[S] @ Y[:, S] over the interior indices S."""
-    if x.modes != y.modes or x.cutoff != y.cutoff:
-        raise ValueError("operators live on different truncated spaces")
-    inside = interior_indices(x.modes, x.cutoff)
-    xm, ym = x.matrix, y.matrix
-    comm = xm[inside] @ ym[:, inside] - ym[inside] @ xm[:, inside]
-    return float(np.linalg.norm(comm - expected * np.eye(len(inside)), 2))
+def _sector_hamiltonian(params, form: str, d: int, bound: int) -> list[list[complex]]:
+    """P H P on the interior states of sector d, in plain floats and entry by
+    entry as ``build_fock("H")`` forms it: omega times the number part plus
+    i gamma/2m times the interaction part, from the products of
+    ``_product_column``."""
+    if form == "bosonic":
+        pairs = (("adag1", "a1"), ("adag2", "a2"), ("a1", "a2"), ("adag1", "adag2"))
+    elif form == "pseudo":
+        pairs = (("B1", "A1"), ("B2", "A2"))
+    else:
+        raise ValueError(f"unknown Hamiltonian form {form!r}")
+    omega = params.omega
+    g2m = float(params.gamma) / (2.0 * float(params.m))
+    states = _sector_states(d, bound)
+    rows = {state: r for r, state in enumerate(states)}
+    block = [[0j] * len(states) for _ in states]
+    for c, state in enumerate(states):
+        products = [_product_column(x, y, state) for x, y in pairs]
+        for row in set().union(*products) & rows.keys():
+            p = [product.get(row, 0.0) for product in products]
+            if form == "bosonic":
+                value = complex(omega * (p[0] - p[1]), g2m * (p[2] - p[3]))
+            else:
+                value = complex(omega * (p[0] - p[1]), g2m * (p[0] + p[1] + (row == state)))
+            block[rows[row]][c] = value
+    return block
 
 
 def hamiltonian_equiv_residual(params, cutoff: int) -> float:
-    """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff, the largest
-    over the sectors d = n1 - n2, which both forms preserve.  Each sector's
-    complex D has the singular values of [[Re D, -Im D], [Im D, Re D]], twice."""
+    """Spectral norm of P(H_bosonic - H_pseudo)P at the given cutoff, the
+    largest over the sectors d = n1 - n2, which both forms preserve."""
     bound = interior_bound(cutoff)
-    top = 0.0
-    for d in range(1 - bound, bound):
-        # [S, T] blocks: the [T, S] parts transposed, with a_j and a_j^T swapped
-        blocks = tuple(part.T for part in _sector_parts(d, bound)[[2, 3, 0, 1]])
-        h1, h2 = (_hamiltonian_fock(params, form, blocks) for form in ("bosonic", "pseudo"))
-        diff = h1 - h2
-        real = np.block([[diff.real, -diff.imag], [diff.imag, diff.real]])
-        top = max(top, np.linalg.norm(real, 2))
-    return float(top)
+
+    def difference(d: int) -> list[list[complex]]:
+        bosonic, pseudo = (_sector_hamiltonian(params, f, d, bound) for f in ("bosonic", "pseudo"))
+        return [[a - b for a, b in zip(row_b, row_p)] for row_b, row_p in zip(bosonic, pseudo)]
+
+    return _largest_norm(difference(d) for d in range(1 - bound, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +414,11 @@ def _gram_weights(family: str) -> tuple[int, int, int, int]:
     """The pair's sector Gram matrix T_d = B_d^T B_d as integers (u1, u2, u0, c).
 
     On column k of B_d, the state |n1, n2> = |k + p, k + q> of sector d, an
-    operator sum_i w_i part_i / sqrt(den) puts w0 sqrt(n1) (a1) and
-    w3 sqrt(n2 + 1) (a2^T) on the sector d - 1 rows k and k + 1 of
-    ``_sector_parts``, and w1 sqrt(n2) (a2) and w2 sqrt(n1 + 1) (a1^T) on the
-    sector d + 1 rows m + 1 + k and m + 2 + k.  So T_d is tridiagonal, with
+    operator sum_i w_i part_i / sqrt(den) puts w0 sqrt(n1) (a1) on
+    |n1 - 1, n2> and w3 sqrt(n2 + 1) (a2^T) on |n1, n2 + 1>, the states of
+    sector d - 1 it shares with columns k - 1 and k + 1, and w1 sqrt(n2) (a2)
+    and w2 sqrt(n1 + 1) (a1^T) on the two of sector d + 1 (``_ladder_column``).
+    So T_d is tridiagonal, with
     diagonal u1 n1 + u2 n2 + u0 and coupling c sqrt((n1 + 1)(n2 + 1)) between
     columns k and k + 1, summed over the pair and divided by den.
     """
@@ -492,58 +609,127 @@ def _exp_or_none(log_value: float) -> float | None:
         return None
 
 
-def _even_squeeze_couplings(cutoff: int) -> np.ndarray:
+def _even_squeeze_couplings(cutoff: int) -> list[float]:
     """Off-diagonal of J, the block of a^2 + adag^2 on the even states 0, 2, 4, ... < cutoff.
 
     The generator couples n only to n +- 2, and |0> is even, so the even
     block is all that acts on it: a tridiagonal matrix with zero diagonal and
     <2j+2| adag^2 |2j> = sqrt((2j+1)(2j+2)).  Index j stands for basis state 2j.
     """
-    odd = np.arange(1.0, cutoff - 1, 2)  # 2j + 1 for each coupled pair 2j, 2j + 2
-    return np.sqrt(odd * (odd + 1))
+    return [math.sqrt(k * (k + 1)) for k in range(1, cutoff - 1, 2)]
 
 
-def _signed_log_sum(log_terms: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
-    """log|sum_i f_i e^(l_i)| and its sign along the last axis, for |f_i| <= 1,
-    accurate relative to the largest term."""
-    top = np.max(log_terms, axis=-1)
-    total = np.sum(factors * np.exp(log_terms - top[..., None]), axis=-1)
-    with np.errstate(divide="ignore"):
-        return top + np.log(np.abs(total)), np.sign(total)
+# Terms below e^-83 ~ 2^-120 of the largest are left out of a log-sum: with at
+# most 2^11 terms they add less than 2^-109 of the largest, far below its own
+# rounding, and each would cost ``math.fsum`` a partial of its own.
+_LOG_NEGLIGIBLE = -83.0
 
 
-def _jacobi_quadrature(couplings: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gauss quadrature of the Jacobi matrix J with zero diagonal and these couplings.
+def _signed_log_sum(
+    log_terms: Sequence[float], factors: Iterable[float] | None = None
+) -> tuple[float, float]:
+    """log|sum_i f_i e^(l_i)| and its sign, for |f_i| <= 1 (all 1 when
+    ``factors`` is None), accurate relative to the largest term; the sum is
+    ``math.fsum``'s.  A zero sum gives (-inf, 0.0)."""
+    top = max(log_terms)
+    kept = list(map(gt, log_terms, repeat(top + _LOG_NEGLIGIBLE)))
+    shares = map(math.exp, map(sub, compress(log_terms, kept), repeat(top)))
+    total = math.fsum(shares if factors is None else map(mul, compress(factors, kept), shares))
+    if not total:
+        return -math.inf, 0.0
+    return top + math.log(abs(total)), math.copysign(1.0, total)
+
+
+def _zero_diagonal_eigenvalues(couplings: Sequence[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal matrix with zero diagonal and
+    these couplings, in increasing order, by the implicit QL algorithm with
+    Wilkinson shifts (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11,
+    1968: tql1), in O(n^2) operations.  Like LAPACK's, the eigenvalues are
+    off by about eps times the matrix norm."""
+    n = len(couplings) + 1
+    d, e = [0.0] * n, [*couplings, 0.0]
+    for low in range(n):
+        while True:
+            m = low
+            while m < n - 1 and abs(e[m]) > sys.float_info.epsilon * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == low:
+                break
+            g = (d[low + 1] - d[low]) / (2.0 * e[low])
+            g = d[m] - d[low] + e[low] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, low - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                if r == 0.0:  # the rotation underflowed: d[i + 1] splits off
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[low] -= p
+                e[low], e[m] = g, 0.0
+    return sorted(d)
+
+
+_RESCALE_LOW, _RESCALE_HIGH = 2.0**-500, 2.0**500
+_LOG2 = math.log(2.0)
+
+
+def _recurrence_logs(node: float, couplings: Sequence[float]) -> tuple[array, array]:
+    """log|p_j(node)| and the sign of p_j(node), j = 0..n-1, from the
+    orthonormal recurrence p_0 = 1, b_j p_(j+1) = node p_j - b_(j-1) p_(j-1).
+    The pair (p_(j-1), p_j) is rescaled by an exact power of two when p_j
+    leaves [2^-500, 2^500] (downward, only with p_(j-1)), so no value under-
+    or overflows.  A p_j of exactly 0 has log -inf, and its sign of +-1
+    multiplies nothing."""
+    values, runs = [1.0], [(0, 0.0)]  # runs: (first j, log scale) of each stretch at one scale
+    prev, cur, b_prev = 0.0, 1.0, 0.0
+    for b in couplings:
+        prev, cur = cur, (node * cur - b_prev * prev) / b
+        b_prev = b
+        size = abs(cur)
+        if size > _RESCALE_HIGH or (size < _RESCALE_LOW and abs(prev) < _RESCALE_LOW):
+            shift = -math.frexp(max(size, abs(prev)))[1]
+            prev, cur = math.ldexp(prev, shift), math.ldexp(cur, shift)
+            runs.append((len(values), runs[-1][1] - shift * _LOG2))
+        values.append(cur)
+    logs = array("d")
+    for (start, scale), (end, _) in zip(runs, [*runs[1:], (len(values), 0.0)]):
+        logs.extend(math.log(abs(x)) + scale if x else -math.inf for x in values[start:end])
+    return logs, array("d", map(math.copysign, repeat(1.0), values))
+
+
+@lru_cache(maxsize=8)
+def _jacobi_quadrature(cutoff: int) -> tuple[array, array, tuple[array, ...], tuple[array, ...]]:
+    """Gauss quadrature of the even block J of ``_even_squeeze_couplings(cutoff)``.
 
     Returns the nodes lambda_i (the eigenvalues of J), the log weights
-    log w_i = -log sum_j p_j(lambda_i)^2, and log|p_j(lambda_i)| with its sign
-    (row j, column i) from the orthonormal recurrence p_0 = 1,
-    b_j p_(j+1) = lambda p_j - b_(j-1) p_(j-1), so that <e_j| f(J) |e_0> =
-    sum_i w_i f(lambda_i) p_j(lambda_i).  Exact power-of-two rescaling per
-    node keeps the recurrence in range; no eigenvector is formed.
+    log w_i = -log sum_j p_j(lambda_i)^2, and, row j by row j, log|p_j(lambda_i)|
+    and its sign (``_recurrence_logs``), so that <e_j| f(J) |e_0> =
+    sum_i w_i f(lambda_i) p_j(lambda_i).  No eigenvector is formed.  None of
+    it depends on theta, so it is computed once per cutoff and kept.
     """
-    n = len(couplings) + 1
-    nodes = np.linalg.eigvalsh(np.diag(couplings, 1) + np.diag(couplings, -1))
-    mantissa = np.ones((n, n))  # p_j(lambda_i) = mantissa * 2^exponent
-    exponent = np.zeros((n, n), dtype=int)
-    prev, cur = np.zeros(n), np.ones(n)
-    for j, (b_prev, b) in enumerate(zip(np.append(0.0, couplings), couplings)):
-        prev, cur = cur, (nodes * cur - b_prev * prev) / b
-        shift = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
-        prev, cur = np.ldexp(prev, -shift), np.ldexp(cur, -shift)
-        mantissa[j + 1] = cur
-        exponent[j + 1] = exponent[j] + shift
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.abs(mantissa)) + exponent * math.log(2.0)
-    log_w = -_signed_log_sum(2.0 * log_p.T, 1.0)[0]
-    return nodes, log_w, log_p, np.sign(mantissa)
+    couplings = _even_squeeze_couplings(cutoff)
+    nodes = _zero_diagonal_eigenvalues(couplings)
+    columns = [_recurrence_logs(node, couplings) for node in nodes]
+    log_w = array("d", (-_signed_log_sum([2.0 * x for x in logs])[0] for logs, _ in columns))
+    log_p = tuple(array("d", row) for row in zip(*(logs for logs, _ in columns)))
+    sign_p = tuple(array("d", row) for row in zip(*(signs for _, signs in columns)))
+    return array("d", nodes), log_w, log_p, sign_p
 
 
 def even_squeeze_state(
     theta: float,
     cutoff: int,
     generator: Literal["hermitian", "antihermitian"] = "hermitian",
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[array, array]:
     """exp(theta X)|0> on the even states 0, 2, 4, ... < cutoff, as (log|v|, sign v).
 
     Entry j, the amplitude of basis state 2j, is a signed log-sum-exp over
@@ -558,20 +744,26 @@ def even_squeeze_state(
     """
     if generator not in ("hermitian", "antihermitian"):
         raise ValueError(f"unknown generator {generator!r}")
-    couplings = _even_squeeze_couplings(cutoff)
-    n = len(couplings) + 1
     if theta == 0.0:
-        log_abs, sign = np.full(n, -np.inf), np.zeros(n)
+        n = (cutoff + 1) // 2  # the even states 0, 2, 4, ... < cutoff
+        log_abs, sign = array("d", [-math.inf] * n), array("d", [0.0] * n)
         log_abs[0], sign[0] = 0.0, 1.0
         return log_abs, sign
-    nodes, log_w, log_p, sign_p = _jacobi_quadrature(couplings)
+    nodes, log_w, log_p, sign_p = _jacobi_quadrature(cutoff)
     if generator == "hermitian":
-        log_abs, sign = _signed_log_sum(log_w + abs(theta) * nodes + log_p, sign_p)
+        weights = [w + abs(theta) * node for w, node in zip(log_w, nodes)]
+        entries = [_signed_log_sum(list(map(add, weights, logs)), signs)
+                   for logs, signs in zip(log_p, sign_p)]
         if theta < 0:
-            sign[1::2] *= -1.0
-        return log_abs, sign
-    phases = np.array([1, -1j, -1, 1j])[np.arange(n) % 4, None]  # i^-j on row j
-    return _signed_log_sum(log_w + log_p, (phases * sign_p * np.exp(-1j * theta * nodes)).real)
+            entries[1::2] = [(log, -sign) for log, sign in entries[1::2]]
+    else:
+        # Re(i^-j e^(-i theta lambda)) for j = 0, 1, 2, 3 mod 4: cos, -sin, -cos, sin(theta lambda)
+        cos = [math.cos(theta * node) for node in nodes]
+        sin = [math.sin(theta * node) for node in nodes]
+        phases = (cos, [-x for x in sin], [-x for x in cos], sin)
+        entries = [_signed_log_sum(list(map(add, log_w, logs)), map(mul, signs, phases[j % 4]))
+                   for j, (logs, signs) in enumerate(zip(log_p, sign_p))]
+    return array("d", (log for log, _ in entries)), array("d", (sign for _, sign in entries))
 
 
 def check_squeeze_range(theta: float, cutoff: int) -> None:
@@ -610,20 +802,20 @@ def squeeze_truncated_norms(
     if generator == "hermitian":
         check_squeeze_range(theta, cutoffs[-1])
 
-    amplitudes = [math.copysign(math.sqrt(abs(q)), q) for q in squeeze_factored_action(3)]
-    reference = np.array(amplitudes) * 2.0 ** 0.25
-    log_ref, minus_ref_sign = np.log(np.abs(reference)), -np.sign(reference)
+    signed_squares = squeeze_factored_action(3)
+    reference = [math.copysign(math.sqrt(abs(q)), q) * 2.0**0.25 for q in signed_squares]
 
     records = []
     for cutoff in cutoffs:
         log_abs, sign = even_squeeze_state(theta, cutoff, generator)
-        log_norm = float(_signed_log_sum(2.0 * log_abs, 1.0)[0]) / 2.0
-        # |v_j - ref_j| / |ref_j| on the scale of the larger of the two
-        log_diff = _signed_log_sum(
-            np.column_stack([log_abs[:4], log_ref]), np.column_stack([sign[:4], minus_ref_sign])
-        )[0]
-        gaps = tuple(_exp_or_none(g) for g in (log_diff - log_ref).tolist())
-        records.append(SqueezeNormRecord(cutoff, _exp_or_none(log_norm), log_norm, gaps))
+        log_norm = _signed_log_sum([2.0 * x for x in log_abs])[0] / 2.0
+        gaps = []
+        for log_v, sign_v, ref in zip(log_abs, sign, reference):
+            # |v_j - ref_j| / |ref_j| on the scale of the larger of the two
+            log_ref = math.log(abs(ref))
+            log_diff = _signed_log_sum([log_v, log_ref], [sign_v, -math.copysign(1.0, ref)])[0]
+            gaps.append(_exp_or_none(log_diff - log_ref))
+        records.append(SqueezeNormRecord(cutoff, _exp_or_none(log_norm), log_norm, tuple(gaps)))
     return SqueezeReport(theta=theta, generator=generator, records=tuple(records))
 
 

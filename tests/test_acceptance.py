@@ -24,7 +24,6 @@ from bateman.cli import DRIFT_ORDER_STEPS
 from bateman.cli import main as cli_main
 from bateman.field import Coeff, SQRT2
 from bateman.fock import (
-    build_fock,
     commutator_residual,
     hamiltonian_equiv_residual,
     joint_null_experiment,
@@ -120,9 +119,7 @@ def test_criterion_3_commutator_table():
             expected = 0
             if ln[0] != rn[0] and ln[1] == rn[1]:
                 expected = 1 if ln[0] == "A" else -1
-            res = commutator_residual(
-                build_fock(ln, cutoff), build_fock(rn, cutoff), expected
-            )
+            res = commutator_residual(ln, rn, cutoff, expected)
             assert res < 1e-10, (ln, rn, res)
 
 

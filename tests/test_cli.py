@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import bateman
 import bateman.cli
+import bateman.fock
 from bateman.classical import BatemanParams, _rk4_increment, motion_matrix
 from bateman.cli import (
     CHECKS, CSVS, DRIFT_ORDER_STEPS, RUNNERS, Artifacts, build_parser, config_from_args, main,
@@ -280,11 +281,10 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # the checks call only small real BLAS and LAPACK routines, which OpenBLAS
-    # runs on one thread whatever it is allowed; ``main`` pins an unset count
-    # to 1, so an explicit 2 is compared with 1, on every BLAS caller of ``all``
+    # ``all`` runs no numpy code, so no BLAS thread setting can reach a report
     src = str(Path(bateman.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in bateman.cli.BLAS_THREAD_VARS}
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     outputs = []
     for threads in ("2", "1"):
         out = tmp_path / threads
@@ -563,6 +563,8 @@ def test_benchmark_tracer_hooks_still_match(tmp_path):
         for name in ("vacuum", "commutators", "classical"):
             out = tmp_path / name
             assert bateman.cli.main([name, "--format", "json", "--out", str(out)]) == 0
+        # no subcommand builds a dense matrix; the tracer still wraps the builder
+        bateman.fock.build_fock("A1", 4)
     finally:
         tracer.uninstall()
     for key in tracer_module.SIZE_COUNTS:

@@ -14,17 +14,21 @@ import bateman.fock
 from bateman.classical import BatemanParams
 from bateman.field import Coeff
 from bateman.fock import (
+    LADDER_WEIGHTS,
     NULL_CUTOFF_LIMIT,
     SQUEEZE_CUTOFF_LIMIT,
     SQUEEZE_SCALE_LIMIT,
     FockOp,
+    _commutator_block,
+    _d_step,
     _even_squeeze_couplings,
     _gram_weights,
-    _hamiltonian_fock,
-    _ladder,
+    _ladder_column,
     _sector_gram,
-    _sector_parts,
+    _sector_hamiltonian,
     _sector_states,
+    _spectral_norm,
+    _zero_diagonal_eigenvalues,
     build_fock,
     commutator_residual,
     even_squeeze_state,
@@ -36,7 +40,6 @@ from bateman.fock import (
     squeeze_csv,
     squeeze_factored_action,
     squeeze_truncated_norms,
-    total_excitations,
 )
 from bateman.operators import commutator, make_ladder, make_pseudo, op_apply
 from hermite import hermite_coefficients, hermite_decompose, hermite_state
@@ -57,6 +60,19 @@ def _single_mode(name, cutoff):
         "X_squeeze": a @ a + a.T @ a.T,
     }[name]
     return FockOp(1, cutoff, m.astype(complex))
+
+
+def total_excitations(modes, cutoff):
+    """Total excitation number per basis index, mode-1-major ordering."""
+    if modes == 1:
+        return np.arange(cutoff)
+    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
+    return n1 + n2
+
+
+def _indices(states, cutoff):
+    """Dense basis indices of the two-mode states |n1, n2>."""
+    return [n1 * cutoff + n2 for n1, n2 in states]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,7 @@ def test_position_momentum_commutator():
     n = 14
     x = _single_mode("x", n)
     p = _single_mode("p", n)
-    res = commutator_residual(x, p, 1j)
+    res = _dense_projector_residual(x, p, 1j, interior_bound(n))
     assert res < 1e-12
 
 
@@ -129,20 +145,24 @@ def test_build_fock_errors():
 # ---------------------------------------------------------------------------
 
 def test_ladder_commutator_interior_exact():
-    res = commutator_residual(build_fock("a", 20), build_fock("adag", 20), 1)
+    a, adag = build_fock("a", 20), build_fock("adag", 20)
+    res = _dense_projector_residual(a, adag, 1, interior_bound(20))
     assert res < 1e-12
+    assert commutator_residual("a1", "adag1", 20, 1) < 1e-12
 
 
 def test_pseudo_commutators_at_cutoff():
-    assert commutator_residual(build_fock("A1", 12), build_fock("B1", 12), 1) < 1e-10
-    assert commutator_residual(build_fock("A1", 12), build_fock("B2", 12), 0) < 1e-10
+    assert commutator_residual("A1", "B1", 12, 1) < 1e-10
+    assert commutator_residual("A1", "B2", 12, 0) < 1e-10
 
 
 def test_interior_bound_validated():
     with pytest.raises(ValueError):
-        commutator_residual(build_fock("a", 8), build_fock("adag", 10), 1)
-    with pytest.raises(ValueError):
-        commutator_residual(build_fock("a", 2), build_fock("adag", 2), 1)
+        commutator_residual("a1", "adag1", 2, 1)
+    with pytest.raises(ValueError, match="scalar"):  # [a1, a2^dag] moves n1 - n2 by two
+        commutator_residual("a1", "adag2", 8, 1)
+    with pytest.raises(ValueError, match="unknown"):
+        commutator_residual("a", "adag", 8, 1)
     with pytest.raises(ValueError):
         hamiltonian_equiv_residual(default_params(), 2)
     assert interior_bound(3) == 1 and interior_bound(16) == 14
@@ -167,30 +187,52 @@ def test_all_scalar_commutator_pairs_small_on_interior():
             scalar = commutator(symbolic[ln], symbolic[rn]).as_scalar()
             if scalar is None:
                 continue
-            res = commutator_residual(
-                build_fock(ln, cutoff), build_fock(rn, cutoff), complex(scalar)
-            )
-            assert res < 1e-10, (ln, rn, res)
+            value = complex(scalar)
+            res = commutator_residual(ln, rn, cutoff, value.real)
+            assert value.imag == 0 and res < 1e-10, (ln, rn, res)
 
 
 def test_interior_residual_matches_dense_projector():
-    # restricting to the interior indices is P (.) P with a dense diagonal projector
-    for cutoff, bound, names, expected in (
-        (12, 10, ("A1", "B1"), 1.0),
-        (12, 10, ("A2", "B1"), 0.0),
-        (14, 12, ("x", "p"), 1j),
-    ):
-        build = _single_mode if names == ("x", "p") else build_fock
-        x, y = (build(n, cutoff) for n in names)
-        delta = x.matrix @ y.matrix - y.matrix @ x.matrix - expected * np.eye(x.dim)
-        proj = np.diag((total_excitations(x.modes, cutoff) < bound).astype(float))
-        dense = float(np.linalg.norm(proj @ delta @ proj, 2))
-        assert commutator_residual(x, y, expected) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+    # oracle: P (.) P with a dense diagonal projector and the kron-built
+    # operators.  The residuals sit at the rounding level, where ``@`` may
+    # fuse a multiply with an add and the sector routes round each product,
+    # so the sector blocks must reassemble the dense P (.) P entry by entry,
+    # and the residual is the 2-norm of those same blocks
+    cutoff, bound = 12, 10
+    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
+    d = n1 - n2
+    proj = np.diag((n1 + n2 < bound).astype(float))
+    for names, expected in ((("A1", "B1"), 1.0), (("A2", "B1"), 0.0), (("A1", "B2"), 0.0)):
+        x, y = (build_fock(n, cutoff).matrix for n in names)
+        dense = proj @ (x @ y - y @ x - expected * np.eye(cutoff**2)) @ proj
+        shift = _d_step(names[0]) + _d_step(names[1])
+        assert np.all(dense[d[:, None] != d[None, :] + shift] == 0.0)
+        rebuilt, norms = np.zeros_like(dense), []
+        for sector in range(1 - bound, bound):
+            rows = _indices(_sector_states(sector + shift, bound), cutoff)
+            cols = _indices(_sector_states(sector, bound), cutoff)
+            block = np.array(_commutator_block(*names, sector, bound, expected))
+            block = block.reshape(len(rows), len(cols))
+            rebuilt[np.ix_(rows, cols)] = block
+            norms += [np.linalg.norm(block, 2)] if block.size else []
+        np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-13)
+        assert commutator_residual(*names, cutoff, expected) == pytest.approx(
+            max(norms), rel=1e-12, abs=1e-300)
+    cutoff, bound = 10, 8
+    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
+    proj = np.diag((n1 + n2 < bound).astype(float))
     params = default_params()
-    h = [build_fock("H", 10, params=params, form=f).matrix for f in ("bosonic", "pseudo")]
-    proj = np.diag((total_excitations(2, 10) < 8).astype(float))
-    dense = float(np.linalg.norm(proj @ (h[0] - h[1]) @ proj, 2))
-    assert hamiltonian_equiv_residual(params, 10) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+    h = [build_fock("H", cutoff, params=params, form=f).matrix for f in ("bosonic", "pseudo")]
+    dense = proj @ (h[0] - h[1]) @ proj
+    norms = []
+    for sector in range(1 - bound, bound):
+        rows = _indices(_sector_states(sector, bound), cutoff)
+        block = np.subtract(*(np.array(_sector_hamiltonian(params, f, sector, bound))
+                              for f in ("bosonic", "pseudo")))
+        np.testing.assert_allclose(block, dense[np.ix_(rows, rows)], rtol=0, atol=1e-13)
+        norms.append(np.linalg.norm(block, 2))
+    assert hamiltonian_equiv_residual(params, cutoff) == pytest.approx(
+        max(norms), rel=1e-12, abs=1e-300)
 
 
 def _dense_projector_residual(x, y, expected, bound):
@@ -209,11 +251,30 @@ def test_interior_residual_matches_dense_projector_where_it_is_order_one():
         (14, 12, ("x", "p"), -1j, 2.0),
         (14, 12, ("x", "p"), 1.0, math.sqrt(2.0)),
     ):
-        build = _single_mode if names == ("x", "p") else build_fock
-        x, y = (build(n, cutoff) for n in names)
-        res = commutator_residual(x, y, expected)
-        assert res == pytest.approx(_dense_projector_residual(x, y, expected, bound), rel=1e-12)
+        if names == ("x", "p"):
+            x, y = (_single_mode(n, cutoff) for n in names)
+            res = _dense_projector_residual(x, y, expected, bound)
+        else:
+            res = commutator_residual(*names, cutoff, expected)
+            x, y = (build_fock(n, cutoff) for n in names)
+            assert res == pytest.approx(_dense_projector_residual(x, y, expected, bound), rel=1e-12)
         assert res == pytest.approx(value, rel=1e-12), (names, expected)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 2), (2, 6), (9, 9)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_spectral_norm_matches_lapack(shape, kind):
+    # oracle: np.linalg.norm(., 2), an SVD; seeded blocks of both entry kinds,
+    # scaled from rounding size to order one, and a rank-one block
+    rng = np.random.default_rng(7)
+    for scale in (1e-15, 1.0):
+        block = scale * rng.standard_normal(shape)
+        if kind is complex:
+            block = block + 1j * scale * rng.standard_normal(shape)
+        for b in (block, np.outer(block[:, 0], block[0])):
+            rows = [[kind(v) for v in row] for row in b.tolist()]
+            assert _spectral_norm(rows) == pytest.approx(np.linalg.norm(b, 2), rel=1e-13)
+    assert _spectral_norm([[kind(0)] * shape[1]] * shape[0]) == 0.0
 
 
 def _traced_peak(fn) -> int:
@@ -229,18 +290,15 @@ def _traced_peak(fn) -> int:
 
 def test_interior_checks_never_form_a_full_two_mode_product():
     # At cutoff N a full two-mode product is a complex N^2 x N^2 matrix of
-    # 16 N^4 bytes; the restricted products X[S] @ Y[:, S] are interior-sized.
-    # The Hamiltonian check builds one sector's blocks at a time from ladder
-    # coefficients, so it stays below one float64 two-mode matrix (8 N^4
-    # bytes); the commutator checks, with their operators built beforehand,
-    # stay below one complex two-mode matrix.
+    # 16 N^4 bytes.  Both checks build one sector's blocks at a time from
+    # ladder coefficients, so the Hamiltonian check stays below one float64
+    # two-mode matrix (8 N^4 bytes) and the commutator checks below one
+    # complex two-mode matrix.
     peak = _traced_peak(lambda: hamiltonian_equiv_residual(default_params(), 16))
     assert peak < 8 * 16**4, peak
     names = ("A1", "A2", "B1", "B2")
-    fock = {n: build_fock(n, 12) for n in names}
     peak = _traced_peak(lambda: [
-        commutator_residual(fock[left], fock[right], 0)
-        for left, right in product(names, repeat=2)
+        commutator_residual(left, right, 12, 0) for left, right in product(names, repeat=2)
     ])
     assert peak < 16 * 12**4, peak
 
@@ -256,6 +314,8 @@ def test_ladder_specs_are_real_and_h_complex():
 def test_interior_projector_counts():
     inside = interior_indices(2, 6)
     assert len(inside) == 10  # pairs with n1 + n2 < 4
+    assert inside == np.flatnonzero(total_excitations(2, 6) < 4).tolist()
+    assert interior_indices(1, 6) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +356,9 @@ def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
         rebuilt = np.zeros_like(dense)
         for sector in range(1 - bound, bound):
             rows = np.flatnonzero((d == sector) & (total < bound))
-            np.testing.assert_array_equal(_sector_states(sector, bound), (n1[rows], n2[rows]))
-            parts = _sector_parts(sector, bound)
-            blocks = tuple(part.T for part in parts[[2, 3, 0, 1]])
-            rebuilt[np.ix_(rows, rows)] = _hamiltonian_fock(params, form, blocks)
+            np.testing.assert_array_equal(
+                _sector_states(sector, bound), np.column_stack([n1[rows], n2[rows]]))
+            rebuilt[np.ix_(rows, rows)] = _sector_hamiltonian(params, form, sector, bound)
         rebuilt, dense = rebuilt[np.ix_(inside, inside)], dense[np.ix_(inside, inside)]
         np.testing.assert_allclose(rebuilt, dense, rtol=0, atol=1e-13)
         diffs.append(rebuilt)
@@ -310,29 +369,21 @@ def test_sector_blocks_reassemble_the_dense_hamiltonian(params, cutoff, bound):
 
 @pytest.mark.parametrize("cutoff, bound", [(12, 10), (16, 14), (20, 18)])
 def test_sector_parts_are_the_dense_kron_parts_on_each_sector(cutoff, bound):
-    # oracle: the kron-built a1, a2, a1^T, a2^T restricted to [T, S].  Row r of
-    # the layout stands for |r + p - 1, r + q> and row m + 1 + r for
-    # |r + p, r + q - 1>; each is matched to its dense index by brute force
-    n1, n2 = np.divmod(np.arange(cutoff**2), cutoff)
-    dense = [build_fock(name, cutoff).matrix for name in ("a1", "a2", "adag1", "adag2")]
-    for d in range(1 - bound, bound):
-        cols = np.flatnonzero((n1 - n2 == d) & (n1 + n2 < bound))
-        m, p, q = len(cols), max(d, 0), max(-d, 0)
-        parts = _sector_parts(d, bound)
-        assert parts.shape == (4, 2 * m + 2, m)
-        states = [(r + p - 1, r + q) for r in range(m + 1)] + [(r + p, r + q - 1) for r in range(m + 1)]
-        reached = []
-        for row, (s1, s2) in enumerate(states):
-            index = np.flatnonzero((n1 == s1) & (n2 == s2))
-            if len(index) == 0:  # a row that stands for no state
-                assert np.all(parts[:, row] == 0.0)
-                continue
-            reached.append(index[0])
-            for part, full in zip(parts, dense):
-                np.testing.assert_array_equal(part[row], full[index[0], cols])
-        # T holds every state one ladder step from S
-        outside = np.setdiff1d(np.arange(cutoff**2), reached)
-        assert all(np.all(full[np.ix_(outside, cols)] == 0.0) for full in dense)
+    # oracle: the kron-built operators.  On every interior state of every
+    # sector, and on every state one ladder step from one, ``_ladder_column``
+    # gives the dense column bit for bit, on rows of sector d + _d_step only
+    dense = {name: build_fock(name, cutoff).matrix for name in LADDER_WEIGHTS}
+    interior = [s for d in range(1 - bound, bound) for s in _sector_states(d, bound)]
+    assert sorted(_indices(interior, cutoff)) == interior_indices(2, cutoff)
+    reached = {row for s in interior for name in dense for row, _ in _ladder_column(name, s)}
+    assert max(n1 + n2 for n1, n2 in reached) == bound  # T: every state one step from S
+    for n1, n2 in {*interior, *reached}:
+        for name, full in dense.items():
+            column = np.zeros(cutoff**2)
+            for (r1, r2), value in _ladder_column(name, (n1, n2)):
+                assert r1 - r2 == n1 - n2 + _d_step(name)
+                column[r1 * cutoff + r2] = value
+            np.testing.assert_array_equal(column, full[:, n1 * cutoff + n2])
 
 
 def test_hamiltonian_fock_forms_match_symbolic_action():
@@ -378,7 +429,7 @@ def _embedded_minimizer(record):
     """The record's sector vector placed in the interior basis, ordered by total
     excitation and then by n1: |n1, n2> has index total (total + 1) / 2 + n1."""
     bound = interior_bound(record.cutoff)
-    n1, n2 = _sector_states(record.sector, bound)
+    n1, n2 = np.array(_sector_states(record.sector, bound)).T
     total = n1 + n2
     minimizer = np.zeros(bound * (bound + 1) // 2)
     minimizer[total * (total + 1) // 2 + n1] = record.sector_vector
@@ -421,13 +472,14 @@ def _dense_null_oracle(cutoff, family):
 
 
 def _sector_blocks(bound, family):
-    """The stacked pair's block B_d on each sector d, from ``_sector_parts``: the
-    first operator fills only the sector d - 1 rows and the second only the
-    sector d + 1 rows, so B_d is one weighted sum of the parts."""
-    weights = sum(_ladder(name, np.eye(4)) for name in PAIRS[family])
+    """The stacked pair's block B_d on each sector d, from ``_ladder_column``,
+    on the rows the pair reaches: the first operator fills only sector d - 1
+    and the second only sector d + 1, so the two columns never share a row."""
     for d in range(1 - bound, bound):
-        parts = _sector_parts(d, bound)
-        yield d, (weights @ parts.reshape(4, -1)).reshape(parts.shape[1:])
+        columns = [dict(_ladder_column(PAIRS[family][0], s) + _ladder_column(PAIRS[family][1], s))
+                   for s in _sector_states(d, bound)]
+        rows = sorted(set().union(*columns))
+        yield d, np.array([[column.get(row, 0.0) for column in columns] for row in rows])
 
 
 def _sector_svd_oracle(cutoff, family):
@@ -443,7 +495,7 @@ def _sector_svd_oracle(cutoff, family):
             best_d, best, sigma = d, block, float(svals[-1])
     if sigma < SIGMA_FLOOR_RATIO * top:
         sigma = 0.0
-    n1, n2 = _sector_states(best_d, bound)
+    n1, n2 = np.array(_sector_states(best_d, bound)).T
     vec = np.linalg.svd(best, full_matrices=False)[2][-1]
     total = n1 + n2
     minimizer = np.zeros(bound * (bound + 1) // 2)
@@ -483,7 +535,7 @@ def test_null_experiment_matches_sector_svd_oracle(family, cutoffs):
 @pytest.mark.parametrize("family", ["pseudo", "bosonic"])
 @pytest.mark.parametrize("bound", [14, 31])
 def test_sector_gram_is_the_gram_matrix_of_the_sector_blocks(family, bound):
-    # oracle: B_d^T B_d of the sector blocks built from ``_sector_parts``; its
+    # oracle: B_d^T B_d of the sector blocks built from ``_ladder_column``; its
     # entries are integers and square roots of integers up to rounding
     weights = _gram_weights(family)
     for d, block in _sector_blocks(bound, family):
@@ -570,6 +622,22 @@ def test_factored_action_requires_positive_kmax():
         squeeze_factored_action(0)
 
 
+@pytest.mark.parametrize("cutoff", [8, 9, 16, 33, 128, 1024])
+def test_squeeze_nodes_match_lapack(cutoff):
+    # oracle: LAPACK's stev on the even block J.  Each is off by a small
+    # multiple of eps * ||J||: at N = 1024 both are off by up to 1e-11 from
+    # 40-digit Sturm bisection (22 eps ||J||).  The spectrum is symmetric
+    # about zero (D J D = -J)
+    couplings = _even_squeeze_couplings(cutoff)
+    nodes = np.array(_zero_diagonal_eigenvalues(couplings))
+    want = scipy.linalg.eigvalsh_tridiagonal(
+        np.zeros(len(couplings) + 1), couplings, lapack_driver="stev")
+    bound = 64 * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.all(np.diff(nodes) >= 0.0)
+    assert np.max(np.abs(nodes - want)) <= bound
+    assert np.max(np.abs(nodes + nodes[::-1])) <= bound
+
+
 def test_truncated_norms_strictly_increase():
     report = squeeze_truncated_norms(THETA, [16, 32, 64])
     logs = report.log_norms()
@@ -607,7 +675,7 @@ def test_squeeze_amplitudes_match_high_precision_reference():
     # log amplitudes on |0>, |2>, |4>, |6> at N = 128 by the same mpmath route
     # (40 and 60 digits agree), all positive; tolerance 1e-12 on the log is a
     # relative 1e-12 on the amplitude
-    log_abs, sign = even_squeeze_state(THETA, 128)
+    log_abs, sign = map(np.asarray, even_squeeze_state(THETA, 128))
     assert np.all(sign[:4] > 0)
     reference = [446.96151986708998202, 452.04363285688607666,
                  456.22982758720453994, 459.95768429609523484]
@@ -638,8 +706,9 @@ def test_squeeze_series_matches_stev_oracle(cutoff, theta):
     report = squeeze_truncated_norms(theta, [cutoff])
     assert report.log_norms()[0] == pytest.approx(log_norm, rel=1e-12)
     log_abs, sign = even_squeeze_state(theta, cutoff)
-    top = np.max(2.0 * log_abs)
-    assert float(top + np.log(np.sum(np.exp(2.0 * log_abs - top)))) / 2.0 == report.log_norms()[0]
+    top = max(2.0 * x for x in log_abs)
+    total = math.fsum(math.exp(2.0 * x - top) for x in log_abs)
+    assert (top + math.log(total)) / 2.0 == report.log_norms()[0]
     assert list(sign[:4]) == list(signs)
     assert list(log_abs[:4]) == pytest.approx(list(log_amps), rel=1e-12)
 
@@ -649,8 +718,8 @@ def test_squeeze_parity_symmetry(cutoff):
     # D J D = -J with D = diag((-1)^j): equal norms, amplitudes flip by parity
     plus, minus = (squeeze_truncated_norms(t, [cutoff]) for t in (THETA, -THETA))
     assert plus.log_norms() == minus.log_norms()
-    log_plus, sign_plus = even_squeeze_state(THETA, cutoff)
-    log_minus, sign_minus = even_squeeze_state(-THETA, cutoff)
+    log_plus, sign_plus = map(np.asarray, even_squeeze_state(THETA, cutoff))
+    log_minus, sign_minus = map(np.asarray, even_squeeze_state(-THETA, cutoff))
     parity = (-1.0) ** np.arange(len(sign_plus))
     assert np.array_equal(log_minus, log_plus)
     assert np.array_equal(sign_minus, parity * sign_plus)
@@ -662,7 +731,7 @@ def test_squeeze_parity_symmetry(cutoff):
 def test_antihermitian_control_matches_expm(cutoff, theta):
     a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     direct = scipy.linalg.expm(theta * (a @ a - a.T @ a.T))[:, 0]
-    log_abs, sign = even_squeeze_state(theta, cutoff, "antihermitian")
+    log_abs, sign = map(np.asarray, even_squeeze_state(theta, cutoff, "antihermitian"))
     assert np.max(np.abs(sign * np.exp(log_abs) - direct[0::2])) < 1e-12
     assert np.max(np.abs(direct[1::2])) == 0.0
     report = squeeze_truncated_norms(theta, [cutoff], generator="antihermitian")
@@ -673,7 +742,7 @@ def test_squeeze_gap_of_underflowed_amplitude_is_none():
     # at N = 1024 the amplitudes on |0>..|6> (about e^3906) and so their gaps
     # are beyond the float range
     log_abs, sign = even_squeeze_state(THETA, 1024)
-    assert np.all(log_abs[:4] > math.log(sys.float_info.max))
+    assert all(x > math.log(sys.float_info.max) for x in log_abs[:4])
     assert squeeze_truncated_norms(THETA, [1024]).records[0].coeff_gaps == (None,) * 4
     # theta = 0 leaves |0>: the zeros there are exact and the gaps are 1
     assert squeeze_truncated_norms(0.0, [16]).records[0].coeff_gaps[1:] == (1.0, 1.0, 1.0)
@@ -690,7 +759,7 @@ def _positive_series_state(theta, cutoff):
     scale.  Components below the float range at that common scale underflow
     to 0.  theta < 0 flips the odd entries by parity (D J D = -J).
     """
-    couplings = _even_squeeze_couplings(cutoff)
+    couplings = np.array(_even_squeeze_couplings(cutoff))
     rho = float(np.max(np.append(couplings, 0.0) + np.insert(couplings, 0, 0.0)))
     chunks = math.ceil(abs(theta) * rho / 400.0)
     v = np.zeros(len(couplings) + 1)
@@ -720,7 +789,7 @@ def _positive_series_state(theta, cutoff):
 @pytest.mark.parametrize("cutoff", [16, 256, 1024])
 def test_quadrature_matches_positive_series_oracle(cutoff, theta):
     log_scale, v = _positive_series_state(theta, cutoff)
-    log_abs, sign = even_squeeze_state(theta, cutoff)
+    log_abs, sign = map(np.asarray, even_squeeze_state(theta, cutoff))
     series_log_norm = log_scale + math.log(float(np.linalg.norm(v)))
     assert squeeze_truncated_norms(theta, [cutoff]).log_norms()[0] == pytest.approx(
         series_log_norm, rel=1e-12

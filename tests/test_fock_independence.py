@@ -5,15 +5,15 @@ symbolic engine.  The Fock matrices and the exact operators are cross-checked
 against each other, which proves something only while neither side is derived
 from the other.  The Hermite map that joins them lives in ``tests/hermite.py``.
 
-The other direction runs fresh interpreters.  The ``fock`` layer loads numpy on
-its first numeric call, not at import, so importing the exact layer, running the
-README's library example, ``import bateman.cli``, ``bateman counterexample``,
-``bateman vacuum`` (whose null sweep runs in plain floats), ``bateman
-classical``, ``bateman --help`` and a configuration error all leave numpy's
-code unrun, while ``import bateman.cli`` still loads every layer the benchmark
-tracer looks up in ``sys.modules``.  The classical layer's outputs match
-pinned digests with numpy unrun, and ``bateman all`` gives the same results,
-byte for byte, whether numpy is loaded lazily or beforehand.
+The other direction runs fresh interpreters.  Only ``fock.build_fock`` uses
+numpy, which the ``fock`` layer loads on first use, not at import, so importing
+the exact layer, running the README's library example, ``import bateman.cli``,
+every subcommand (``all`` among them), ``bateman --help`` and a configuration
+error all leave numpy's code unrun, while ``import bateman.cli`` still loads
+every layer the benchmark tracer looks up in ``sys.modules``.  The classical
+layer's outputs match pinned digests with numpy unrun, and ``bateman all``
+gives the same results, byte for byte, whether numpy was imported beforehand
+or not, on one OS thread and whatever the BLAS thread settings.
 """
 
 import ast
@@ -122,7 +122,12 @@ print(code, {NUMPY_RAN})
     (["all", "--kmax", "5"], 2),
     (["vacuum", "--cutoffs", "8,16,24,32,40"], 0),
     (["classical"], 0),
-], ids=["counterexample", "help", "config-error", "vacuum", "classical"])
+    (["all"], 0),
+    (["commutators"], 0),
+    (["hamiltonian"], 0),
+    (["squeeze", "--cutoffs", "16,512"], 0),
+], ids=["counterexample", "help", "config-error", "vacuum", "classical", "all", "commutators",
+        "hamiltonian", "squeeze"])
 def test_numpy_free_commands_leave_numpy_unrun(tmp_path, argv, code):
     lines = run_fresh(CLI_RUN.format(prelude="", argv=[*argv, "--out", str(tmp_path)]))
     assert lines[0] == "False" and lines[-1] == f"{code} False"
@@ -186,13 +191,14 @@ ALL_OUTPUTS = [
 
 
 def test_deferred_numpy_gives_the_same_cli_outputs(tmp_path):
-    # ``bateman all`` with numpy loaded at its first numeric call, and with
-    # numpy imported before ``bateman.cli``
+    # ``bateman all`` with numpy left unrun, and with numpy imported before
+    # ``bateman.cli``
     outputs = {}
     for side, prelude in (("lazy", ""), ("eager", "import numpy")):
         out = tmp_path / side
         lines = run_fresh(CLI_RUN.format(prelude=prelude, argv=["all", "--out", str(out)]))
-        assert (lines[0], lines[-1]) == (str(side == "eager"), "0 True")
+        ran = str(side == "eager")
+        assert (lines[0], lines[-1]) == (ran, f"0 {ran}")
         assert sorted(path.name for path in out.iterdir()) == ALL_OUTPUTS
         outputs[side] = lines[1:-1], [(out / name).read_bytes() for name in ALL_OUTPUTS]
     assert outputs["lazy"] == outputs["eager"]
@@ -205,7 +211,8 @@ BLAS_RUN = """\
 import json
 import os
 {prelude}
-from bateman.cli import BLAS_THREAD_VARS, main
+from bateman.cli import main
+BLAS_THREAD_VARS = {blas_vars!r}
 before = dict(os.environ)
 code = main({argv})
 task = "/proc/self/task"
@@ -221,13 +228,15 @@ def run_blas(out, prelude: str = "", **blas: str) -> list:
     """BLAS_RUN's result for a short ``bateman all`` in a fresh interpreter
     whose only BLAS thread settings are ``blas``."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    code = BLAS_RUN.format(prelude=prelude, argv=[*FAST_ALL, "--out", str(out)])
+    argv = [*FAST_ALL, "--out", str(out)]
+    code = BLAS_RUN.format(prelude=prelude, argv=argv, blas_vars=BLAS_THREAD_VARS)
     return json.loads(run_fresh(code, env={**env, **blas})[-1])
 
 
 def test_cli_runs_blas_on_one_thread_by_default(tmp_path):
+    # no BLAS runs, so ``all`` sets no thread count and starts no thread
     code, unchanged, values, threads = run_blas(tmp_path)
-    assert (code, unchanged, values) == (0, False, ["1", "1", "1"])
+    assert (code, unchanged, values) == (0, True, [None, None, None])
     if threads is None:
         pytest.skip("no /proc/self/task on this platform")
     assert threads == 1

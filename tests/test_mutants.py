@@ -9,9 +9,9 @@ every named check at ``fail``.  A ``pass`` that a broken program cannot turn
 into a ``fail`` certifies nothing (mutation analysis: DeMillo, Lipton &
 Sayward, IEEE Computer 11(4), 1978).
 
-Cost: one subprocess per entry, 0.13-0.2 s each on 2 vCPUs (a ``classical``
-entry runs no numpy code), so the 11 entries add about 2 s to the Tier-1
-suite.  An entry runs its area's subcommand, not ``all``, to keep it that way.
+Cost: one subprocess per entry, 0.19-0.22 s each on 2 vCPUs (no subcommand
+runs numpy code), so the 13 entries add about 2.7 s to the Tier-1 suite.  An
+entry runs its area's subcommand, not ``all``, to keep it that way.
 """
 
 import json
@@ -92,6 +92,18 @@ MUTANTS = (
         "damped-residual-gamma-sign", "classical.py",
         "+ g * xdot + k * x1)", "- g * xdot + k * x1)",
         ("classical",), ("classical-eom-residuals",),
+    ),
+    Mutant(
+        # the a1^T coefficient sqrt(n1 + 1) read as sqrt(n1); a1's sqrt(n1) is unchanged
+        "fock-raising-coefficient", "fock.py",
+        "levels = (n1, n2, n1 + 1, n2 + 1)", "levels = (n1, n2, n1, n2 + 1)",
+        ("commutators",), ("pseudo-commutator-fock-residuals",),
+    ),
+    Mutant(
+        # a1 a2 + a1^dag a2^dag in the bosonic interaction
+        "fock-bosonic-interaction-sign", "fock.py",
+        "g2m * (p[2] - p[3])", "g2m * (p[2] + p[3])",
+        ("hamiltonian",), ("hamiltonian-forms-fock",),
     ),
     Mutant(
         # the p_y row of s . Q s dropped from the plain-float energy
