@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .field import RatLike, _rat, rational_sqrt
 
@@ -46,18 +45,19 @@ class IntegrationError(RuntimeError):
     """Raised when a trajectory or a quantity computed from it leaves the float range."""
 
 
-@dataclass(frozen=True)
-class BatemanParams:
-    """Exact oscillator parameters; underdamped regime only (omega2 > 0)."""
-
+class _ParamFields(NamedTuple):
     m: Fraction
     gamma: Fraction
     k_spring: Fraction
 
-    def __init__(self, m: RatLike, gamma: RatLike, k_spring: RatLike):
-        object.__setattr__(self, "m", _rat(m))
-        object.__setattr__(self, "gamma", _rat(gamma))
-        object.__setattr__(self, "k_spring", _rat(k_spring))
+
+class BatemanParams(_ParamFields):
+    """Exact oscillator parameters; underdamped regime only (omega2 > 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: RatLike, gamma: RatLike, k_spring: RatLike) -> BatemanParams:
+        self = super().__new__(cls, _rat(m), _rat(gamma), _rat(k_spring))
         if self.m <= 0:
             raise ValueError("mass must be positive")
         if self.gamma < 0:
@@ -68,6 +68,12 @@ class BatemanParams:
             raise ValueError(
                 "parameters are not underdamped: k/m - gamma^2/4m^2 must be positive"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[RatLike]) -> BatemanParams:
+        """Build through ``__new__``, so that ``_replace`` checks the new values too."""
+        return cls(*iterable)
 
     @property
     def omega2(self) -> Fraction:
@@ -146,8 +152,7 @@ def _velocities(params: BatemanParams, states: Iterable[Sequence[float]]) -> Ite
     return ((nh * x + inv_m * py, h * y + inv_m * px) for x, y, px, py in states)
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     """Phase-space point (x, y, p_x, p_y); iterates over the four fields."""
 
     x: float
@@ -162,9 +167,6 @@ class PhaseState:
         m, g = float(params.m), float(params.gamma)
         return cls(x, y, m * ydot - 0.5 * g * y, m * xdot + 0.5 * g * x)
 
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.x, self.y, self.px, self.py))
-
     def velocities(self, params: BatemanParams) -> tuple[float, float]:
         """(x', y'): the first two rows of M s."""
         return next(_velocities(params, (self,)))
@@ -178,11 +180,19 @@ def hamiltonian_mixed(state: PhaseState | Sequence[float], params: BatemanParams
     return next(_energies(params, (state,)))
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    times: array
-    states: tuple[array, array, array, array]  # the columns x, y, p_x, p_y
-    params: BatemanParams
+    """The sample times, the state columns x, y, p_x, p_y, and the parameters.
+    Read-only: the three attributes are set once, and ``energies`` is cached."""
+
+    def __init__(self, times: array, states: tuple[array, array, array, array],
+                 params: BatemanParams):
+        vars(self).update(times=times, states=states, params=params)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Trajectory is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Trajectory is read-only")
 
     @cached_property
     def energies(self) -> array:
@@ -273,8 +283,7 @@ def underdamped_solution(
     return xs, ys
 
 
-@dataclass(frozen=True)
-class EomResiduals:
+class EomResiduals(NamedTuple):
     """Max finite-difference residuals of the two second-order equations."""
 
     damped: float
@@ -304,8 +313,7 @@ def eom_residual(traj: Trajectory) -> EomResiduals:
     return EomResiduals(max(map(abs, rx)), max(map(abs, ry)))
 
 
-@dataclass(frozen=True)
-class HamiltonianConsistency:
+class HamiltonianConsistency(NamedTuple):
     """Conservation drift of the energy along a trajectory."""
 
     max_drift: float

@@ -13,7 +13,10 @@ Each check is one function, registered with ``@check`` under its area, id
 and claim, in report order.  It reads the run's shared inputs from an
 ``Artifacts`` object, which computes each of them once, on first use, and
 returns ``(ok, payload)``: ``ok`` is a bool for a pass/fail check and None
-for a report-only entry.
+for a report-only entry.  Each registration is a ``Check``, a NamedTuple
+like every record of the package: a process start defines the records
+without generating and compiling methods for each, and without importing
+``inspect``.
 
 Exit status: 0 when no pass/fail check fails, 1 on any failure or on an
 error raised inside a check, 2 on configuration errors.  Reports are
@@ -27,12 +30,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 from .classical import (
     BatemanParams,
@@ -188,8 +190,7 @@ class Artifacts:
 # the check registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One check: its area (the subcommand that runs it), stable id, claim,
     and the function returning ``(ok, payload)`` (``ok`` None: report-only)."""
 
@@ -759,7 +760,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         check_squeeze_range(args.theta, (args.cutoffs or DEFAULT_SQUEEZE_CUTOFFS)[-1])
     cfg = RunConfig(**vars(args))
     if cfg.omega is None and cfg.k_spring is None:
-        cfg = replace(cfg, omega=Fraction(1))
+        cfg = cfg._replace(omega=Fraction(1))
     resolve_params(cfg)  # every subcommand rejects parameters the model rejects
     return cfg
 

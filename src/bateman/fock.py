@@ -50,12 +50,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import add, gt, mul, sub
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import _lazy_import
 
@@ -89,8 +88,7 @@ def check_cutoffs(cutoffs: Sequence[int]) -> tuple[int, ...]:
     return cutoffs
 
 
-@dataclass(frozen=True)
-class FockOp:
+class FockOp(NamedTuple):
     """Dense matrix realization of an operator on truncated Fock space."""
 
     modes: int
@@ -371,8 +369,7 @@ def hamiltonian_equiv_residual(params, cutoff: int) -> float:
 # joint null-vector experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NullRecord:
+class NullRecord(NamedTuple):
     cutoff: int
     sigma_min: float
     tail_mass: float
@@ -382,8 +379,7 @@ class NullRecord:
     sector_vector: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class NullExperimentReport:
+class NullExperimentReport(NamedTuple):
     """Least singular value of the stacked lowering pair, per cutoff.
 
     The domain is the interior subspace (total excitation < N - 2), which
@@ -580,16 +576,14 @@ def squeeze_factored_action(kmax: int) -> list[Fraction]:
     return signed_squares
 
 
-@dataclass(frozen=True)
-class SqueezeNormRecord:
+class SqueezeNormRecord(NamedTuple):
     cutoff: int
     norm: float | None  # None when beyond the float range; log_norm keeps its scale
     log_norm: float
     coeff_gaps: tuple[float | None, ...]  # relative gap to the factored amplitudes, k = 0..3
 
 
-@dataclass(frozen=True)
-class SqueezeReport:
+class SqueezeReport(NamedTuple):
     theta: float
     generator: str
     records: tuple[SqueezeNormRecord, ...]

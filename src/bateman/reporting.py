@@ -2,30 +2,30 @@
 
 Reports are deterministic: identical configurations produce
 byte-identical JSON (sorted keys, repr-based floats, no timestamps).  Pass/fail status is reserved for exact or toleranced claims;
-exploratory cutoff sweeps are emitted as report-only entries.
+exploratory cutoff sweeps are emitted as report-only entries.  The two
+records, ``VerdictReport`` and ``RunConfig``, are NamedTuples, like every
+record of the package, which keeps defining them cheap at every start-up.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Literal, Sequence
+from typing import Any, Literal, NamedTuple, Sequence
 
 SCHEMA_VERSION = 1
 
 Status = Literal["pass", "fail", "report-only"]
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(NamedTuple):
     """One check: stable id, the claim it verifies, status and numeric payload."""
 
     check: str
     claim: str
     status: Status
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -36,8 +36,7 @@ class VerdictReport:
         }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved CLI configuration, one field per parser destination; defaults
     reproduce the reference setup (m = 1, gamma = 1/5, omega = 1,
     theta = 7 pi / 8, tolerance 1e-10)."""
@@ -57,23 +56,24 @@ class RunConfig:
     def to_jsonable(self) -> dict[str, Any]:
         """Every field but ``out``, with ``fmt`` written as ``format``."""
         return {
-            "format" if f.name == "fmt" else f.name: jsonable(getattr(self, f.name))
-            for f in fields(self)
-            if f.name != "out"
+            "format" if name == "fmt" else name: jsonable(value)
+            for name, value in zip(self._fields, self)
+            if name != "out"
         }
 
 
 def jsonable(value: Any) -> Any:
     """Recursively convert a payload to JSON values: None, bool, int, float
     (numpy's float64 among them) and str pass, a Fraction becomes its string,
-    dicts, lists and tuples convert item by item; anything else is a TypeError."""
+    dicts and exact lists and tuples convert item by item; anything else,
+    a record (a NamedTuple) among them, is a TypeError."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [jsonable(v) for v in value]
     raise TypeError(f"cannot write {type(value).__name__} to a report")
 

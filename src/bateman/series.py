@@ -22,9 +22,8 @@ one the Fock amplitudes come from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import Coeff, ONE
 from .radicals import factorial_exponent, prime_sieve
@@ -107,8 +106,7 @@ SQUEEZE_SUM_EXPONENT = 0.5
 Verdict = str  # "divergent" | "inconclusive"
 
 
-@dataclass(frozen=True)
-class RaabeReport:
+class RaabeReport(NamedTuple):
     """The Raabe ratios rho_k = k (a_k / a_{k+1} - 1) of the squeeze series
     and its verdict, as a statement for every k.
 
@@ -171,8 +169,7 @@ def raabe_test(terms: Sequence[Coeff]) -> RaabeReport:
 # partial sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Exact partial sums at checkpoints and whether they keep the K^(1/2)
     bounds of the squeeze series at every one."""
 

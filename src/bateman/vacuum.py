@@ -15,9 +15,8 @@ Three mechanized questions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import Coeff, HALF, ONE, ZERO
 from .operators import (
@@ -47,8 +46,7 @@ class QuadratureError(RuntimeError):
 # linear systems over the coefficient field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearEquation:
+class LinearEquation(NamedTuple):
     """Sum_u coeffs[u] * u = rhs over named unknowns, with its origin."""
 
     coeffs: tuple[tuple[str, Coeff], ...]
@@ -124,8 +122,7 @@ def _eliminate(
 # Gaussian ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnsatzReport:
+class AnsatzReport(NamedTuple):
     """Outcome of the Gaussian ansatz solve: a witness or an inconsistency."""
 
     solvable: bool
@@ -260,8 +257,7 @@ def gaussian_ansatz_solve(ops: Sequence[LinDiffOp]) -> AnsatzReport:
 # multiplication-operator certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplierCert:
+class MultiplierCert(NamedTuple):
     """A combination sum_j combo[j] op_j that is multiplication by a nonzero polynomial."""
 
     combo: tuple[Coeff, ...]
@@ -499,8 +495,7 @@ def delta_pair(dist: DeltaDist, test: PolyGauss) -> complex:
     return complex(mean) * scale
 
 
-@dataclass(frozen=True)
-class DistributionalCheckReport:
+class DistributionalCheckReport(NamedTuple):
     """Weak-vacuum check: the largest |<dist, adjoint(op) test>| over a test family."""
 
     max_abs: float

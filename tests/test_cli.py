@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import bateman
 import bateman.cli
 import bateman.fock
-from bateman.classical import BatemanParams, _rk4_increment, motion_matrix
+from bateman.classical import BatemanParams, EomResiduals, _rk4_increment, motion_matrix
 from bateman.cli import (
     CHECKS, CSVS, DRIFT_ORDER_STEPS, RUNNERS, Artifacts, build_parser, config_from_args, main,
 )
@@ -129,8 +130,10 @@ def test_squeeze_report_strict_json_past_float_range(tmp_path):
 
 
 def test_report_payloads_refuse_values_json_cannot_hold():
-    # an array or a complex would otherwise reach the report as a lossy string
-    for value in (np.arange(2), 1j, {"sigma": [0.5, np.arange(2)]}):
+    # an array or a complex would otherwise reach the report as a lossy string,
+    # and a record as a positional list that has lost its field names
+    for value in (np.arange(2), 1j, {"sigma": [0.5, np.arange(2)]}, EomResiduals(0.5, 0.25),
+                  {"residuals": [EomResiduals(0.5, 0.25)]}):
         with pytest.raises(TypeError):
             jsonable(value)
     # numpy's float64 is a float
@@ -520,34 +523,67 @@ def test_rk4_increment_is_two_blocks(dt, m, gamma, omega):
     assert len(off_block) == 8 and all(v == 0.0 for v in off_block)
 
 
-@given(subcommand=st.sampled_from(["classical", "hamiltonian"]), **_underdamped_box)
-@settings(max_examples=40, deadline=None)
-def test_accepted_underdamped_configurations_give_sound_reports(subcommand, m, gamma, omega):
-    # every draw is accepted (omega > 0), so each run exits 0 or 1 with a
-    # strict, schema-valid report, or exits 2 with no file; never a warning
-    argv = [subcommand, "--m", str(m), "--gamma", str(gamma), "--omega", str(omega),
-            "--format", "json"]
+def run_accepted(subcommand: str, argv: list[str]) -> tuple[int, dict | None]:
+    """Run an accepted configuration and return its exit code and report: a
+    strict, schema-valid document on exit 0 or 1, None on exit 2, which
+    leaves no file; the run must never warn or print a traceback."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run_cli([*argv, "--out", tmp])
+            code = run_cli([subcommand, *argv, "--format", "json", "--out", tmp])
         assert not caught, [str(w.message) for w in caught]
         assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
         if code == 2:
             assert not any(out.iterdir())
-            return
+            return code, None
         assert code in (0, 1), err.getvalue()
         doc = json.loads(
             (out / f"report_{subcommand}.json").read_text(), parse_constant=_reject_constant
         )
     jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
+    return code, doc
+
+
+def _params_argv(m: Fraction, gamma: Fraction, omega: Fraction) -> list[str]:
+    return ["--m", str(m), "--gamma", str(gamma), "--omega", str(omega)]
+
+
+@given(subcommand=st.sampled_from(["classical", "hamiltonian"]), **_underdamped_box)
+@settings(max_examples=40, deadline=None)
+def test_accepted_underdamped_configurations_give_sound_reports(subcommand, m, gamma, omega):
+    # every draw is accepted (omega > 0), so each run exits 0 or 1 with a
+    # strict, schema-valid report, or exits 2 with no file; never a warning
+    argv = _params_argv(m, gamma, omega)
+    code, doc = run_accepted(subcommand, argv)
+    if doc is None:
+        return
     checks = {c["check"]: c for c in doc["checks"]}
     if subcommand == "classical":
         assert checks["classical-energy-forms"]["status"] == "pass", argv
     else:
         assert checks["hamiltonian-forms-classical"]["payload"]["forms_agree"] is True, argv
+
+
+@given(
+    subcommand=st.sampled_from(["counterexample", "vacuum", "commutators", "squeeze"]),
+    cutoffs=st.lists(st.integers(8, 24), min_size=1, max_size=3, unique=True).map(sorted),
+    theta=st.floats(-math.pi, math.pi),
+    kmax=st.integers(10, 200),
+    **_underdamped_box,
+)
+@settings(max_examples=60, deadline=None)
+def test_parameter_free_areas_pass_on_every_accepted_configuration(
+    subcommand, cutoffs, theta, kmax, m, gamma, omega
+):
+    # no pass/fail check of these areas depends on (m, gamma, omega), and the
+    # drawn sweeps are small, so every draw exits 0 with every check holding
+    argv = [*_params_argv(m, gamma, omega), "--cutoffs", ",".join(map(str, cutoffs)),
+            f"--theta={theta!r}", "--kmax", str(kmax)]
+    code, doc = run_accepted(subcommand, argv)
+    assert code == 0, argv
+    assert doc["config"]["cutoffs"] == cutoffs, argv
 
 
 def test_benchmark_tracer_hooks_still_match(tmp_path):

@@ -133,6 +133,22 @@ def test_numpy_free_commands_leave_numpy_unrun(tmp_path, argv, code):
     assert lines[0] == "False" and lines[-1] == f"{code} False"
 
 
+def test_no_layer_loads_dataclasses_or_inspect(tmp_path):
+    # every record is a NamedTuple (Trajectory a plain class), so no process
+    # pays for importing dataclasses, with inspect, ast, dis and tokenize
+    # behind it, or for the methods it generates per class; the exact layers
+    # are what perfbench's in-process exact-ops jobs import
+    loaded = "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"
+    exact = run_fresh(
+        f"import sys; from bateman import classical, field, operators, vacuum; print({loaded})"
+    )
+    cli = run_fresh(
+        f"import sys; import bateman.cli; print({loaded}); "
+        f"code = bateman.cli.main(['all', '--out', {str(tmp_path)!r}]); print(code, {loaded})"
+    )
+    assert exact == ["[]"] and (cli[0], cli[-1]) == ("[]", "0 []")
+
+
 def test_cli_import_loads_every_traced_layer():
     # perfbench/tracer.py finds each layer of its SPANNED table in sys.modules
     # after ``import bateman.cli``
