@@ -53,8 +53,8 @@ _EXPORTS = {
             "make_pseudo", "op_adjoint", "op_apply", "op_compose",
         ),
         "series": (
-            "GrowthReport", "RaabeReport", "partial_sum_growth", "raabe_test",
-            "squeeze_partial_sums", "squeeze_terms", "term_norm2",
+            "GrowthReport", "RaabeReport", "Step", "partial_sum_growth", "raabe_test",
+            "squeeze_terms",
         ),
         "vacuum": (
             "AnsatzReport", "DeltaDist", "DistributionalCheckReport", "MultiplierCert",
@@ -108,5 +108,4 @@ __all__ = [
     "raabe_test",
     "squeeze_factored_action",
     "squeeze_truncated_norms",
-    "term_norm2",
 ]

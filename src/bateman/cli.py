@@ -7,7 +7,15 @@ vacuum for the pseudo-boson pair; the hyperplane delta works weakly),
 ``hamiltonian`` (the bosonic and pseudo-boson assemblies agree, plus the
 classical consistency checks), ``squeeze`` (exact factored amplitudes, ratio
 test divergence, truncated norm growth), ``classical`` (equations of motion
-and conservation), and ``all``.
+and conservation), and ``all``.  Every subcommand takes the same options,
+from one parent parser.
+
+The ``squeeze`` area reads the series from its one statement,
+``series.SQUEEZE_START`` and ``series.SQUEEZE_STEP``: both series verdicts are
+polynomial certificates for every k, and only ``raabe.csv`` grows with
+``--kmax``.  The truncated commutator table computes its six distinct
+unordered pairs and fills the rest from [Y, X] = -[X, Y] and [X, X] = 0,
+which the truncated matrices keep bit for bit.
 
 Each check is one function, registered with ``@check`` under its area, id
 and claim, in report order.  It reads the run's shared inputs from an
@@ -76,6 +84,9 @@ from .operators import (
     op_adjoint,
     op_apply,
 )
+# No check calls ``radicals``; it stays loaded with every layer for the
+# benchmark's tracer until its last timed function goes (ROADMAP item 11).
+from . import radicals  # noqa: F401
 from .reporting import RunConfig, VerdictReport, write_report
 from .series import (
     SQUEEZE_SUM_EXPONENT,
@@ -84,7 +95,6 @@ from .series import (
     partial_sum_growth,
     raabe_csv,
     raabe_test,
-    squeeze_partial_sums,
     squeeze_terms,
 )
 from .vacuum import (
@@ -101,7 +111,7 @@ GROWTH_CHECKPOINTS = (10**3, 10**4, 10**5)
 # 2e-2/1e-2 the finer drift is 6e-12 for the reference setup, while at
 # 4e-3/2e-3 it can sit at the rounding floor (1.2e-15 at gamma = 1/10).
 DRIFT_ORDER_STEPS = (2e-2, 1e-2)
-_PAIR_NAMES = ("A1", "A2", "B1", "B2")
+_PAIR_NAMES = ("A1", "A2", "B1", "B2")  # sorted, so min/max order a pair as listed
 DRIFT_TOL = 1e-7  # absolute, on the energy drift along the trajectory
 EOM_TOL = 1e-4  # absolute, on the equation-of-motion residuals
 
@@ -179,7 +189,7 @@ class Artifacts:
 
     @cached_property
     def raabe(self) -> RaabeReport:
-        return raabe_test(squeeze_terms(0, self.cfg.kmax + 1))
+        return raabe_test(self.cfg.kmax)
 
     @cached_property
     def squeeze_norms(self) -> SqueezeReport:
@@ -392,10 +402,15 @@ def bosonic_commutator_table(art: Artifacts):
        "truncated Fock space below tolerance")
 def pseudo_commutator_fock_residuals(art: Artifacts):
     cutoff = 12
+    # [Y, X] = -[X, Y] and [X, X] = 0 hold for the truncated matrices too, bit
+    # for bit, so only the six distinct unordered pairs are computed
+    distinct = {
+        (left, right): commutator_residual(left, right, cutoff, _expected_commutator(left, right))
+        for i, left in enumerate(_PAIR_NAMES)
+        for right in _PAIR_NAMES[i + 1:]
+    }
     residuals = {
-        f"[{left},{right}]": commutator_residual(
-            left, right, cutoff, _expected_commutator(left, right)
-        )
+        f"[{left},{right}]": 0.0 if left == right else distinct[min(left, right), max(left, right)]
         for left, right in product(_PAIR_NAMES, repeat=2)
     }
     worst = max(residuals.values())
@@ -454,7 +469,7 @@ def squeeze_factored_amplitudes(art: Artifacts):
     # the Fock iteration and the series terms are derived apart; they meet here
     kmax = min(art.cfg.kmax, 50)
     signed_squares = squeeze_factored_action(kmax)
-    terms = art.raabe.terms
+    terms = squeeze_terms(0, kmax)
     ok = all(
         SQRT2 * abs(q) == terms[k] and (-1) ** k * q > 0 for k, q in enumerate(signed_squares)
     )
@@ -479,8 +494,8 @@ def squeeze_series_ratio_test(art: Artifacts):
        "positive power of the truncation point and exceed 100 within "
        "the computed range")
 def squeeze_series_partial_sums(art: Artifacts):
-    growth = partial_sum_growth(GROWTH_CHECKPOINTS, squeeze_partial_sums(GROWTH_CHECKPOINTS))
-    exceeds = growth.partial_sums[1] > Coeff(100)
+    growth = partial_sum_growth(GROWTH_CHECKPOINTS)
+    exceeds = growth.exceeds(GROWTH_CHECKPOINTS[1], 100)
     return growth.bounds_hold and exceeds, {
         "checkpoints": list(growth.checkpoints),
         "partial_sums": [float(s) for s in growth.partial_sums],
@@ -694,6 +709,47 @@ def _cutoff_list(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one option table, shared by every subcommand as its parent
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--m", type=_fraction, default=Fraction(1), help="mass (exact rational)")
+    shared.add_argument(
+        "--gamma", type=_fraction, default=Fraction(1, 5), help="friction (exact rational)"
+    )
+    shared.add_argument(
+        "--k-spring",
+        type=_fraction,
+        default=None,
+        help="spring constant (exact rational), used by every layer; "
+        "must agree with --omega when both are given",
+    )
+    shared.add_argument(
+        "--omega",
+        type=_fraction,
+        default=None,
+        help="rotated-mode frequency (exact rational, default 1 unless --k-spring is given)",
+    )
+    shared.add_argument(
+        "--theta",
+        type=_finite_float,
+        default=DEFAULT_THETA,
+        help="squeeze exponent parameter (default 7*pi/8)",
+    )
+    shared.add_argument(
+        "--cutoffs",
+        type=_cutoff_list,
+        default=None,
+        help="comma-separated increasing cutoffs for the sweeps",
+    )
+    shared.add_argument("--kmax", type=int, default=1000, help="ratio-test depth")
+    shared.add_argument("--tol", type=_positive_float, default=1e-10, help="residual tolerance")
+    shared.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    shared.add_argument(
+        "--format",
+        dest="fmt",
+        choices=("json", "csv", "both"),
+        default="both",
+        help="report format(s) to write",
+    )
     parser = argparse.ArgumentParser(
         prog="bateman",
         description="Rerun the mechanized damped-oscillator checks and emit reports.",
@@ -708,46 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("classical", "equations of motion, energy forms, conservation"),
         ("all", "every check"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--m", type=_fraction, default=Fraction(1), help="mass (exact rational)")
-        p.add_argument(
-            "--gamma", type=_fraction, default=Fraction(1, 5), help="friction (exact rational)"
-        )
-        p.add_argument(
-            "--k-spring",
-            type=_fraction,
-            default=None,
-            help="spring constant (exact rational), used by every layer; "
-            "must agree with --omega when both are given",
-        )
-        p.add_argument(
-            "--omega",
-            type=_fraction,
-            default=None,
-            help="rotated-mode frequency (exact rational, default 1 unless --k-spring is given)",
-        )
-        p.add_argument(
-            "--theta",
-            type=_finite_float,
-            default=DEFAULT_THETA,
-            help="squeeze exponent parameter (default 7*pi/8)",
-        )
-        p.add_argument(
-            "--cutoffs",
-            type=_cutoff_list,
-            default=None,
-            help="comma-separated increasing cutoffs for the sweeps",
-        )
-        p.add_argument("--kmax", type=int, default=1000, help="ratio-test depth")
-        p.add_argument("--tol", type=_positive_float, default=1e-10, help="residual tolerance")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("json", "csv", "both"),
-            default="both",
-            help="report format(s) to write",
-        )
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

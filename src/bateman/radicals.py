@@ -1,10 +1,10 @@
 """Prime-exponent arithmetic for exact closed forms with factorials.
 
 ``prime_sieve`` and ``factorial_exponent`` (Legendre's formula) give the
-prime powers of n!, from which ``series`` builds the central binomials C(2K, K)
-of its closed-form partial sums.  ``factorial_sqrt`` writes n! = s^2 rad with
-rad squarefree, so sqrt(n!) = s sqrt(rad) exactly; it has no caller in the
-package, and it stays because ``perfbench/tracer.py`` times it by name.
+prime powers of n!.  ``factorial_sqrt`` writes n! = s^2 rad with rad
+squarefree, so sqrt(n!) = s sqrt(rad) exactly.  Nothing in the package calls
+this module; it stays because ``perfbench/tracer.py`` times
+``factorial_sqrt`` by name, and ``cli`` imports it so that it is loaded.
 """
 
 from __future__ import annotations

@@ -43,9 +43,7 @@ from bateman.operators import (
 from bateman.series import (
     partial_sum_growth,
     raabe_test,
-    squeeze_partial_sums,
     squeeze_terms,
-    term_norm2,
 )
 from bateman.vacuum import (
     DeltaDist,
@@ -141,18 +139,18 @@ def test_criterion_4_hamiltonian_equivalence():
 @criterion("5 squared-norm series: exact ratios, divergence verdict, growth")
 def test_criterion_5_series():
     start = time.monotonic()
-    report = raabe_test(squeeze_terms(0, 1001))
+    report = raabe_test(1000)
+    terms = squeeze_terms(0, 1001)
     for k in range(1, 1001):
         assert report.ratio(k) == Coeff(Fraction(k, 2 * k + 1))
+        assert terms[k] * (2 * k + 1) == terms[k + 1] * (2 * k + 2)
     assert report.verdict == "divergent"
-    assert term_norm2(0) == SQRT2
-    assert term_norm2(1) == Coeff(0, Fraction(1, 2))
-    assert term_norm2(2) == Coeff(0, Fraction(3, 8))
+    assert terms[:3] == [SQRT2, Coeff(0, Fraction(1, 2)), Coeff(0, Fraction(3, 8))]
     checkpoints = [10**3, 10**4, 10**5]
-    growth = partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints))
-    # exactly sqrt2 (2K+1) / (2 sqrt K) <= S_K <= sqrt2 (2K+1) / sqrt(3K+1)
+    growth = partial_sum_growth(checkpoints)
+    # for every K: sqrt2 (2K+1) / (2 sqrt K) <= S_K <= sqrt2 (2K+1) / sqrt(3K+1)
     assert growth.bounds_hold
-    assert growth.partial_sums[1] > Coeff(100)  # exact comparison
+    assert growth.exceeds(10**4, 100)  # exact comparison
     assert time.monotonic() - start < 30.0
 
 

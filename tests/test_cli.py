@@ -178,15 +178,16 @@ def test_kmax_zero_rejected(tmp_path, capsys):
 def test_error_inside_a_check_is_not_a_configuration_error(tmp_path, capsys, monkeypatch):
     # the configuration was accepted, so a check that raises shows a defect in
     # the program: exit 1, not the exit 2 of a configuration error
-    terms = bateman.cli.squeeze_terms
+    # a series whose start is zero: the growth certificate refuses it
+    growth = bateman.cli.partial_sum_growth
     monkeypatch.setattr(
         bateman.cli,
-        "squeeze_terms",
-        lambda first, last: [t * 0 if k == 7 else t for k, t in enumerate(terms(first, last), first)],
+        "partial_sum_growth",
+        lambda checkpoints: growth(checkpoints, start=bateman.series.SQUEEZE_START * 0),
     )
     assert run_cli(["squeeze", "--kmax", "10", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "term k=7 is not positive" in err
+    assert "internal error: the start a_0 is not positive" in err
     assert "configuration error" not in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
@@ -263,6 +264,55 @@ def test_parser_defaults():
     assert cfg.kmax == 1000
     assert cfg.fmt == "both"
     assert abs(cfg.theta - 7 * 3.141592653589793 / 8) < 1e-12
+
+
+SUBCOMMANDS = ("counterexample", "vacuum", "commutators", "hamiltonian", "squeeze", "classical",
+               "all")
+# the options block every subcommand's -h printed with one option table per
+# subparser, at 80 columns
+OPTIONS_HELP = """options:
+  -h, --help            show this help message and exit
+  --m M                 mass (exact rational)
+  --gamma GAMMA         friction (exact rational)
+  --k-spring K_SPRING   spring constant (exact rational), used by every layer;
+                        must agree with --omega when both are given
+  --omega OMEGA         rotated-mode frequency (exact rational, default 1
+                        unless --k-spring is given)
+  --theta THETA         squeeze exponent parameter (default 7*pi/8)
+  --cutoffs CUTOFFS     comma-separated increasing cutoffs for the sweeps
+  --kmax KMAX           ratio-test depth
+  --tol TOL             residual tolerance
+  --out OUT             output directory
+  --format {json,csv,both}
+                        report format(s) to write
+"""
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_shared_option_table_keeps_help_and_namespace(subcommand, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    subparser = parser._subparsers._group_actions[0].choices[subcommand]
+    usage, options = subparser.format_help().split("\n\n")
+    assert " ".join(usage.split()) == (
+        f"usage: bateman {subcommand} [-h] [--m M] [--gamma GAMMA] [--k-spring K_SPRING] "
+        "[--omega OMEGA] [--theta THETA] [--cutoffs CUTOFFS] [--kmax KMAX] [--tol TOL] "
+        "[--out OUT] [--format {json,csv,both}]"
+    )
+    assert options == OPTIONS_HELP
+    args = parser.parse_args([subcommand, "--m", "3/2", "--gamma", "1/10", "--omega", "2",
+                              "--theta", "0.5", "--cutoffs", "8,16", "--kmax", "200",
+                              "--tol", "1e-9", "--out", "o", "--format", "json"])
+    assert list(vars(args).items()) == [
+        ("subcommand", subcommand), ("m", Fraction(3, 2)), ("gamma", Fraction(1, 10)),
+        ("k_spring", None), ("omega", Fraction(2)), ("theta", 0.5), ("cutoffs", (8, 16)),
+        ("kmax", 200), ("tol", 1e-9), ("out", Path("o")), ("fmt", "json"),
+    ]
+    assert list(vars(parser.parse_args([subcommand])).items()) == [
+        ("subcommand", subcommand), ("m", Fraction(1)), ("gamma", Fraction(1, 5)),
+        ("k_spring", None), ("omega", None), ("theta", 7 * math.pi / 8), ("cutoffs", None),
+        ("kmax", 1000), ("tol", 1e-10), ("out", Path(".")), ("fmt", "both"),
+    ]
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -154,6 +155,28 @@ def test_ladder_commutator_interior_exact():
 def test_pseudo_commutators_at_cutoff():
     assert commutator_residual("A1", "B1", 12, 1) < 1e-10
     assert commutator_residual("A1", "B2", 12, 0) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", (8, 12, 20))
+def test_commutator_residual_is_antisymmetric_bit_for_bit(cutoff):
+    # the CLI's residual table computes each unordered pair once and fills
+    # [Y, X] and [X, X] from these identities; a pair whose commutator is
+    # not a scalar on the interior is refused in both orders
+    def residual(left, right, expected):
+        try:
+            return commutator_residual(left, right, cutoff, expected)
+        except ValueError:
+            return None
+
+    computed = 0
+    for left, right in itertools.product(LADDER_WEIGHTS, repeat=2):
+        for c in (0, 1, -1):
+            forward = residual(left, right, c)
+            assert residual(right, left, -c) == forward, (left, right, c)
+            computed += forward is not None
+        if left == right:
+            assert residual(left, left, 0) == 0.0, left
+    assert computed > 3 * len(LADDER_WEIGHTS)
 
 
 def test_interior_bound_validated():

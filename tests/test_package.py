@@ -31,8 +31,8 @@ REEXPORTS = {
         "make_pseudo", "op_adjoint", "op_apply", "op_compose",
     ),
     "series": (
-        "GrowthReport", "RaabeReport", "partial_sum_growth", "raabe_test",
-        "squeeze_partial_sums", "squeeze_terms", "term_norm2",
+        "GrowthReport", "RaabeReport", "Step", "partial_sum_growth", "raabe_test",
+        "squeeze_terms",
     ),
     "vacuum": (
         "AnsatzReport", "DeltaDist", "DistributionalCheckReport", "MultiplierCert",
@@ -48,7 +48,7 @@ ALL = [
     "hamiltonian_equiv_residual", "integrate_eom", "joint_null_experiment", "make_ladder",
     "make_pseudo", "multiplier_reduction", "op_adjoint", "op_apply", "op_compose",
     "partial_sum_growth", "raabe_test", "squeeze_factored_action",
-    "squeeze_truncated_norms", "term_norm2",
+    "squeeze_truncated_norms",
 ]
 
 

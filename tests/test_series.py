@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import subprocess
@@ -11,27 +10,15 @@ import pytest
 import sympy
 
 from bateman.field import Coeff, I_UNIT, SQRT2
-from bateman.radicals import prime_sieve, primes_up_to
 from bateman.series import (
     RAABE_KMAX_LIMIT,
-    _central_binomial,
+    SQUEEZE_STEP,
+    Step,
     partial_sum_growth,
     raabe_csv,
     raabe_test,
-    squeeze_partial_sums,
     squeeze_terms,
-    term_norm2,
 )
-
-
-def from_one(term):
-    """The terms a_0 .. a_{kmax+1}, as ``raabe_test`` takes them, of a control
-    sequence defined from k = 1: a_1 stands in for a_0, which no ratio reads."""
-    return lambda kmax: [term(max(k, 1)) for k in range(kmax + 2)]
-
-
-def inverse_power(power: int):
-    return lambda k: Coeff(Fraction(1, k**power))
 
 
 def naive_partial_sums(term, checkpoints, k_start=1):
@@ -48,27 +35,33 @@ def naive_partial_sums(term, checkpoints, k_start=1):
     return sums
 
 
-def paper_terms(kmax):
-    return squeeze_terms(0, kmax + 1)
+def inverse_power(power: int):
+    return lambda k: Coeff(Fraction(1, k**power))
 
 
-def constant(k):
-    return Coeff(1)
+def comb_term(k):
+    return Coeff(0, Fraction(math.comb(2 * k, k), 4**k))
 
+
+# Steps a_(k+1)/a_k of control series a_k, k >= 0, as (num, den) coefficients
+# with the constant term first; a series from k = 1 is shifted to start at 0.
+INVERSE_SQUARES = Step((1, 2, 1), (4, 4, 1))  # a_k = 1/(k+1)^2
+HARMONIC = Step((1, 1), (2, 1))  # a_k = 1/(k+1)
+CONSTANT = Step((1,), (1,))
 
 # ten standard control sequences for the verdict-soundness sweep:
-# (label, terms a_0 .. a_{kmax+1} as a function of kmax, expected verdict)
+# (label, step, expected verdict)
 CONTROLS = [
-    ("squeeze-action squared norms", paper_terms, "divergent"),
-    ("inverse squares", from_one(inverse_power(2)), "convergent"),
-    ("inverse cubes", from_one(inverse_power(3)), "convergent"),
-    ("telescoping", from_one(lambda k: Coeff(Fraction(1, k * (k + 1)))), "convergent"),
-    ("geometric", from_one(lambda k: Coeff(Fraction(1, 2**k))), "convergent"),
-    ("k times (3/4)^k", from_one(lambda k: Coeff(k * Fraction(3, 4) ** k)), "convergent"),
-    ("constant", from_one(constant), "divergent"),
-    ("linear", from_one(lambda k: Coeff(k)), "divergent"),
-    ("harmonic", from_one(inverse_power(1)), "inconclusive"),
-    ("shifted harmonic", from_one(lambda k: Coeff(Fraction(1, k + 5))), "inconclusive"),
+    ("squeeze-action squared norms", SQUEEZE_STEP, "divergent"),
+    ("inverse squares", INVERSE_SQUARES, "convergent"),
+    ("inverse cubes", Step((1, 3, 3, 1), (8, 12, 6, 1)), "convergent"),
+    ("telescoping 1/((k+1)(k+2))", Step((1, 1), (3, 1)), "convergent"),
+    ("geometric", Step((1,), (2,)), "convergent"),
+    ("(k+1) (3/4)^k", Step((6, 3), (4, 4)), "convergent"),
+    ("constant", CONSTANT, "divergent"),
+    ("linear", Step((2, 1), (1, 1)), "divergent"),
+    ("harmonic", HARMONIC, "inconclusive"),
+    ("shifted harmonic", Step((6, 1), (7, 1)), "inconclusive"),
 ]
 
 
@@ -77,88 +70,73 @@ CONTROLS = [
 # ---------------------------------------------------------------------------
 
 def test_first_three_squared_terms():
-    assert term_norm2(0) == SQRT2
-    assert term_norm2(1) == Coeff(0, Fraction(1, 2))
-    assert term_norm2(2) == Coeff(0, Fraction(3, 8))
+    assert squeeze_terms(0, 2) == [SQRT2, Coeff(0, Fraction(1, 2)), Coeff(0, Fraction(3, 8))]
 
 
 def test_term_rejects_negative_index():
     with pytest.raises(ValueError):
-        term_norm2(-1)
+        squeeze_terms(-1, 5)
 
 
 def test_recurrence_matches_factorial_closed_form():
-    # independent oracle: a_{k+1} = a_k (2k+1)/(2k+2), seeded at sqrt2
-    value = SQRT2
-    for k in range(500):
-        assert term_norm2(k) == value
-        value = value * Fraction(2 * k + 1, 2 * k + 2)
+    # independent oracle: sqrt2 (2k)! / (k!^2 4^k)
+    for k, a in enumerate(squeeze_terms(0, 499)):
+        assert a == Coeff(0, Fraction(math.factorial(2 * k), math.factorial(k) ** 2 * 4**k)), k
 
 
 def test_fast_partial_sums_match_naive_summation():
-    checkpoints = [0, 1, 5, 60, 300, 1000]
-    fast = squeeze_partial_sums(checkpoints)
-    assert fast == naive_partial_sums(term_norm2, checkpoints, k_start=0)
-
-
-def test_central_binomial_matches_math_comb():
-    sieve = prime_sieve(2 * 10**5)
-    assert list(itertools.compress(range(len(sieve)), sieve))[:10] == primes_up_to(30)
-    for k in [*range(301), 10**4, 10**5]:
-        assert _central_binomial(k, sieve) == math.comb(2 * k, k), k
-
-
-def test_partial_sums_to_1e5_hold_no_list_of_primes():
-    # the primes up to 2 * 10^5 stream from one sieve and their powers
-    # through a binary counter; a list of the ~18 000 primes or of their
-    # powers alone would take about 0.6 MB
-    checkpoints = [10**3, 10**4, 10**5]
-    squeeze_partial_sums(checkpoints)
-    tracemalloc.start()
-    try:
-        squeeze_partial_sums(checkpoints)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 600_000, peak
+    # the reported partial sums against exact summation of every term
+    checkpoints = [1, 5, 60, 300, 1000]
+    report = partial_sum_growth(checkpoints)
+    exact = naive_partial_sums(comb_term, checkpoints, k_start=0)
+    for k, fast, s in zip(checkpoints, report.partial_sums, exact):
+        assert math.isclose(fast, float(s), rel_tol=1e-12), k
 
 
 def test_fast_partial_sums_match_comb_closed_form_at_1e5():
+    # math.lgamma loses about 1e-10 relative at 10^5 (its values near 10^6
+    # carry an absolute error of an ulp)
     k = 10**5
-    (fast,) = squeeze_partial_sums([k])
-    assert fast == Coeff(0, Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k))
+    (fast,) = partial_sum_growth([k]).partial_sums
+    exact = float(Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k) * Fraction(math.sqrt(2)))
+    assert math.isclose(fast, exact, rel_tol=1e-9)
 
 
 def test_series_values_match_fraction_construction():
     # oracle: the Fraction construction, reduced by a gcd
-    ks = [*range(301), 10**3, 10**4, 10**5]
-    sums = squeeze_partial_sums(ks)
+    ks = [*range(1, 301), 10**3, 10**4]
+    for k, a in enumerate(squeeze_terms(0, 300)):
+        assert a == comb_term(k), k
+    sums = partial_sum_growth(ks).partial_sums
     for k, s_k in zip(ks, sums):
         c = math.comb(2 * k, k)
-        assert term_norm2(k) == Coeff(0, Fraction(c, 4**k)), k
-        assert s_k == Coeff(0, Fraction((2 * k + 1) * c, 4**k)), k
-        # Kummer: 2 divides C(2k, k) exactly popcount(k) times
-        assert s_k._n == 1 << (2 * k - bin(k).count("1")), k
-
-
-def _comb_terms(first, last):
-    return [Coeff(0, Fraction(math.comb(2 * k, k), 4**k)) for k in range(first, last + 1)]
+        exact = float(Fraction((2 * k + 1) * c, 4**k) * Fraction(math.sqrt(2)))
+        assert math.isclose(s_k, exact, rel_tol=1e-10), k
 
 
 def test_stepped_terms_match_math_comb():
-    # the integer step C(2k+2, k+1) = C(2k, k) 2(2k+1)/(k+1) against math.comb,
-    # from k = 0 and from later starts, in both orders of the calls
-    assert squeeze_terms(0, 1001) == _comb_terms(0, 1001)
-    assert squeeze_terms(37, 140) == _comb_terms(37, 140)
-    assert squeeze_terms(500, 500) == _comb_terms(500, 500)
-    assert squeeze_terms(0, 1001) == _comb_terms(0, 1001)
+    # the step from the start against math.comb, from k = 0 and from later
+    # starts, in both orders of the calls
+    assert squeeze_terms(0, 1001) == [comb_term(k) for k in range(1002)]
+    assert squeeze_terms(37, 140) == [comb_term(k) for k in range(37, 141)]
+    assert squeeze_terms(500, 500) == [comb_term(500)]
+    assert squeeze_terms(0, 1001) == [comb_term(k) for k in range(1002)]
     assert squeeze_terms(3, 2) == []
     with pytest.raises(ValueError):
         squeeze_terms(-1, 5)
 
 
-def test_raabe_terms_match_math_comb():
-    assert list(raabe_test(paper_terms(1000)).terms) == _comb_terms(0, 1001)
+def test_raabe_at_kmax_1e4_stays_far_below_the_exact_term_list():
+    # the exact terms a_0 .. a_(10^4 + 1) this test and its CSV once held
+    # peaked at 28.1 MB; the float rows alone measured 1.8 MB
+    raabe_csv(raabe_test(10**4))
+    tracemalloc.start()
+    try:
+        raabe_csv(raabe_test(10**4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +144,32 @@ def test_raabe_terms_match_math_comb():
 # ---------------------------------------------------------------------------
 
 def test_paper_series_ratios_exact():
-    report = raabe_test(paper_terms(1000))
+    report = raabe_test(1000)
+    terms = squeeze_terms(0, 1001)
     for k in range(1, 1001):
         assert report.ratio(k) == Coeff(Fraction(k, 2 * k + 1))
+        assert report.ratio(k) == Coeff(k) * (terms[k] / terms[k + 1] - 1)
     assert report.verdict == "divergent"
 
 
 def test_inverse_square_ratios_exact():
-    # a convergent series fails the squeeze identity, so its ratios are
-    # divided out of its own terms and the verdict is inconclusive
-    report = raabe_test(from_one(inverse_power(2))(100))
+    # a convergent series fails the certificate, and its ratios are its own
+    report = raabe_test(100, INVERSE_SQUARES)
     for k in (1, 10, 100):
-        assert report.ratio(k) == Coeff(Fraction(2 * k + 1, k))
+        assert report.ratio(k) == Coeff(Fraction(k * (2 * k + 3), (k + 1) ** 2))
     assert report.verdict == "inconclusive"
 
 
 def test_harmonic_is_inconclusive_without_fallback():
-    report = raabe_test(from_one(inverse_power(1))(100))
-    assert all(report.ratio(k) == Coeff(1) for k in range(1, 101))
+    # rho_k = k/(k+1) < 1 for every k, yet above the 1/2 margin from k = 2 on
+    report = raabe_test(100, HARMONIC)
+    assert all(report.ratio(k) == Coeff(Fraction(k, k + 1)) for k in range(1, 101))
     assert report.verdict == "inconclusive"
 
 
 def test_verdict_soundness_across_controls():
-    for label, terms, expected in CONTROLS:
-        report = raabe_test(terms(200))
+    for label, step, expected in CONTROLS:
+        report = raabe_test(200, step)
         if expected == "divergent":
             assert report.verdict != "convergent", label
         elif expected == "convergent":
@@ -198,44 +178,37 @@ def test_verdict_soundness_across_controls():
             assert report.verdict == "inconclusive", label
 
 
-def mutated_squeeze_terms(first, last):
-    """``squeeze_terms`` with its step divided by k+2 in place of k+1."""
-    central = math.comb(2 * first, first)
-    out = []
-    for k in range(first, last + 1):
-        out.append(Coeff.from_integers(0, central, denominator=1 << (2 * k)))
-        central = central * 2 * (2 * k + 1) // (k + 2)
-    return out
-
-
 def test_a_wrong_step_makes_the_ratio_test_inconclusive():
-    report = raabe_test(mutated_squeeze_terms(0, 201))
-    assert report.verdict == "inconclusive"
-    # its ratios are the terms' own, never the squeeze series' k/(2k+1)
-    for k in (1, 2, 100, 200):
-        assert report.ratio(k) != Coeff(Fraction(k, 2 * k + 1)), k
-    # one wrong term is enough, and the ratios either side of it are its own
-    terms = paper_terms(200)
-    terms[150] = terms[150] * Fraction(3, 2)
-    report = raabe_test(terms)
-    assert report.verdict == "inconclusive"
-    assert report.ratio(149) == Coeff(149 * (Fraction(300, 299) * Fraction(2, 3) - 1))
-    assert report.ratio(150) == Coeff(150 * (Fraction(302, 301) * Fraction(3, 2) - 1))
+    # the denominator 2k+2 read as 2k+4, and the convergent control (k+1)/(k+3)
+    for step in (Step((1, 2), (4, 2)), Step((1, 1), (3, 1))):
+        report = raabe_test(200, step)
+        assert report.verdict == "inconclusive", step
+        # its ratios are the step's own, never the squeeze series' k/(2k+1)
+        for k in (1, 2, 100, 200):
+            assert report.ratio(k) != Coeff(Fraction(k, 2 * k + 1)), k
+    assert raabe_test(200, Step((1, 2), (4, 2))).ratio(100) == Coeff(Fraction(300, 201))
 
 
 def test_raabe_rejects_bad_input():
     with pytest.raises(ValueError):
-        raabe_test(paper_terms(5))
-    zeros = from_one(lambda k: Coeff(Fraction(max(0, 3 - k))))
-    with pytest.raises(ValueError, match="k=3 is not positive"):
-        raabe_test(zeros(50))
+        raabe_test(5)
+    with pytest.raises(ValueError, match=str(RAABE_KMAX_LIMIT)):
+        raabe_test(RAABE_KMAX_LIMIT + 1)
+    # a_4 = 0 for the step 3 - k; steps with a zero or negative coefficient
+    # are refused, since their terms are not certified positive
+    for step in (Step((3, -1), (1,)), Step((0, 1), (1, 1)), Step((1, 1), (0, 1))):
+        with pytest.raises(ValueError, match="non-negative coefficients"):
+            raabe_test(50, step)
+    for start in (Coeff(0), -SQRT2):
+        with pytest.raises(ValueError, match="start a_0 is not positive"):
+            raabe_test(50, start=start)
 
 
 def test_raabe_rejects_a_non_real_term():
-    terms = paper_terms(20)
-    terms[7] = terms[7] * I_UNIT
     with pytest.raises(ValueError, match="non-real"):
-        raabe_test(terms)
+        raabe_test(20, start=SQRT2 * I_UNIT)
+    with pytest.raises(ValueError, match="non-real"):
+        partial_sum_growth([10], start=SQRT2 * I_UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -244,100 +217,98 @@ def test_raabe_rejects_a_non_real_term():
 
 def test_paper_partial_sums_growth():
     checkpoints = [10**3, 10**4]
-    report = partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints))
+    report = partial_sum_growth(checkpoints)
     assert report.bounds_hold
-    # strictly increasing and exactly exceeding 100 within range
     assert report.partial_sums[0] < report.partial_sums[1]
-    assert report.partial_sums[1] > Coeff(100)
-    assert math.isclose(
-        float(report.partial_sums[0]), 50.4815711750, rel_tol=1e-9
-    )
+    # S_K^2 > 2K, so S_(10^4) > 100 exactly, and not S_(10^4) > 142
+    assert report.exceeds(10**4, 100)
+    assert not report.exceeds(10**4, 142)
+    assert math.isclose(report.partial_sums[0], 50.4815711750, rel_tol=1e-9)
 
 
 def test_bounds_hold_at_every_k_to_2000():
-    checkpoints = range(1, 2001)
-    assert partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints)).bounds_hold
-    # S_1^2 = 9/2, so 4K S_K^2 = (3K+1) S_K^2 = 2 (2K+1)^2 = 18 at K = 1: both
-    # bounds are equalities there, which pins their non-strict comparisons
-    (s_1,) = squeeze_partial_sums([1])
-    assert s_1 * s_1 == Coeff(Fraction(9, 2))
+    # the certificate holds for every K; check its bounds at each K <= 2000
+    # against exact running sums of the terms
+    assert partial_sum_growth([1]).bounds_hold
+    acc = Coeff(0)
+    for k, a in enumerate(squeeze_terms(0, 2000)):
+        acc = acc + a
+        if k:
+            q = acc * acc
+            assert q * (4 * k) >= 2 * (2 * k + 1) ** 2 >= q * (3 * k + 1), k
+            assert acc == a * (2 * k + 1), k  # the closed form S_K = (2K+1) a_K
+        if k == 1:
+            # S_1^2 = 9/2: both bounds are equalities, which pins their
+            # non-strict comparisons
+            assert acc * acc == Coeff(Fraction(9, 2))
 
 
 def test_bound_induction_steps_expand_to_k():
-    # c_{K+1} = c_K (2K+1)/(2K+2) carries each bound on c_K^2 = (C(2K,K)/4^K)^2
-    # from K to K+1 because these differences are nonnegative
+    # independent oracle: sympy expands both margins of the squeeze step
     k = sympy.symbols("K")
-    assert sympy.expand((2 * k + 1) ** 2 * (k + 1) - 4 * k * (k + 1) ** 2) == k + 1
-    assert sympy.expand((2 * k + 2) ** 2 * (3 * k + 1) - (2 * k + 1) ** 2 * (3 * k + 4)) == k
+    num, den = (sum(c * k**i for i, c in enumerate(p)) for p in SQUEEZE_STEP)
+    lower, upper = num**2 * (k + 1) - k * den**2, den**2 * (3 * k + 1) - num**2 * (3 * k + 4)
+    assert sympy.expand(lower) == k + 1
+    assert sympy.expand(upper) == k
+    assert sympy.expand((2 * k + 2) * num - (2 * k + 1) * den) == 0  # telescoping
+    assert partial_sum_growth([1]).margins == ((1, 1), (0, 1))
 
 
 def test_mutated_partial_sums_break_the_bounds():
-    checkpoints = [1, 10, 10**3, 10**4]
-    combs = [math.comb(2 * k, k) for k in checkpoints]
-    without_odd_factor = [
-        Coeff.from_integers(0, c, denominator=1 << (2 * k)) for k, c in zip(checkpoints, combs)
-    ]
-    one_bit_short = [
-        Coeff.from_integers(0, (2 * k + 1) * c, denominator=1 << (2 * k - 1))
-        for k, c in zip(checkpoints, combs)
-    ]
-    for sums in (without_odd_factor, one_bit_short):
-        assert not partial_sum_growth(checkpoints, sums).bounds_hold
-        for k, s in zip(checkpoints, sums):
-            assert not partial_sum_growth([k], [s]).bounds_hold, k
+    # the start doubled breaks the base case, a step 2k+1 over 2k+4 the
+    # telescoping, and the step 1/2 the lower margin
+    for step, start in ((SQUEEZE_STEP, SQRT2 * 2), (Step((1, 2), (4, 2)), SQRT2),
+                        (Step((1,), (2,)), SQRT2)):
+        report = partial_sum_growth([1, 10, 10**3, 10**4], step, start)
+        assert not report.bounds_hold
+        assert report.partial_sums == ()
+        assert not report.exceeds(10**4, 100)
+    assert partial_sum_growth([1], Step((1,), (2,))).margins == ((1, -3), (0, 9))
 
 
 def test_convergent_control_fails_the_bounds():
     checkpoints = [128, 512, 2048]
-    report = partial_sum_growth(checkpoints, naive_partial_sums(inverse_power(2), checkpoints))
+    report = partial_sum_growth(checkpoints, INVERSE_SQUARES, Coeff(1))
     assert not report.bounds_hold
-    assert abs(float(report.partial_sums[-1]) - math.pi**2 / 6) < 1e-3
+    assert not all(min(m) >= 0 for m in report.margins)
+    sums = naive_partial_sums(inverse_power(2), checkpoints)
+    assert abs(float(sums[-1]) - math.pi**2 / 6) < 1e-3
 
 
 def test_constant_series_linear_growth():
-    # S_K = K grows too fast for the K^(1/2) bounds
-    checkpoints = [100, 1000]
-    report = partial_sum_growth(checkpoints, naive_partial_sums(constant, checkpoints))
-    assert report.partial_sums == (Coeff(100), Coeff(1000))
+    # S_K = K + 1 grows too fast for the K^(1/2) bounds: the upper margin
+    # 3K + 1 - (3K + 4) is negative
+    report = partial_sum_growth([100, 1000], CONSTANT, Coeff(1))
+    assert report.margins == ((1,), (-3,))
     assert not report.bounds_hold
 
 
 def test_partial_sum_checkpoint_validation():
     with pytest.raises(ValueError):
-        partial_sum_growth([100, 100], squeeze_partial_sums([100, 100]))
+        partial_sum_growth([100, 100])
     with pytest.raises(ValueError):
-        partial_sum_growth([], [])
-    # S_0 of a series from k = 1 is the empty sum
-    with pytest.raises(ValueError, match="S_0 is not positive"):
-        partial_sum_growth([0, 10], naive_partial_sums(inverse_power(2), [0, 10]))
+        partial_sum_growth([])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        partial_sum_growth([10, 5])
 
 
 def test_partial_sum_growth_rejects_a_checkpoint_that_is_not_positive():
-    # S_0 of the squeeze series is sqrt2 > 0, so only the checkpoint rule
-    # keeps log 0 out of the fit
     with pytest.raises(ValueError, match="checkpoint 0 is not positive"):
-        partial_sum_growth([0, 10, 100], squeeze_partial_sums([0, 10, 100]))
+        partial_sum_growth([0, 10, 100])
     with pytest.raises(ValueError, match="checkpoint -5 is not positive"):
-        partial_sum_growth([-5, 10], squeeze_partial_sums([1, 10]))
+        partial_sum_growth([-5, 10])
 
 
-def test_partial_sum_growth_needs_one_positive_sum_per_checkpoint():
-    checkpoints = [10, 100, 1000]
-    sums = squeeze_partial_sums(checkpoints)
-    with pytest.raises(ValueError, match="2 partial sums for 3 checkpoints"):
-        partial_sum_growth(checkpoints, sums[:2])
-    with pytest.raises(ValueError, match="4 partial sums for 3 checkpoints"):
-        partial_sum_growth(checkpoints, [*sums, sums[-1]])
-    for bad in (Coeff(0), -sums[1]):
-        with pytest.raises(ValueError, match="S_100 is not positive"):
-            partial_sum_growth(checkpoints, [sums[0], bad, sums[2]])
-    with pytest.raises(ValueError, match="non-real"):
-        partial_sum_growth(checkpoints, [sums[0], sums[1] * I_UNIT, sums[2]])
+def test_partial_sum_growth_needs_a_positive_series():
+    for start in (Coeff(0), -SQRT2):
+        with pytest.raises(ValueError, match="start a_0 is not positive"):
+            partial_sum_growth([10], start=start)
+    with pytest.raises(ValueError, match="non-negative coefficients"):
+        partial_sum_growth([10], Step((1, -2), (2, 2)))
 
 
 def test_csv_columns():
-    report = raabe_test(paper_terms(20))
-    lines = raabe_csv(report).strip().splitlines()
+    lines = raabe_csv(raabe_test(20)).strip().splitlines()
     assert lines[0] == "k,rho,S_k"
     assert len(lines) == 21
     k, rho, s = lines[1].split(",")
@@ -347,31 +318,36 @@ def test_csv_columns():
 
 
 def test_csv_matches_per_term_construction():
-    # oracle: every a_k rebuilt through the per-term closed form
-    report = raabe_test(paper_terms(1000))
-    lines = ["k,rho,S_k"]
-    acc = 0.0
+    # oracle: every a_k rebuilt from math.comb; rho is correctly rounded either
+    # way, and the stepped float S_k stays within a few ulps of the exact sum
+    rows = raabe_csv(raabe_test(1000)).splitlines()
+    assert rows[0] == "k,rho,S_k"
+    acc = Coeff(0)
     for k in range(1001):
-        acc += float(term_norm2(k))
+        acc = acc + comb_term(k)
         if k >= 1:
-            lines.append(f"{k},{float(report.ratio(k))!r},{acc!r}")
-    assert raabe_csv(report) == "\n".join(lines) + "\n"
+            kk, rho, s_k = rows[k].split(",")
+            assert kk == str(k) and rho == repr(float(Fraction(k, 2 * k + 1)))
+            assert math.isclose(float(s_k), float(acc), rel_tol=1e-14), k
+    assert len(rows) == 1001
 
 
 def test_ratio_test_depth_is_bounded():
-    assert raabe_test(paper_terms(RAABE_KMAX_LIMIT)).verdict == "divergent"
+    report = raabe_test(RAABE_KMAX_LIMIT)
+    assert report.verdict == "divergent"
+    assert report.ratio(RAABE_KMAX_LIMIT) == Coeff(Fraction(10**5, 2 * 10**5 + 1))
     with pytest.raises(ValueError, match=str(RAABE_KMAX_LIMIT)):
-        raabe_test(paper_terms(RAABE_KMAX_LIMIT + 1))
+        raabe_test(RAABE_KMAX_LIMIT + 1)
 
 
 def test_series_layer_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys\n"
-        "from bateman.series import partial_sum_growth, raabe_test, squeeze_partial_sums, squeeze_terms\n"
-        "assert raabe_test(squeeze_terms(0, 1001)).verdict == 'divergent'\n"
-        "checkpoints = (10**3, 10**4, 10**5)\n"
-        "assert partial_sum_growth(checkpoints, squeeze_partial_sums(checkpoints)).bounds_hold\n"
+        "from bateman.series import partial_sum_growth, raabe_csv, raabe_test\n"
+        "assert raabe_test(1000).verdict == 'divergent'\n"
+        "raabe_csv(raabe_test(1000))\n"
+        "assert partial_sum_growth((10**3, 10**4, 10**5)).bounds_hold\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(
