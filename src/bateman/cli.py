@@ -26,21 +26,33 @@ like every record of the package: a process start defines the records
 without generating and compiling methods for each, and without importing
 ``inspect``.
 
-Exit status: 0 when no pass/fail check fails, 1 on any failure or on an
-error raised inside a check, 2 on configuration errors.  Reports are
-byte-deterministic for a fixed configuration.  No subcommand runs numpy's
-code: every check computes in plain Python floats, integers and exact
-arithmetic.
+The CSV tables are formatted in a second process, so that a run uses a
+second CPU where one is free: ``run`` computes every value the tables read,
+forks one writer (``os.fork``, so POSIX only), runs the checks while the
+writer formats, then reads the tables from the writer's pipes and reaps it.
+Every check runs before the first file is opened, and a run that fails
+writes no file.  The ``bateman`` command, installed or as ``python -m
+bateman.cli``, goes through ``command``, which freezes the objects before
+the process exits so that the interpreter's last collection skips them.
+
+Exit status: 0 when no pass/fail check fails, 1 on any failure, on an error
+raised inside a check or on a failed writer, 2 on configuration errors.
+Reports are byte-deterministic for a fixed configuration.  No subcommand
+runs numpy's code: every check computes in plain Python floats, integers and
+exact arithmetic.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
@@ -602,20 +614,31 @@ def classical_envelopes(art: Artifacts):
     return None, payload
 
 
-# The CSVs each area writes, by file name: each writer puts its table, built
-# from the run's artifacts, into an open text file.
-CSVS: dict[str, dict[str, Callable[[Artifacts, TextIO], object]]] = {
+class Table(NamedTuple):
+    """One CSV file: the ``Artifacts`` attribute it shows, the function that
+    writes that value into an open text file, and the cached attributes of
+    the value that the function reads.  The run computes all of them before
+    the writer forks, so that nothing is computed twice."""
+
+    attr: str
+    write: Callable[[Any, TextIO], object]
+    cached: tuple[str, ...] = ()
+
+
+# The CSVs each area writes, by file name.
+CSVS: dict[str, dict[str, Table]] = {
     "vacuum": {
-        "null_experiment_pseudo.csv":
-            lambda art, out: out.write(null_experiment_csv(art.null_sweeps["pseudo"])),
-        "null_experiment_bosonic.csv":
-            lambda art, out: out.write(null_experiment_csv(art.null_sweeps["bosonic"])),
+        "null_experiment_pseudo.csv": Table(
+            "null_sweeps", lambda sweeps, out: out.write(null_experiment_csv(sweeps["pseudo"]))),
+        "null_experiment_bosonic.csv": Table(
+            "null_sweeps", lambda sweeps, out: out.write(null_experiment_csv(sweeps["bosonic"]))),
     },
     "squeeze": {
-        "squeeze_norms.csv": lambda art, out: out.write(squeeze_csv(art.squeeze_norms)),
-        "raabe.csv": lambda art, out: out.write(raabe_csv(art.raabe)),
+        "squeeze_norms.csv": Table(
+            "squeeze_norms", lambda norms, out: out.write(squeeze_csv(norms))),
+        "raabe.csv": Table("raabe", raabe_csv),
     },
-    "classical": {"trajectory.csv": lambda art, out: trajectory_csv(art.trajectory, out)},
+    "classical": {"trajectory.csv": Table("trajectory", trajectory_csv, cached=("energies",))},
 }
 
 
@@ -644,21 +667,85 @@ run_squeeze = RUNNERS["squeeze"]
 run_classical = RUNNERS["classical"]
 
 
+def _fork_writer(tables: list[tuple[Any, Callable[[Any, TextIO], object]]]) -> tuple[int, list[int]]:
+    """Fork the writer: a child that formats every ``(value, write)`` table
+    into memory, only then writes each one to its own pipe, and leaves
+    through ``os._exit``, with no output and no traceback.  Returns its pid
+    and the pipes' read ends, in the order of ``tables``."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pipes = []
+    try:
+        for _ in tables:
+            pipes.append(os.pipe())
+        pid = os.fork()
+    except OSError:
+        for fd in chain.from_iterable(pipes):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for read_end, _ in pipes:
+                os.close(read_end)
+            texts = []
+            for value, write in tables:
+                text = io.StringIO()
+                write(value, text)
+                texts.append(text.getvalue().encode())
+            # a parent that closed its read ends stops this at once (EPIPE)
+            for (_, write_end), data in zip(pipes, texts):
+                with open(write_end, "wb") as pipe:
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    for _, write_end in pipes:
+        os.close(write_end)
+    return pid, [read_end for read_end, _ in pipes]
+
+
+def _read_to_end(fd: int) -> bytes:
+    with open(fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured subcommand, write reports, return the exit code.
-    Every check runs before the first file is opened."""
+
+    The run first computes every input its CSV tables read, then forks one
+    writer process that formats the tables while this process runs the
+    checks; it then reads the tables from the writer and reaps it.  Every
+    check runs, and the writer has finished, before the first file is opened,
+    so a run that fails on the way writes no file.  Without tables (``--format
+    json``, or an area that has none) nothing is forked."""
     art = Artifacts(cfg)
     areas = list(RUNNERS) if cfg.subcommand == "all" else [cfg.subcommand]
-    verdicts = [v for area in areas for v in RUNNERS[area](art)]
+    tables = {} if cfg.fmt == "json" else {
+        fname: table for area in areas for fname, table in CSVS.get(area, {}).items()
+    }
+    inputs = []
+    for table in tables.values():
+        value = getattr(art, table.attr)
+        for name in table.cached:
+            getattr(value, name)
+        inputs.append((value, table.write))
+    pid, reads = _fork_writer(inputs) if inputs else (None, [])
+    try:
+        verdicts = [v for area in areas for v in RUNNERS[area](art)]
+        texts = [_read_to_end(fd) for fd in reads]
+    finally:
+        for fd in reads:
+            os.close(fd)
+        status = 0 if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise ValueError(f"the CSV writer exited with status {status}")
 
     cfg.out.mkdir(parents=True, exist_ok=True)
     if cfg.fmt in ("json", "both"):
         write_report(cfg.out / f"report_{cfg.subcommand}.json", cfg, verdicts)
-    if cfg.fmt in ("csv", "both"):
-        for area in areas:
-            for fname, write in CSVS.get(area, {}).items():
-                with open(cfg.out / fname, "w") as out:
-                    write(art, out)
+    for fname, text in zip(tables, texts):
+        (cfg.out / fname).write_bytes(text)
 
     failures = [v for v in verdicts if v.status == "fail"]
     for v in verdicts:
@@ -792,7 +879,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(cfg)
     except ValueError as exc:
-        # the configuration was accepted, so this is a defect in a check
+        # the configuration was accepted, so this is a defect in a check or
+        # in the CSV writer
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -808,5 +896,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def command() -> None:
+    """The ``bateman`` command, installed or run as ``python -m bateman.cli``:
+    exit with ``main``'s code.  The process is ending, so every object is
+    frozen first, and the interpreter's last collection walks none of them;
+    ``main`` itself freezes nothing for callers that go on running."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    command()

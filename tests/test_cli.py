@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tomllib
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,8 @@ import bateman.cli
 import bateman.fock
 from bateman.classical import BatemanParams, EomResiduals, _rk4_increment, motion_matrix
 from bateman.cli import (
-    CHECKS, CSVS, DRIFT_ORDER_STEPS, RUNNERS, Artifacts, build_parser, config_from_args, main,
+    CHECKS, CSVS, DRIFT_ORDER_STEPS, RUNNERS, Artifacts, Table, build_parser, config_from_args,
+    main,
 )
 from bateman.fock import NULL_CUTOFF_LIMIT, SQUEEZE_CUTOFF_LIMIT
 from bateman.reporting import jsonable
@@ -389,6 +392,107 @@ def test_format_json_writes_no_csv_and_csv_no_report(tmp_path):
     assert {p.name for p in (tmp_path / "json").iterdir()} == {"report_all.json"}
     assert run_cli(["all", "--out", str(tmp_path / "csv"), "--format", "csv", *FAST]) == 0
     assert {p.name for p in (tmp_path / "csv").iterdir()} == CSV_NAMES
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("params", [[], ["--m", "3/2", "--gamma", "2/5", "--omega", "2"]])
+def test_forked_tables_equal_the_in_process_formatting(params, tmp_path):
+    # the writer process formats the same values the checks read
+    argv = ["all", *params, "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    art = Artifacts(config_from_args(build_parser().parse_args(argv)))
+    for tables in CSVS.values():
+        for name, table in tables.items():
+            text = io.StringIO()
+            table.write(getattr(art, table.attr), text)
+            assert (tmp_path / name).read_bytes() == text.getvalue().encode(), name
+    assert_no_child_left()
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def test_no_writer_outlives_a_run(tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    assert run_cli(["squeeze", "--out", str(tmp_path), *FAST]) == 0
+    assert forks == [1] and {p.name for p in tmp_path.iterdir()} == {
+        "report_squeeze.json", "squeeze_norms.csv", "raabe.csv"}
+    assert_no_child_left()
+
+
+def test_no_writer_outlives_a_check_error_after_the_fork(tmp_path, capfd, monkeypatch):
+    # at gamma 1396/10 the trajectory and its energies are finite, so the
+    # writer forks; a classical check then leaves the float range
+    forks = _count_forks(monkeypatch)
+    assert run_cli(["classical", "--gamma", "1396/10", "--out", str(tmp_path)]) == 2
+    err = capfd.readouterr().err
+    assert forks == [1] and "integration error" in err and "Traceback" not in err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    assert_no_child_left()
+
+
+def test_failing_writer_is_an_internal_error(tmp_path, capfd, monkeypatch):
+    def broken(sweeps, out):
+        raise RuntimeError("formatter defect")
+
+    monkeypatch.setitem(CSVS["vacuum"], "null_experiment_pseudo.csv", Table("null_sweeps", broken))
+    assert run_cli(["vacuum", "--cutoffs", "8,12", "--out", str(tmp_path)]) == 1
+    captured = capfd.readouterr()
+    assert "internal error: the CSV writer exited with status 1" in captured.err
+    assert "Traceback" not in captured.err and "formatter defect" not in captured.err
+    assert captured.out == ""
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    assert_no_child_left()
+
+
+def test_each_verdict_line_is_printed_once(tmp_path, capfd):
+    # stdout is flushed before the fork, and the writer never flushes it again
+    print("before the run")
+    assert run_cli(["all", "--out", str(tmp_path), *FAST]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[0] == "before the run"
+    assert sorted(line.split()[-1] for line in lines[1:]) == sorted(c.id for c in CHECKS)
+
+
+def test_format_json_forks_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(["all", "--format", "json", "--out", str(tmp_path / "json"), *FAST]) == 0
+    assert {p.name for p in (tmp_path / "json").iterdir()} == {"report_all.json"}
+    # with tables to write, a failed fork is an OSError: exit 2, no file, and
+    # the pipes opened for the writer are closed again
+    fds = "/proc/self/fd"
+    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    assert run_cli(["vacuum", "--cutoffs", "8,12", "--out", str(tmp_path / "csv")]) == 2
+    assert not (tmp_path / "csv").exists()
+    assert before is None or len(os.listdir(fds)) == before
+
+
+def test_main_freezes_nothing_and_the_command_shares_main(tmp_path):
+    # only the process-ending command freezes the objects; the installed
+    # script and ``python -m bateman.cli`` both go through it
+    frozen = gc.get_freeze_count()
+    assert run_cli(["counterexample", "--out", str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen
+    root = Path(bateman.__file__).resolve().parents[2]
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["bateman"] == "bateman.cli:command"
+    out = tmp_path / "command"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bateman.cli", "counterexample", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("PASS") == 2 and (out / "report_counterexample.json").exists()
 
 
 def test_registry_ids_claims_and_ok_types(tmp_path):

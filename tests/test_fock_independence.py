@@ -17,6 +17,7 @@ or not, on one OS thread and whatever the BLAS thread settings.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -69,12 +70,17 @@ def test_import_check_sees_every_spelling():
     assert imported_modules(source) == {"field", "operators", "radicals", "vacuum", "series"}
 
 
-def run_fresh(code: str, env: dict[str, str] | None = None) -> list[str]:
+def run_fresh(code: str, env: dict[str, str] | None = None, site: bool = True) -> list[str]:
     """The stdout lines of ``code`` run in a fresh interpreter with ``src`` on
-    the path, in ``env`` (default: this process's environment)."""
+    the path, in ``env`` (default: this process's environment).  With ``site``
+    False the interpreter starts without ``site`` (-S), so no ``.pth`` hook of
+    the environment imports anything first; numpy's directory joins the path."""
+    path = [str(SRC.parent)]
+    if not site:
+        path.append(str(Path(importlib.util.find_spec("numpy").origin).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**(os.environ if env is None else env), "PYTHONPATH": str(SRC.parent)},
+        [sys.executable, *([] if site else ["-S"]), "-c", code],
+        env={**(os.environ if env is None else env), "PYTHONPATH": os.pathsep.join(path)},
         capture_output=True,
         text=True,
         check=True,
@@ -147,6 +153,18 @@ def test_no_layer_loads_dataclasses_or_inspect(tmp_path):
         f"code = bateman.cli.main(['all', '--out', {str(tmp_path)!r}]); print(code, {loaded})"
     )
     assert exact == ["[]"] and (cli[0], cli[-1]) == ("[]", "0 []")
+    # nor a process or thread library at import or in a run: the CSV writer
+    # is one os.fork.  The environment's site hooks may import threading
+    # before the package does, so this interpreter starts without them
+    spawners = ("[m for m in ('multiprocessing', 'subprocess', 'pickle', 'threading') "
+                "if m in sys.modules]")
+    bare = run_fresh(
+        f"import sys; print({spawners}); import bateman.cli; print({spawners}); "
+        f"code = bateman.cli.main(['all', '--out', {str(tmp_path / 'bare')!r}]); "
+        f"print(code, {spawners})",
+        site=False,
+    )
+    assert (bare[0], bare[1], bare[-1]) == ("[]", "[]", "0 []")
 
 
 def test_cli_import_loads_every_traced_layer():

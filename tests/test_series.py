@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -126,17 +127,38 @@ def test_stepped_terms_match_math_comb():
         squeeze_terms(-1, 5)
 
 
+def raabe_text(kmax: int) -> str:
+    """The CSV that ``raabe_csv`` writes at depth ``kmax``, as one string."""
+    out = io.StringIO()
+    raabe_csv(raabe_test(kmax), out)
+    return out.getvalue()
+
+
+def raabe_csv_peak(kmax: int) -> int:
+    """The traced peak of writing the CSV at depth ``kmax`` to a file that
+    keeps nothing in memory, after a small warm-up write."""
+    with open(os.devnull, "w") as sink:
+        raabe_csv(raabe_test(10), sink)
+        tracemalloc.start()
+        try:
+            raabe_csv(raabe_test(kmax), sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def test_raabe_at_kmax_1e4_stays_far_below_the_exact_term_list():
     # the exact terms a_0 .. a_(10^4 + 1) this test and its CSV once held
     # peaked at 28.1 MB; the float rows alone measured 1.8 MB
-    raabe_csv(raabe_test(10**4))
-    tracemalloc.start()
-    try:
-        raabe_csv(raabe_test(10**4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = raabe_csv_peak(10**4)
     assert peak < 3_000_000, peak
+
+
+def test_raabe_csv_at_the_depth_limit_holds_one_block_of_rows():
+    # the rows go to the file a block at a time: 0.096 MB measured at 10^5,
+    # where the whole text held in memory peaked at 18.7 MB
+    peak = raabe_csv_peak(RAABE_KMAX_LIMIT)
+    assert peak < 200_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +330,7 @@ def test_partial_sum_growth_needs_a_positive_series():
 
 
 def test_csv_columns():
-    lines = raabe_csv(raabe_test(20)).strip().splitlines()
+    lines = raabe_text(20).strip().splitlines()
     assert lines[0] == "k,rho,S_k"
     assert len(lines) == 21
     k, rho, s = lines[1].split(",")
@@ -320,7 +342,7 @@ def test_csv_columns():
 def test_csv_matches_per_term_construction():
     # oracle: every a_k rebuilt from math.comb; rho is correctly rounded either
     # way, and the stepped float S_k stays within a few ulps of the exact sum
-    rows = raabe_csv(raabe_test(1000)).splitlines()
+    rows = raabe_text(1000).splitlines()
     assert rows[0] == "k,rho,S_k"
     acc = Coeff(0)
     for k in range(1001):
@@ -343,10 +365,10 @@ def test_ratio_test_depth_is_bounded():
 def test_series_layer_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
-        "import sys\n"
+        "import io, sys\n"
         "from bateman.series import partial_sum_growth, raabe_csv, raabe_test\n"
         "assert raabe_test(1000).verdict == 'divergent'\n"
-        "raabe_csv(raabe_test(1000))\n"
+        "raabe_csv(raabe_test(1000), io.StringIO())\n"
         "assert partial_sum_growth((10**3, 10**4, 10**5)).bounds_hold\n"
         "print('numpy' in sys.modules)\n"
     )
